@@ -24,6 +24,13 @@ either determines a_k exactly, or proves the frame wrong (forced nonzero
 residual), or exposes a resonance (both sides vanish identically and a_k
 is a free parameter).
 
+With g_j = u_j/x = (1 - j x^2)^(-1/2), the responses W_j * g_j^k are
+marched two steps at a time: W_j and W_j * g_j are the only products, and
+from then on g_j^(k+1) = g_j^(k-1) / (1 - j x^2) is an exact O(T)
+division, so the whole march costs O(K*T) ring operations (a product per
+step would make it O(K*T^2)).  The division keeps the truncation of W_j,
+which a product by g_j would not have cut either.
+
 All series arithmetic is exact; truncations are tracked, and when the
 marching would need an order beyond what was computed, the whole solve is
 retried once or twice with a larger budget instead of guessing.
@@ -140,19 +147,35 @@ def _assemble(rec: Recurrence, frame: Frame, unit_orders: int):
     return terms, units
 
 
+def _divide_one_minus_jx2(s: PuiseuxSeries, j: int) -> PuiseuxSeries:
+    """s / (1 - j x^2) by the O(T) recurrence y_m = s_m + j * y_(m-2).
+
+    The divisor is an exact polynomial with constant term 1, so the
+    valuation and the truncation of s carry over unchanged."""
+    y = list(s.coeffs)
+    for m in range(2, len(y)):
+        y[m] = y[m] + j * y[m - 2]
+    return PuiseuxSeries(s.valuation, y, s.truncation)
+
+
 def _march(rec: Recurrence, frame: Frame, K: int, unit_orders: int):
     """One solve attempt at a fixed truncation budget."""
     terms, units = _assemble(rec, frame, unit_orders)
     r = None
     for w in terms.values():
         r = w if r is None else add(r, w)
-    responses = {j: w for j, w in terms.items() if j != 0}
+    # (W_j g_j^(k-1), W_j g_j^k) per shift, seeded for k = 1; after that
+    # g_j^k = g_j^(k-2) / (1 - j x^2) advances each pair by one division.
+    responses = {j: (w, mul(w, units[j])) for j, w in terms.items() if j != 0}
     coefficients = []
     for k in range(1, K + 1):
-        for j in units:
-            responses[j] = mul(responses[j], units[j])
+        if k > 1:
+            responses = {
+                j: (cur, _divide_one_minus_jx2(prev, j))
+                for j, (prev, cur) in responses.items()
+            }
         b = terms[0]
-        for v in responses.values():
+        for _, v in responses.values():
             b = add(b, v)
         b = b.x_shift(k)
         o = min(r.valuation, b.valuation)

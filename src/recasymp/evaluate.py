@@ -44,7 +44,8 @@ _GUARD_DIGITS = 10
 
 def _exponent_argument(frame, n: int) -> float:
     """Cheap float estimate of beta*(n log n - n) + c*sqrt(n) + alpha*log n
-    + kappa, used only to size the working precision."""
+    + kappa, used only to size the working precision.  Raises
+    OverflowError, or returns inf or nan, once n*log n leaves float range."""
     log_n = math.log(n) if n > 1 else 0.0
     return (
         float(frame.beta) * (n * log_n - n)
@@ -54,12 +55,28 @@ def _exponent_argument(frame, n: int) -> float:
     )
 
 
+def _exponent_log10_bound(frame, n: int) -> float:
+    """An upper bound on log10 |exponent argument| from logarithms alone
+    (math.log takes ints of any size), for n where the float estimate
+    overflows: there every term is at most its weight times n log n."""
+    weight = abs(frame.beta) + abs(frame.c) + abs(frame.alpha) + abs(frame.kappa)
+    if not weight:
+        return 0.0
+    return math.log10(weight) + math.log10(n) + math.log10(math.log(n))
+
+
 def working_dps(frame, n: int, digits: int) -> int:
     """The decimal working precision for evaluating at index n."""
     if digits < 1:
         raise ValueError("need at least one digit")
-    magnitude = abs(_exponent_argument(frame, n))
-    extra = math.ceil(math.log10(magnitude)) if magnitude >= 1.0 else 0
+    try:
+        magnitude = abs(_exponent_argument(frame, n))
+    except OverflowError:
+        magnitude = math.inf
+    if math.isfinite(magnitude):
+        extra = math.ceil(math.log10(magnitude)) if magnitude >= 1.0 else 0
+    else:
+        extra = math.ceil(_exponent_log10_bound(frame, n))
     dps = digits + _GUARD_DIGITS + max(0, extra)
     if dps > MAX_WORKING_DPS:
         raise PrecisionUnachievable(

@@ -1,5 +1,6 @@
 """The command line surface: outputs, formats, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -94,6 +95,18 @@ def test_coeffs_json_is_compact_and_round_trips(capsys):
     # Byte-identical round trip through the library types.
     exp = Expansion.from_json_dict(json.loads(line))
     assert json.dumps(exp.to_json_dict(), separators=(",", ":")) == line
+
+
+def test_coeffs_k60_json_is_byte_identical(capsys):
+    # sha256 of the exact stdout: any change in a coefficient or in the
+    # formatting moves it.
+    code, out, _ = run(
+        capsys, "coeffs", "--preset", "a85", "--K", "60", "--format", "json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "21e232093679fadae0bd22f7d6a0d899c6c4061633b8ac4f4e41b7073764b07c"
+    )
 
 
 def test_coeffs_latex(capsys):
@@ -203,6 +216,19 @@ def test_eval_invalid_n(capsys):
     )
     assert code == 1
     assert "n >= 1" in err
+
+
+def test_eval_beyond_float_range_does_not_crash(capsys):
+    # n log n overflows a float here; precision is sized from logarithms.
+    code, out, err = run(
+        capsys, "eval", "--preset", "a85", "--n", str(10**400), "--k", "3",
+        "--digits", "10",
+    )
+    assert code in (0, 3)
+    if code == 0:
+        assert out.strip().startswith("5.365687672e")
+    else:
+        assert "error" in err
 
 
 # -- check -----------------------------------------------------------------------

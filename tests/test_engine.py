@@ -2,6 +2,8 @@
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recasymp import (
     Expansion,
@@ -12,9 +14,12 @@ from recasymp import (
     Rational,
     Recurrence,
     ResonantOrder,
+    compose_shift,
+    mul,
     residual_check,
     solve_expansion,
 )
+from recasymp import engine
 
 # First ten correction coefficients of the involution-number expansion;
 # a_1..a_5 are classical, the rest are pinned from the exact solver and
@@ -147,6 +152,62 @@ def test_factorial_expansion_against_bigfloat_factorial():
             assert abs(ratio - 1) < mpmath.mpf(n) ** (-3.5)
     finally:
         mpmath.mp.dps = 15
+
+
+# -- linear-response march ----------------------------------------------------
+
+
+@st.composite
+def exact_series(draw):
+    v = draw(st.integers(min_value=-4, max_value=4))
+    coeffs = draw(
+        st.lists(
+            st.builds(
+                Rational,
+                st.integers(min_value=-9, max_value=9),
+                st.integers(min_value=1, max_value=9),
+            ),
+            max_size=12,
+        )
+    )
+    return PuiseuxSeries(v, coeffs, v + len(coeffs))
+
+
+@settings(max_examples=80)
+@given(exact_series(), st.integers(min_value=1, max_value=4))
+def test_march_division_is_two_shift_units(s, j):
+    # u = (1 - j x^2)^(-1/2) through an order ample for s, so both products
+    # keep the truncation of s, as in the march.
+    ample = s.truncation - s.valuation + 2
+    u = compose_shift(PuiseuxSeries.monomial(1, 1, ample), j).x_shift(-1)
+    assert engine._divide_one_minus_jx2(s, j) == mul(mul(s, u), u)
+
+
+@settings(max_examples=80)
+@given(exact_series(), st.integers(min_value=1, max_value=4))
+def test_march_division_inverts_its_divisor(s, j):
+    divisor = PuiseuxSeries.from_terms(
+        {0: 1, 2: -j}, s.truncation - s.valuation + 3
+    )
+    assert mul(engine._divide_one_minus_jx2(s, j), divisor) == s
+
+
+def test_march_products_do_not_grow_with_K(a85, a85_fr, monkeypatch):
+    # Only the seeds W_j and W_j * g_j are products; every later step is an
+    # O(T) division, so K = 20 and K = 60 make the same number of calls.
+    calls = []
+
+    def counting_mul(s1, s2):
+        calls.append(1)
+        return mul(s1, s2)
+
+    monkeypatch.setattr(engine, "mul", counting_mul)
+    counts = []
+    for K in (20, 60):
+        calls.clear()
+        solve_expansion(a85, a85_fr, K)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 # -- residual certificate -----------------------------------------------------

@@ -80,6 +80,18 @@ def test_working_dps_follows_exponent_magnitude(a85_fr):
 def test_working_dps_is_bounded(a85_fr):
     with pytest.raises(PrecisionUnachievable):
         working_dps(a85_fr, 1000, 10**6)
+    with pytest.raises(PrecisionUnachievable):
+        working_dps(a85_fr, 10**(10**6), 10)
+
+
+def test_working_dps_beyond_float_range(a85_fr):
+    # From about n = 2.5e305 the float n log n is inf, from 1.8e308 n
+    # itself overflows; the logarithmic bound takes over without a drop.
+    below = working_dps(a85_fr, 10**305, 10)
+    assert below == 10 + 10 + 308
+    assert below <= working_dps(a85_fr, 10**306, 10) <= below + 2
+    assert working_dps(a85_fr, 10**400, 10) == 10 + 10 + 404
+    assert working_dps(Frame(0, 0, 0), 10**400, 10) == 20
 
 
 def test_truncation_floor_digits():
