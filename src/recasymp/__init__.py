@@ -33,7 +33,6 @@ from .errors import (
     ResonantOrder,
     SeriesError,
     TruncationDominates,
-    ZeroLeadingTerm,
 )
 from .evaluate import (
     INV_SQRT2,
@@ -63,7 +62,6 @@ from .series import (
     add,
     compose_shift,
     exp_series,
-    invert,
     log1p_series,
     mul,
 )
@@ -96,7 +94,6 @@ __all__ = [
     "ResonantOrder",
     "SeriesError",
     "TruncationDominates",
-    "ZeroLeadingTerm",
     "a85_frame",
     "a85_recurrence",
     "add",
@@ -112,7 +109,6 @@ __all__ = [
     "frame_solve",
     "frame_to_latex",
     "get_preset",
-    "invert",
     "involution_count_brute",
     "involution_count_by_sum",
     "involution_counts_by_egf",

@@ -108,7 +108,7 @@ def _integer_summary(value: int) -> str:
 
 def _cmd_seq(args) -> int:
     preset = get_preset(args.preset)
-    values = preset.sequence_values(args.n)
+    values = preset.sequence(args.n)
     if args.digits_only:
         print(_integer_summary(values[args.n]))
     elif args.last:

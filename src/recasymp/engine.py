@@ -21,8 +21,8 @@ r is the residual so far and the linear response is
 because a_k enters S(u_j) as a_k * x^k * u_j^k.  At the lowest order o
 where either side has a known nonzero coefficient, r[o] + a_k * B_k[o] = 0
 either determines a_k exactly, or proves the frame wrong (forced nonzero
-residual), or exposes a resonance (both sides vanish identically and a_k
-is a free parameter).
+residual), or exposes a resonance (both sides vanish through the last
+order at which a_k can be read, see below, so a_k is a free parameter).
 
 With g_j = u_j/x = (1 - j x^2)^(-1/2), the responses W_j * g_j^k are
 marched two steps at a time: W_j and W_j * g_j are the only products, and
@@ -31,21 +31,33 @@ division, so the whole march costs O(K*T) ring operations (a product per
 step would make it O(K*T^2)).  The division keeps the truncation of W_j,
 which a product by g_j would not have cut either.
 
-All series arithmetic is exact; truncations are tracked, and when the
-marching would need an order beyond what was computed, the whole solve is
-retried once or twice with a larger budget instead of guessing.
+All series arithmetic is exact, and every truncation is sized once, before
+any arithmetic, by one rule (the indicial structure of the formal solution,
+Wimp & Zeilberger, J. Math. Anal. Appl. 111, 1985).  W_j has valuation
+-(2 deg p_j - 2 beta j), so the leading balance sits at order -sigma,
+sigma = max_j (2 deg p_j - 2 beta j).  Its polynomial chi(z) = sum lc(p_j)
+z^j, over the shifts that reach it, has at most t nonzero terms for t
+active shifts, so by Descartes' rule of signs its root z = 1 has
+multiplicity m <= t - 1.  The frame's c-equation then sits at most m orders
+above the leading balance and its alpha-equation at most 2m.  Multiplying
+S by x^k = n^(-k/2) shifts alpha by -k/2, so B_k is x^k times the frame
+residual at alpha - k/2, and a_k is read at most k + 2(t - 1) orders above
+the leading balance.  With the unit factor of every Phi_j known through
+O(x^T), W_j is known through T orders past its valuation, so sigma cancels
+from every budget: the solve takes T = K + 2(t - 1) + 1, and when r and B_k
+both vanish through order k - sigma + 2(t - 1), a_k is reported as
+resonant rather than read from further out.
 """
 
 from __future__ import annotations
 
-from .errors import FrameMismatch, ResonantOrder
-from .frame import Frame, frame_ratio, shift_exponent
-from .rationals import Rational, format_rational, parse_rational
-from .recurrence import Recurrence, poly_degree, poly_to_laurent
-from .series import PuiseuxSeries, add, compose_shift, mul
+from functools import reduce
 
-#: Extra orders beyond K carried by every solve as a safety margin.
-TRUNCATION_GUARD = 4
+from .errors import FrameMismatch, ResonantOrder
+from .frame import Frame, frame_ratio
+from .rationals import Rational, format_rational, parse_rational
+from .recurrence import Recurrence, poly_to_laurent
+from .series import PuiseuxSeries, add, compose_shift, mul
 
 
 class Expansion:
@@ -113,37 +125,39 @@ class Expansion:
         )
 
 
-class _Shortfall(Exception):
-    """Internal: the marching needed an order beyond the truncation."""
-
-    def __init__(self, k: int, order: int, both_zero: bool):
-        self.k = k
-        self.order = order
-        self.both_zero = both_zero
-        super().__init__(f"order {order} unavailable while solving a_{k}")
+def _reach(rec: Recurrence) -> int:
+    """2(t - 1) for t active shifts: how many orders above the leading
+    balance the frame equations and the equation for a_k (counted from
+    order k) can sit; see the module docstring."""
+    return 2 * (sum(1 for _ in rec.active_shifts()) - 1)
 
 
-def _assemble(rec: Recurrence, frame: Frame, unit_orders: int):
+def _assemble(rec: Recurrence, frame, unit_orders: int):
     """Build the weights W_j = L_j * Phi_j and shift units u_j, with the
     unit factor of every Phi_j known through O(x^unit_orders).
+
+    By the product rule T = min(T1 + v2, T2 + v1), W_j is then known through
+    unit_orders orders past its valuation -(2 deg p_j - 2 beta j), as long
+    as the exact L_j is carried through O(x^unit_orders) (its valuation is
+    -2 deg p_j <= 0) and the units through O(x^unit_orders) as well, so
+    that products with them keep the truncation of W_j.
+
+    frame needs beta, c and alpha only; c and alpha may lie in any exact
+    commutative ring, which is how frame_solve keeps them symbolic.
 
     Returns (terms, units) where terms maps j -> W_j (including j = 0 with
     W_0 = L_0) and units maps j -> u_j/x as a valuation-0 series.
     """
-    # Generous padding for the exact polynomial factors and shift units so
-    # that products below are only ever limited by the frame ratios.
-    pad = unit_orders + 8
-    for j, p in rec.active_shifts():
-        pad += 2 * poly_degree(p) + abs(shift_exponent(frame.beta, j) if j else 0)
+    x = PuiseuxSeries.monomial(1, 1, unit_orders + 1)
     terms = {}
     units = {}
     for j, p in rec.active_shifts():
-        lj = poly_to_laurent(p, pad)
+        lj = poly_to_laurent(p, unit_orders)
         if j == 0:
             terms[0] = lj
             continue
         terms[j] = mul(lj, frame_ratio(frame, j, unit_orders))
-        units[j] = compose_shift(PuiseuxSeries.monomial(1, 1, pad), j).x_shift(-1)
+        units[j] = compose_shift(x, j).x_shift(-1)
     return terms, units
 
 
@@ -158,12 +172,17 @@ def _divide_one_minus_jx2(s: PuiseuxSeries, j: int) -> PuiseuxSeries:
     return PuiseuxSeries(s.valuation, y, s.truncation)
 
 
-def _march(rec: Recurrence, frame: Frame, K: int, unit_orders: int):
-    """One solve attempt at a fixed truncation budget."""
-    terms, units = _assemble(rec, frame, unit_orders)
-    r = None
-    for w in terms.values():
-        r = w if r is None else add(r, w)
+def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
+    """Solve for the first K correction coefficients of rec in the given
+    frame.  Exact; raises FrameMismatch or ResonantOrder when the order-by-
+    order equations say so."""
+    if K < 0:
+        raise ValueError("K must be >= 0")
+    reach = _reach(rec)
+    terms, units = _assemble(rec, frame, K + reach + 1)
+    # The leading balance, -sigma, is the lowest valuation among the W_j.
+    leading = min(w.valuation for w in terms.values())
+    r = reduce(add, terms.values())
     # (W_j g_j^(k-1), W_j g_j^k) per shift, seeded for k = 1; after that
     # g_j^k = g_j^(k-2) / (1 - j x^2) advances each pair by one division.
     responses = {j: (w, mul(w, units[j])) for j, w in terms.items() if j != 0}
@@ -179,55 +198,16 @@ def _march(rec: Recurrence, frame: Frame, K: int, unit_orders: int):
             b = add(b, v)
         b = b.x_shift(k)
         o = min(r.valuation, b.valuation)
-        readable = min(r.truncation, b.truncation)
-        if o >= readable:
-            raise _Shortfall(k, o, r.is_zero and b.is_zero)
-        p = r.coefficient(o)
+        if o > leading + k + reach:
+            raise ResonantOrder(k, leading + k + reach)
         q = b.coefficient(o)
         if q == 0:
-            if p == 0:
-                raise ResonantOrder(k, o)
             raise FrameMismatch(k, o)
-        a_k = -p / q
+        a_k = -r.coefficient(o) / q
         coefficients.append(a_k)
         if a_k != 0:
             r = add(r, b.scale(a_k))
-    return coefficients
-
-
-def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
-    """Solve for the first K correction coefficients of rec in the given
-    frame.  Exact; raises FrameMismatch or ResonantOrder when the order-by-
-    order equations say so."""
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    for j, _ in rec.active_shifts():
-        if j:
-            shift_exponent(frame.beta, j)
-    budget = K + TRUNCATION_GUARD + _degree_spread(rec, frame)
-    both_zero_at = None
-    for attempt in range(4):
-        try:
-            return Expansion(frame, K, _march(rec, frame, K, budget))
-        except _Shortfall as sh:
-            if sh.both_zero:
-                if both_zero_at == sh.k:
-                    # A larger budget still shows no response and no forcing:
-                    # the coefficient is genuinely free, not under-resolved.
-                    raise ResonantOrder(sh.k, sh.order) from None
-                both_zero_at = sh.k
-            budget = max(budget + 8, sh.order + TRUNCATION_GUARD + 1)
-    raise RuntimeError("truncation retries exhausted; recurrence is degenerate")
-
-
-def _degree_spread(rec: Recurrence, frame: Frame) -> int:
-    """How many orders the polynomial degrees can push the residual below
-    the unit scale: max over j of 2*deg(p_j) - 2*beta*j, at least 0."""
-    spread = 0
-    for j, p in rec.active_shifts():
-        s = shift_exponent(frame.beta, j) if j else 0
-        spread = max(spread, 2 * poly_degree(p) - s)
-    return spread
+    return Expansion(frame, K, coefficients)
 
 
 def residual_check(rec: Recurrence, exp: Expansion) -> int:
@@ -236,28 +216,24 @@ def residual_check(rec: Recurrence, exp: Expansion) -> int:
 
     A return of m means E(S) = O(x^(v0 + m)) where v0 is the first order at
     which anything could have been nonzero; m >= exp.K certifies that every
-    solved coefficient does its job."""
-    budget = exp.K + TRUNCATION_GUARD + _degree_spread(rec, exp.frame)
-    terms, units = _assemble(rec, exp.frame, budget)
+    solved coefficient does its job.  The residual is known one order past
+    the solve's window, through order K + 1 + 2(t - 1) - sigma, so it sees
+    the order at which a_(K+1) would be read.  When it vanishes through all
+    of that, as for an exact solution, the value is the window's limit: a
+    lower bound, still >= exp.K."""
+    unit_orders = exp.K + _reach(rec) + 2
+    terms, units = _assemble(rec, exp.frame, unit_orders)
     # The certificate treats the solved correction as an exact polynomial:
-    # residual orders beyond K measure its quality, so S must not carry its
-    # own O(x^(K+1)) term into the bookkeeping.
-    pad = budget + TRUNCATION_GUARD + 4
+    # residual orders beyond K measure its quality, so S carries zeros,
+    # not its own O(x^(K+1)) term, through O(x^unit_orders).
     s = PuiseuxSeries(
         0,
-        (Rational(1),) + exp.a + (Rational(0),) * (pad - exp.K - 1),
-        pad,
+        (Rational(1),) + exp.a + (Rational(0),) * (unit_orders - exp.K - 1),
+        unit_orders,
     )
-    residual = None
-    response1 = None
-    for j, w in terms.items():
-        shifted = s if j == 0 else compose_shift(s, j)
-        contribution = mul(w, shifted)
-        residual = contribution if residual is None else add(residual, contribution)
-        linear = w if j == 0 else mul(w, units[j])
-        response1 = linear if response1 is None else add(response1, linear)
-    v0 = min(
-        residual.valuation if not residual.is_zero else residual.truncation,
-        response1.valuation + 1,
+    residual = reduce(
+        add, (mul(w, compose_shift(s, j) if j else s) for j, w in terms.items())
     )
-    return min(residual.valuation, residual.truncation) - v0
+    response1 = reduce(add, (mul(w, units[j]) if j else w for j, w in terms.items()))
+    v0 = min(residual.valuation, response1.valuation + 1)
+    return residual.valuation - v0

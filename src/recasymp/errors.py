@@ -15,11 +15,6 @@ class SeriesError(RecasympError):
     """Base class for errors in truncated Puiseux series arithmetic."""
 
 
-class ZeroLeadingTerm(SeriesError):
-    """Inversion of a series whose leading coefficient is zero
-    (i.e. the zero series, which has no known nonzero term)."""
-
-
 class NonPositiveValuation(SeriesError):
     """exp or log1p applied to a series with valuation <= 0; the result
     would not be a formal power series in the same variable."""
@@ -55,9 +50,10 @@ class FrameMismatch(EngineError):
 
 
 class ResonantOrder(EngineError):
-    """At some order both the forcing term and the linear response vanish,
-    so the coefficient being solved for is a free parameter.  It is
-    reported, never silently set."""
+    """Through the last order at which the coefficient being solved for can
+    be read (see the engine module), both the forcing term and the linear
+    response vanish, so it is a free parameter.  It is reported, never
+    silently set."""
 
     def __init__(self, k: int, order: int, message: str = ""):
         self.k = k

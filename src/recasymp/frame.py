@@ -119,7 +119,9 @@ def frame_ratio(fr: Frame, j: int, T: int) -> PuiseuxSeries:
     The result has valuation 2*beta*j and is known through
     O(x^(T + 2*beta*j)): T orders of the unit factor exp(g_j).  kappa drops
     out of the ratio, so two frames differing only in kappa give identical
-    results.
+    results.  Only fr.beta, fr.c and fr.alpha are read, and c and alpha may
+    lie in any exact commutative ring: the frame finder passes polynomial
+    unknowns for them.
     """
     s = shift_exponent(fr.beta, j)
     a_part, b_part, c_part = frame_ratio_parts(j, T)

@@ -18,6 +18,12 @@ pins the other parameter.  Rational root finding keeps everything exact: a
 missing rational root or a root that is not unique is reported as such,
 never approximated.
 
+The search window is fixed in advance: for t active shifts both equations
+sit at most 2(t - 1) orders above the leading balance (see the engine
+module), so E is built once, by the solver's own assembly, with the unit
+factor of every shift ratio known through O(x^(2(t - 1) + 1)), and nothing
+is retried.
+
 kappa is normalised to 0: it multiplies every term by the same constant,
 so it is indistinguishable from the connection constant the exact algebra
 cannot see anyway.
@@ -25,13 +31,17 @@ cannot see anyway.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import lcm
+from types import SimpleNamespace
 
+from .engine import _assemble, _reach
 from .errors import AmbiguousRoot, NoRationalRoot
-from .frame import Frame, frame_ratio_parts, shift_exponent
+from .frame import Frame
 from .rationals import Rational, format_rational
-from .recurrence import Recurrence, poly_degree, poly_to_laurent
-from .series import PuiseuxSeries, add, exp_series, mul
+from .recurrence import Recurrence, poly_degree
+# exp_series stays bound here for tools that rebind by-name imports.
+from .series import PuiseuxSeries, add, exp_series  # noqa: F401
 
 
 class _Poly2:
@@ -244,7 +254,7 @@ def rational_roots(coeffs) -> list:
     return sorted(roots)
 
 
-def frame_solve(rec: Recurrence, *, _orders: int = 10) -> Frame:
+def frame_solve(rec: Recurrence) -> Frame:
     """Determine the growth frame (beta, c, alpha, 0) of rec, or raise:
     RamificationError when beta leaves the half-integer-exponent world,
     NoRationalRoot / AmbiguousRoot when the frame equations do not have a
@@ -257,50 +267,14 @@ def frame_solve(rec: Recurrence, *, _orders: int = 10) -> Frame:
         slope = Rational(poly_degree(p) - deg0, j)
         if beta is None or slope > beta:
             beta = slope
-    for j, _ in rec.active_shifts():
-        if j:
-            shift_exponent(beta, j)
-
-    spread = 0
-    for j, p in rec.active_shifts():
-        s = shift_exponent(beta, j) if j else 0
-        spread = max(spread, 2 * poly_degree(p) - s)
-
-    c_gen = _Poly2.gen_c()
-    alpha_gen = _Poly2.gen_alpha()
-    solved = {}
-    for attempt in range(2):
-        orders = _orders + 8 * attempt + spread
-        residual = _symbolic_residual(rec, beta, c_gen, alpha_gen, orders)
-        solved = _solve_low_orders(residual)
-        if len(solved) == 2:
-            break
+    symbolic = SimpleNamespace(beta=beta, c=_Poly2.gen_c(), alpha=_Poly2.gen_alpha())
+    terms, _ = _assemble(rec, symbolic, _reach(rec) + 1)
+    solved = _solve_low_orders(reduce(add, terms.values()))
     if len(solved) < 2:
         raise NoRationalRoot(
             "the low-order frame equations do not determine both c and alpha"
         )
     return Frame(beta, solved["c"], solved["alpha"], 0)
-
-
-def _symbolic_residual(rec, beta, c_gen, alpha_gen, orders) -> PuiseuxSeries:
-    """E(x) with S = 1 and the frame parameters c, alpha left symbolic."""
-    pad = orders + 8
-    for j, p in rec.active_shifts():
-        pad += 2 * poly_degree(p) + abs(shift_exponent(beta, j) if j else 0)
-    residual = None
-    for j, p in rec.active_shifts():
-        lj = poly_to_laurent(p, pad)
-        if j == 0:
-            w = lj
-        else:
-            a_part, b_part, c_part = frame_ratio_parts(j, orders)
-            g = add(
-                add(a_part.scale(beta), b_part.scale(c_gen)),
-                c_part.scale(alpha_gen),
-            )
-            w = mul(lj, exp_series(g).x_shift(shift_exponent(beta, j)))
-        residual = w if residual is None else add(residual, w)
-    return residual
 
 
 def _solve_low_orders(residual: PuiseuxSeries) -> dict:

@@ -42,9 +42,6 @@ class Preset:
     constant_latex: str
     sequence: object = field(repr=False)
 
-    def sequence_values(self, n_max: int) -> list[int]:
-        return self.sequence(n_max)
-
 
 def get_preset(name: str) -> Preset:
     try:

@@ -21,24 +21,19 @@ Truncation orders obey the usual interval arithmetic of O-terms:
 
     add:        T = min(T1, T2)
     mul:        T = min(T1 + v2, T2 + v1)
-    invert:     T = T0 - 2*v0
     exp, log1p: T preserved (arguments must have positive valuation)
     shift substitution x -> x*(1 - j*x^2)^(-1/2): v and T preserved
 
 Coefficients are exact rationals in the normal case, but every algorithm
-here only uses ring operations plus division by integers (and, for invert,
-by the leading coefficient), so series over other exact commutative rings
-work too; the frame finder exploits that with polynomial coefficients.
+here only uses ring operations plus division by integers, so series over
+other exact commutative rings work too; the frame finder exploits that
+with polynomial coefficients.
 All floating point input is rejected.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    NegativeValuation,
-    NonPositiveValuation,
-    ZeroLeadingTerm,
-)
+from .errors import NegativeValuation, NonPositiveValuation
 from .rationals import ONE, Rational, format_rational, parse_rational
 
 #: Exponent denominator of the series lattice, in powers of 1/n. Fixed.
@@ -273,27 +268,6 @@ def mul(s1: PuiseuxSeries, s2: PuiseuxSeries) -> PuiseuxSeries:
             if not _is_zero(b):
                 out[i + j] = out[i + j] + a * b
     return PuiseuxSeries(v, out, t)
-
-
-def invert(s: PuiseuxSeries) -> PuiseuxSeries:
-    """Multiplicative inverse 1/s, known through O(x^(T - 2v)).
-
-    The leading coefficient must be a nonzero unit of the coefficient
-    ring (always true over the rationals)."""
-    if s.is_zero:
-        raise ZeroLeadingTerm("cannot invert a series with no known nonzero term")
-    a = s.coeffs
-    n = s.truncation - s.valuation
-    inv0 = ONE / a[0]
-    out = [Rational(0)] * n
-    out[0] = inv0
-    for m in range(1, n):
-        acc = Rational(0)
-        for i in range(1, m + 1):
-            if not _is_zero(a[i]):
-                acc = acc + a[i] * out[m - i]
-        out[m] = -inv0 * acc
-    return PuiseuxSeries(-s.valuation, out, s.truncation - 2 * s.valuation)
 
 
 def _require_positive_valuation(s: PuiseuxSeries, what: str) -> None:

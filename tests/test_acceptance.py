@@ -23,7 +23,6 @@ from recasymp import (
     exp_series,
     format_significant,
     frame_solve,
-    invert,
     involution_count_brute,
     involution_count_by_sum,
     involution_counts_by_egf,

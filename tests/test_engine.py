@@ -106,6 +106,28 @@ def test_resonance_is_reported():
     with pytest.raises(ResonantOrder) as info:
         solve_expansion(rec, fr, 2)
     assert info.value.k == 2
+    # Three active shifts: a_k is read at most 2(3 - 1) = 4 orders above
+    # k - sigma = k - 4, so a_2 is reported free at order 2.
+    assert info.value.order == 2
+
+
+def test_solve_assembles_once(a85, a85_fr, monkeypatch):
+    # The truncation is sized before any arithmetic, so no input makes the
+    # solver rebuild its weights, a resonant one included.
+    calls = []
+    assemble = engine._assemble
+
+    def counting_assemble(*args):
+        calls.append(1)
+        return assemble(*args)
+
+    monkeypatch.setattr(engine, "_assemble", counting_assemble)
+    solve_expansion(a85, a85_fr, 10)
+    assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(ResonantOrder):
+        solve_expansion(Recurrence([[0, -1, 1], [-2, 4, -2], [2, -3, 1]]), Frame(0, 0, 0), 2)
+    assert len(calls) == 1
 
 
 def test_factorial_recurrence_gives_stirling_series():

@@ -1,6 +1,10 @@
 """Automatic determination of frame parameters from the recurrence alone."""
 
+from math import comb
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recasymp import (
     AmbiguousRoot,
@@ -88,6 +92,49 @@ def test_ambiguous_c_reports_all_candidates():
     with pytest.raises(AmbiguousRoot) as info:
         frame_solve(Recurrence([[1], [-2, -2], [0, 0, 1]]))
     assert info.value.candidates == [-2, 2]
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_difference_operator_alpha_is_ambiguous(m):
+    # The m-th difference annihilates 1, n, ..., n^(m-1): chi(z) = (1 - z)^m
+    # has a root of multiplicity m at z = 1, c = 0 comes from order m and
+    # alpha(alpha - 1)...(alpha - m + 1) = 0 from order 2m.
+    rec = Recurrence([[(-1) ** j * comb(m, j)] for j in range(m + 1)])
+    with pytest.raises(AmbiguousRoot) as info:
+        frame_solve(rec)
+    assert info.value.candidates == list(range(m))
+
+
+# -- round trip on recurrences with closed-form frames ---------------------------
+
+small = st.integers(min_value=-3, max_value=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.lists(small, min_size=1, max_size=3),
+)
+def test_round_trip_product_recurrence(j, low):
+    # t(n) = r(n) t(n - j) with r monic of degree d: beta = d/j, c = 0 and
+    # alpha = d/2 + b/j, b the n^(d-1) coefficient of r.
+    r = low + [1]
+    d = len(low)
+    rec = Recurrence([[1]] + [[]] * (j - 1) + [[-v for v in r]])
+    frame = frame_solve(rec)
+    assert frame == Frame(Rational(d, j), 0, Rational(d, 2) + Rational(low[-1], j), 0)
+    assert residual_check(rec, solve_expansion(rec, frame, 12)) >= 12
+
+
+@settings(max_examples=30, deadline=None)
+@given(small, small)
+def test_round_trip_involution_family(u, v):
+    # t(n) = u t(n - 1) + (n + v) t(n - 2): beta = 1/2, c = u and
+    # alpha = (v + 1)/2 (u = 1, v = -1 is the involution recurrence).
+    rec = Recurrence([[1], [-u], [-v, -1]])
+    frame = frame_solve(rec)
+    assert frame == Frame("1/2", u, Rational(v + 1, 2), 0)
+    assert residual_check(rec, solve_expansion(rec, frame, 12)) >= 12
 
 
 # -- rational root extraction ---------------------------------------------------

@@ -12,11 +12,9 @@ from recasymp import (
     NonPositiveValuation,
     PuiseuxSeries,
     Rational,
-    ZeroLeadingTerm,
     add,
     compose_shift,
     exp_series,
-    invert,
     log1p_series,
     mul,
 )
@@ -191,40 +189,6 @@ def test_truncate_and_x_shift():
     assert shifted.valuation == -3
     assert shifted.truncation == 1
     assert shifted.coefficient(-3) == 1
-
-
-# -- invert --------------------------------------------------------------------
-
-
-def test_invert_geometric():
-    s = S(0, [1, -1, 0, 0, 0, 0], 6)
-    assert invert(s) == S(0, [1] * 6, 6)
-
-
-def test_invert_constant():
-    assert invert(PuiseuxSeries.constant(2, 4)) == PuiseuxSeries.constant(
-        Rational(1, 2), 4
-    )
-
-
-def test_invert_zero_raises():
-    with pytest.raises(ZeroLeadingTerm):
-        invert(PuiseuxSeries.zero(5))
-
-
-def test_invert_laurent_truncation():
-    # 1/(x^2 (1 + x)) = x^-2 (1 - x + x^2 - ...), known through T - 2v.
-    s = S(2, [1, 1, 1, 1], 6)
-    r = invert(s)
-    assert r.valuation == -2
-    assert r.truncation == 6 - 2 * 2
-    assert r == S(-2, [1, -1, 0, 0], 2)
-
-
-def test_invert_is_two_sided():
-    s = S(-1, [2, 3, 5, 7], 3)
-    p = mul(s, invert(s))
-    assert p == PuiseuxSeries.one(p.truncation)
 
 
 # -- exp / log -------------------------------------------------------------------

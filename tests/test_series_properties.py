@@ -14,7 +14,6 @@ from recasymp import (
     add,
     compose_shift,
     exp_series,
-    invert,
     log1p_series,
     mul,
 )
@@ -37,15 +36,6 @@ def series(draw, min_valuation=-3, max_len=8):
 def positive_valuation_series(draw, max_len=8):
     v = draw(st.integers(min_value=1, max_value=4))
     coeffs = draw(st.lists(rationals, min_size=0, max_size=max_len))
-    return PuiseuxSeries(v, coeffs, v + len(coeffs))
-
-
-@st.composite
-def unit_series(draw, max_len=7):
-    v = draw(st.integers(min_value=-3, max_value=3))
-    lead = draw(rationals.filter(lambda q: q != 0))
-    rest = draw(st.lists(rationals, min_size=0, max_size=max_len))
-    coeffs = [lead] + rest
     return PuiseuxSeries(v, coeffs, v + len(coeffs))
 
 
@@ -85,17 +75,6 @@ def test_distributive(a, b, c):
 @given(series())
 def test_additive_inverse(a):
     assert add(a, a.scale(-1)).is_zero
-
-
-@given(unit_series())
-def test_invert_two_sided(s):
-    p = mul(s, invert(s))
-    assert p == PuiseuxSeries.one(p.truncation)
-
-
-@given(unit_series())
-def test_invert_involution(s):
-    assert agree(invert(invert(s)), s)
 
 
 @settings(max_examples=60)
