@@ -35,7 +35,6 @@ from .errors import (
     TruncationDominates,
 )
 from .evaluate import (
-    INV_SQRT2,
     RatioReport,
     connection_constant,
     eval_expansion,
@@ -53,7 +52,7 @@ from .involutions import (
     involution_counts_by_egf,
     involution_numbers,
 )
-from .presets import PRESETS, Preset, a85_frame, a85_recurrence, get_preset
+from .presets import INV_SQRT2, PRESETS, Preset, a85_frame, a85_recurrence, get_preset
 from .rationals import Rational, format_rational, parse_rational, rat
 from .recurrence import Recurrence, poly_to_laurent
 from .render import expansion_to_latex, frame_to_latex, series_to_latex

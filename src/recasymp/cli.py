@@ -27,7 +27,6 @@ from .errors import (
     RecasympError,
 )
 from .evaluate import (
-    INV_SQRT2,
     _fresh_context,
     connection_constant,
     eval_expansion,
@@ -36,7 +35,7 @@ from .evaluate import (
 )
 from .frame import Frame
 from .framesolve import frame_solve
-from .presets import get_preset
+from .presets import INV_SQRT2, get_preset
 from .rationals import format_rational, parse_rational
 from .recurrence import Recurrence
 from .render import expansion_to_latex
@@ -168,8 +167,11 @@ def _cmd_check(args) -> int:
             ]
         )
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(out + "\n")
+        except OSError as exc:
+            raise _UsageError(f"cannot write report to {args.report}: {exc}") from None
         print(f"report written to {args.report}")
     else:
         print(out)

@@ -99,16 +99,6 @@ class Expansion:
             raise ValueError(f"have coefficients 1..{self.K}, asked for {k}")
         return self.a[k - 1]
 
-    def correction_series(self) -> PuiseuxSeries:
-        """S(x) = 1 + a_1 x + ... + a_K x^K + O(x^(K+1))."""
-        return PuiseuxSeries(0, (Rational(1),) + self.a, self.K + 1)
-
-    def truncated(self, k: int) -> "Expansion":
-        """The same expansion keeping only the first k coefficients."""
-        if not 0 <= k <= self.K:
-            raise ValueError(f"have coefficients 1..{self.K}, asked for {k}")
-        return Expansion(self.frame, k, self.a[:k])
-
     def to_json_dict(self) -> dict:
         return {
             "frame": self.frame.to_json_dict(),

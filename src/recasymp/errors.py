@@ -39,12 +39,11 @@ class FrameMismatch(EngineError):
     choice of the current series coefficient can cancel: the frame
     (beta, c, alpha) does not belong to this recurrence."""
 
-    def __init__(self, k: int, order: int, message: str = ""):
+    def __init__(self, k: int, order: int):
         self.k = k
         self.order = order
         super().__init__(
-            message
-            or f"residual coefficient at order {order} cannot be cancelled "
+            f"residual coefficient at order {order} cannot be cancelled "
             f"while solving for coefficient {k}"
         )
 
@@ -55,13 +54,10 @@ class ResonantOrder(EngineError):
     response vanish, so it is a free parameter.  It is reported, never
     silently set."""
 
-    def __init__(self, k: int, order: int, message: str = ""):
+    def __init__(self, k: int, order: int):
         self.k = k
         self.order = order
-        super().__init__(
-            message
-            or f"coefficient {k} is undetermined at order {order} (resonance)"
-        )
+        super().__init__(f"coefficient {k} is undetermined at order {order} (resonance)")
 
 
 class FrameSolveError(EngineError):
@@ -106,11 +102,10 @@ class TruncationDominates(EvaluationError):
     expansion: no working precision can help, more series terms are
     needed."""
 
-    def __init__(self, requested_digits: int, floor_digits: int, message: str = ""):
+    def __init__(self, requested_digits: int, floor_digits: int):
         self.requested_digits = requested_digits
         self.floor_digits = floor_digits
         super().__init__(
-            message
-            or f"truncation error limits accuracy to about {floor_digits} "
+            f"truncation error limits accuracy to about {floor_digits} "
             f"digits, but {requested_digits} were requested"
         )

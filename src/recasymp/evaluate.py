@@ -29,12 +29,9 @@ from mpmath.ctx_mp import MPContext
 
 from .engine import Expansion, solve_expansion
 from .errors import PrecisionUnachievable, TruncationDominates
+from .involutions import involution_numbers
+from .presets import INV_SQRT2, a85_frame, a85_recurrence
 from .rationals import Rational, rat
-
-#: Sentinel for the exact connection constant 1/sqrt(2); it is irrational,
-#: so it cannot travel as a Rational and is materialised only at working
-#: precision inside an evaluation.
-INV_SQRT2 = object()
 
 #: Working precisions beyond this are refused rather than attempted.
 MAX_WORKING_DPS = 10**6
@@ -174,9 +171,6 @@ def ratio_check(n: int, k: int, digits: int, *, expansion: Expansion | None = No
     contain, whose relative size is about e^(-2 sqrt n) (3.4e-28 at
     n = 1000); no truncation gets the ratio closer to 1 than that floor.
     """
-    from .involutions import involution_numbers
-    from .presets import a85_frame, a85_recurrence
-
     if expansion is None:
         expansion = solve_expansion(a85_recurrence(), a85_frame(), k)
     asy = eval_expansion(expansion, INV_SQRT2, n, k, digits)
@@ -203,9 +197,6 @@ def connection_constant(rec, exp: Expansion, n: int, k: int, digits: int):
     involution recurrence; raises TruncationDominates when the expansion
     is too short to support the requested digits at this n.
     """
-    from .involutions import involution_numbers
-    from .presets import a85_recurrence
-
     if rec != a85_recurrence():
         raise ValueError(
             "exact sequence values are only available for the involution "

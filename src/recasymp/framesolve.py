@@ -91,15 +91,6 @@ class _Poly2:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return _Poly2({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return self._lift(other) + (-self)
-
     def __mul__(self, other):
         if not isinstance(other, _Poly2):
             if isinstance(other, float):
@@ -127,22 +118,6 @@ class _Poly2:
         if isinstance(other, float):
             return NotImplemented
         return self.terms == ({} if other == 0 else {(0, 0): Rational(other)})
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (i, j), v in sorted(self.terms.items()):
-            bit = format_rational(v)
-            if i:
-                bit += f"*c^{i}" if i > 1 else "*c"
-            if j:
-                bit += f"*alpha^{j}" if j > 1 else "*alpha"
-            bits.append(bit)
-        return " + ".join(bits)
 
     def variables(self) -> set:
         out = set()
@@ -243,8 +218,9 @@ def rational_roots(coeffs) -> list:
         if len(ints) == 2:
             roots.add(Rational(-ints[0], ints[1]))
         else:
+            denominators = _divisors(abs(ints[-1]))
             for p in _divisors(abs(ints[0])):
-                for q in _divisors(abs(ints[-1])):
+                for q in denominators:
                     for cand in (Rational(p, q), Rational(-p, q)):
                         value = Rational(0)
                         for c in reversed(ints):

@@ -19,10 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .evaluate import INV_SQRT2
 from .frame import Frame
 from .involutions import involution_numbers
 from .recurrence import Recurrence
+
+#: Sentinel for the exact connection constant 1/sqrt(2); it is irrational,
+#: so it cannot travel as a Rational and is materialised only at working
+#: precision inside an evaluation.
+INV_SQRT2 = object()
 
 
 def a85_recurrence() -> Recurrence:

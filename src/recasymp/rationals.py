@@ -17,20 +17,17 @@ try:
 except ImportError:  # pragma: no cover
     from fractions import Fraction as Rational
 
-#: The additive and multiplicative identities of the coefficient field.
-ZERO = Rational(0)
+#: The multiplicative identity of the coefficient field.
 ONE = Rational(1)
 
 
-def rat(value, denominator=None) -> "Rational":
+def rat(value) -> "Rational":
     """Coerce to an exact rational.
 
     Accepts int, Rational, or a string of the form "p" or "p/q" (optional
     sign, arbitrary size).  Floats are rejected: silent binary-to-decimal
     conversion would break every exactness guarantee downstream.
     """
-    if denominator is not None:
-        return Rational(value, denominator)
     if isinstance(value, float):
         raise TypeError("float is not an exact rational; pass int or 'p/q' string")
     if isinstance(value, str):

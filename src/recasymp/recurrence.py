@@ -83,12 +83,6 @@ class Recurrence:
 
     # -- serialization ------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "coeffs": [list(p) for p in self.coeffs],
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "Recurrence":
         coeffs = data["coeffs"]

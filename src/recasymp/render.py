@@ -99,14 +99,11 @@ def series_to_latex(exp: Expansion, k: int) -> str:
     return " ".join(parts)
 
 
-def expansion_to_latex(
-    exp: Expansion, k: int | None = None, constant_latex: str | None = None
-) -> str:
+def expansion_to_latex(exp: Expansion, constant_latex: str | None = None) -> str:
     """The full display: [C] F(n) ( series )."""
-    k = exp.K if k is None else k
     pieces = []
     if constant_latex:
         pieces.append(constant_latex)
     pieces.append(frame_to_latex(exp.frame))
     body = r" \, ".join(pieces)
-    return rf"{body} \left( {series_to_latex(exp, k)} \right)"
+    return rf"{body} \left( {series_to_latex(exp, exp.K)} \right)"

@@ -1,11 +1,8 @@
 """Truncated Puiseux series with exact coefficients.
 
 The working variable is x = n^(-1/2), so a series in x with integer
-exponents is a Puiseux series in 1/n with ramification 2.  That fixed
-ramification covers every square-root-type expansion this package targets;
-the exponent convention is the single extension point to change if a finer
-lattice is ever needed, and any attempt to use a different one is rejected
-loudly rather than silently misinterpreted.
+exponents is a Puiseux series in 1/n whose lattice is fixed at
+ramification 2.
 
 A series is a triple (valuation v, coefficient tuple, truncation T) and
 represents
@@ -34,10 +31,7 @@ All floating point input is rejected.
 from __future__ import annotations
 
 from .errors import NegativeValuation, NonPositiveValuation
-from .rationals import ONE, Rational, format_rational, parse_rational
-
-#: Exponent denominator of the series lattice, in powers of 1/n. Fixed.
-RAMIFICATION = 2
+from .rationals import ONE, Rational
 
 
 def _coerce(c):
@@ -60,12 +54,7 @@ class PuiseuxSeries:
 
     __slots__ = ("valuation", "coeffs", "truncation")
 
-    def __init__(self, valuation: int, coeffs, truncation: int, *, ramification: int = RAMIFICATION):
-        if ramification != RAMIFICATION:
-            raise ValueError(
-                f"only ramification {RAMIFICATION} is supported; "
-                "this is the designed extension point, not a runtime option"
-            )
+    def __init__(self, valuation: int, coeffs, truncation: int):
         if truncation < valuation:
             raise ValueError("truncation below valuation")
         coeffs = [_coerce(c) for c in coeffs]
@@ -171,8 +160,6 @@ class PuiseuxSeries:
         body = " + ".join(f"{c}*x^{k}" for k, c in self.terms()) or "0"
         return f"PuiseuxSeries({body} + O(x^{self.truncation}))"
 
-    # -- arithmetic (delegates to the module functions below) --------------
-
     def truncate(self, truncation: int) -> "PuiseuxSeries":
         """Forget terms at and beyond the given (smaller) truncation."""
         if truncation > self.truncation:
@@ -193,44 +180,6 @@ class PuiseuxSeries:
             return PuiseuxSeries.zero(self.truncation)
         return PuiseuxSeries(
             self.valuation, [c * a for a in self.coeffs], self.truncation
-        )
-
-    def __add__(self, other):
-        if not isinstance(other, PuiseuxSeries):
-            return NotImplemented
-        return add(self, other)
-
-    def __sub__(self, other):
-        if not isinstance(other, PuiseuxSeries):
-            return NotImplemented
-        return add(self, other.scale(-1))
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __mul__(self, other):
-        if isinstance(other, PuiseuxSeries):
-            return mul(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "valuation": self.valuation,
-            "truncation": self.truncation,
-            "coeffs": [format_rational(c) for c in self.coeffs],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PuiseuxSeries":
-        return cls(
-            int(data["valuation"]),
-            [parse_rational(c) for c in data["coeffs"]],
-            int(data["truncation"]),
         )
 
 

@@ -272,6 +272,19 @@ def test_check_report_file(tmp_path, capsys):
     assert payload["k"] == 2
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_check_unwritable_report_is_usage_error(tmp_path, capsys, where):
+    report = tmp_path / "missing" / "r.txt" if where == "missing-dir" else tmp_path
+    code, out, err = run(
+        capsys, "check", "--preset", "a85", "--n", "100", "--k", "1",
+        "--digits", "10", "--report", str(report),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write report to {report}: ")
+    assert err.count("\n") == 1
+
+
 # -- solve-frame -------------------------------------------------------------------
 
 

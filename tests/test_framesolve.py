@@ -18,6 +18,7 @@ from recasymp import (
     residual_check,
     solve_expansion,
 )
+from recasymp import framesolve
 
 
 def test_involution_frame(a85, a85_fr):
@@ -177,3 +178,18 @@ def test_rational_roots_large_coefficients():
     # (x - 12!)(x + 1): the root search must survive large integer factors.
     big = 479001600
     assert rational_roots([-big, big - 1, 1]) == [-big, 1]
+
+
+def test_rational_roots_factors_each_end_coefficient_once(monkeypatch):
+    # prod_{i=1..6} (x - i): one divisor list for the constant term 720 and
+    # one for the leading coefficient, not one per numerator candidate.
+    coeffs = [1]
+    for i in range(1, 7):
+        coeffs = [a - i * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    calls = []
+    divisors = framesolve._divisors
+    monkeypatch.setattr(
+        framesolve, "_divisors", lambda n: calls.append(n) or divisors(n)
+    )
+    assert rational_roots(coeffs) == [1, 2, 3, 4, 5, 6]
+    assert sorted(calls) == [1, 720]

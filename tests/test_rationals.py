@@ -68,7 +68,6 @@ def test_rat_accepts_int_string_rational():
     assert rat(3) == Rational(3)
     assert rat("3/4") == Rational(3, 4)
     assert rat(Rational(3, 4)) == Rational(3, 4)
-    assert rat(3, 4) == Rational(3, 4)
 
 
 def test_rat_rejects_float():

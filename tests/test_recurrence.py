@@ -57,13 +57,6 @@ def test_sequence_residual():
         rec.sequence_residual(t, 1)
 
 
-def test_json_round_trip():
-    rec = Recurrence([[1], [-1], [1, -1]])
-    data = rec.to_json_dict()
-    assert data == {"order": 2, "coeffs": [[1], [-1], [1, -1]]}
-    assert Recurrence.from_json_dict(data) == rec
-
-
 def test_json_order_mismatch_rejected():
     with pytest.raises(ValueError):
         Recurrence.from_json_dict({"order": 3, "coeffs": [[1], [-1]]})

@@ -59,11 +59,6 @@ def test_truncation_below_valuation_rejected():
         S(2, [], 1)
 
 
-def test_only_ramification_two():
-    with pytest.raises(ValueError):
-        PuiseuxSeries(0, [1], 1, ramification=3)
-
-
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         S(0, [0.5], 1)
@@ -168,17 +163,6 @@ def test_mul_by_zero():
     assert mul(s, z).is_zero
 
 
-def test_operators_match_functions():
-    a = S(0, [1, 2, 3], 3)
-    b = S(1, [5, 7], 3)
-    assert a + b == add(a, b)
-    assert a * b == mul(a, b)
-    assert a - b == add(a, b.scale(-1))
-    assert -a == a.scale(-1)
-    assert 2 * a == a.scale(2)
-    assert a * Rational(1, 2) == a.scale(Rational(1, 2))
-
-
 def test_truncate_and_x_shift():
     s = S(0, [1, 2, 3, 4], 4)
     assert s.truncate(2) == S(0, [1, 2], 2)
@@ -240,7 +224,7 @@ def test_log_requires_positive_valuation():
 
 def test_exp_log_inverse_pair():
     s = S(1, [Rational(1, 3), -2, 0, Rational(7, 5)], 5)
-    assert log1p_series(exp_series(s) - PuiseuxSeries.one(5)) == s
+    assert log1p_series(add(exp_series(s), PuiseuxSeries.one(5).scale(-1))) == s
     u = S(1, [1, 1, -1, Rational(2, 9)], 5)
     assert exp_series(log1p_series(u)) == add(PuiseuxSeries.one(5), u)
 
@@ -282,18 +266,7 @@ def test_shift_rejects_laurent_and_bad_j():
         compose_shift(PuiseuxSeries.one(3), 0)
 
 
-# -- serialization -------------------------------------------------------------------
-
-
-def test_json_round_trip():
-    s = S(-2, [1, 0, Rational(-7, 24)], 1)
-    data = s.to_json_dict()
-    assert data == {
-        "valuation": -2,
-        "truncation": 1,
-        "coeffs": ["1", "0", "-7/24"],
-    }
-    assert PuiseuxSeries.from_json_dict(data) == s
+# -- equality ------------------------------------------------------------------------
 
 
 def test_equality_includes_truncation():

@@ -83,7 +83,7 @@ def test_exp_log_left_inverse(s):
     if s.truncation < 1:
         return
     one = PuiseuxSeries.one(s.truncation)
-    assert log1p_series(exp_series(s) - one) == s
+    assert log1p_series(add(exp_series(s), one.scale(-1))) == s
 
 
 @settings(max_examples=60)
@@ -131,8 +131,3 @@ def test_scale_is_linear(s, p, q):
 @given(series(), st.integers(min_value=-4, max_value=4))
 def test_x_shift_composes(s, m):
     assert s.x_shift(m).x_shift(-m) == s
-
-
-@given(series())
-def test_json_round_trip(s):
-    assert PuiseuxSeries.from_json_dict(s.to_json_dict()) == s
