@@ -90,10 +90,32 @@ def _problem(args) -> tuple[Recurrence, Frame, object, str | None]:
     return rec, frame, None, None
 
 
-def _parse_constant(text: str):
+def _at_least(name: str, low: int):
+    """An argparse type: an integer >= low.  argparse prefixes each
+    message with the flag, so a usage error always names it."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"need an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"need {name} >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _constant(text: str):
+    """An argparse type: 'p/q' or the 1/sqrt2 sentinel."""
     if text in ("1/sqrt2", "1/sqrt(2)"):
         return INV_SQRT2
-    return parse_rational(text)
+    try:
+        return parse_rational(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"need 'p/q' or '1/sqrt2', got {text!r}"
+        ) from None
 
 
 def _integer_summary(value: int) -> str:
@@ -119,8 +141,6 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
-    if args.k < 1:
-        raise _UsageError("--K must be at least 1")
     rec, frame, _, constant_latex = _problem(args)
     exp = solve_expansion(rec, frame, args.k)
     if args.format == "json":
@@ -136,7 +156,7 @@ def _cmd_coeffs(args) -> int:
 def _cmd_eval(args) -> int:
     preset = get_preset(args.preset)
     exp = solve_expansion(preset.recurrence, preset.frame, args.k)
-    constant = _parse_constant(args.constant) if args.constant else preset.constant
+    constant = preset.constant if args.constant is None else args.constant
     value = eval_expansion(exp, constant, args.n, args.k, args.digits)
     rendered = format_significant(value, args.digits)
     if args.format == "json":
@@ -224,6 +244,16 @@ def _add_format(p, *choices):
     )
 
 
+def _add_evaluation(p):
+    p.add_argument("--n", type=_at_least("n", 1), required=True, help="index (>= 1)")
+    p.add_argument(
+        "--k", type=_at_least("k", 0), required=True, help="correction terms to use"
+    )
+    p.add_argument(
+        "--digits", type=_at_least("digits", 1), required=True, help="significant digits"
+    )
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="recasymp",
@@ -234,7 +264,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("seq", help="exact sequence values")
     p.add_argument("--preset", required=True, help="preset name (a85)")
-    p.add_argument("--n", type=int, required=True, help="last index, inclusive")
+    p.add_argument(
+        "--n", type=_at_least("n", 0), required=True, help="last index, inclusive"
+    )
     p.add_argument("--last", action="store_true", help="print only t_n")
     p.add_argument(
         "--digits-only",
@@ -252,18 +284,21 @@ def build_parser() -> _Parser:
         help="path to a frame JSON file (with --recurrence; solved if omitted)",
     )
     p.add_argument(
-        "--K", dest="k", type=int, required=True, help="number of coefficients (>= 1)"
+        "--K",
+        dest="k",
+        type=_at_least("K", 1),
+        required=True,
+        help="number of coefficients (>= 1)",
     )
     _add_format(p, "text", "json", "latex")
     p.set_defaults(func=_cmd_coeffs)
 
     p = sub.add_parser("eval", help="evaluate an expansion at one index")
     p.add_argument("--preset", required=True, help="preset name (a85)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True, help="correction terms to use")
-    p.add_argument("--digits", type=int, required=True)
+    _add_evaluation(p)
     p.add_argument(
         "--constant",
+        type=_constant,
         help="connection constant: 'p/q' or '1/sqrt2' (default: the preset's)",
     )
     _add_format(p, "text", "json")
@@ -271,9 +306,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="compare an expansion with exact values")
     p.add_argument("--preset", required=True, help="preset name (a85)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--digits", type=int, required=True)
+    _add_evaluation(p)
     p.add_argument("--report", help="also write the report to this file")
     _add_format(p, "text", "json")
     p.set_defaults(func=_cmd_check)
@@ -282,7 +315,7 @@ def build_parser() -> _Parser:
     p.add_argument("--recurrence", required=True, help="path to a recurrence JSON file")
     p.add_argument(
         "--verify",
-        type=int,
+        type=_at_least("K", 0),
         metavar="K",
         help="also solve K coefficients and certify the residual",
     )
@@ -294,16 +327,16 @@ def build_parser() -> _Parser:
     source.add_argument("--preset", help="preset name (a85)")
     source.add_argument("--recurrence", help="path to a recurrence JSON file")
     p.add_argument("--frame", help="path to a frame JSON file")
-    p.add_argument("--k", type=int, required=True, help="terms to display")
+    p.add_argument(
+        "--k", type=_at_least("k", 0), required=True, help="terms to display"
+    )
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser(
         "constant", help="estimate the connection constant from exact values"
     )
     p.add_argument("--preset", required=True, help="preset name (a85)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--digits", type=int, required=True)
+    _add_evaluation(p)
     p.set_defaults(func=_cmd_constant)
 
     return parser

@@ -13,11 +13,16 @@ The computational workhorse is the exact shift ratio
 
     F(n - j) / F(n) = x^(2*beta*j) * exp(g_j(x)),      x = n^(-1/2),
 
-where g_j is a power series with positive valuation assembled from three
-universal building blocks (one each for beta, c and alpha; kappa cancels
-in the ratio).  With l = log(1 - j*x^2):
+where g_j = beta*A + c*B + alpha*C is a power series with positive
+valuation built from three universal series that depend on the shift j
+alone (kappa cancels in the ratio).  With l = log(1 - j*x^2) they are
 
-    g_j = beta * ((x^"-2" - j) * l + j)  +  c * x^"-1" * (e^(l/2) - 1)  +  alpha * l.
+    A = (x^-2 - j) * l + j      = sum_{m>=1} j^(m+1) x^(2m) / (m (m+1)),
+    B = x^-1 * (e^(l/2) - 1)    = sum_{m>=1} binom(1/2, m) (-j)^m x^(2m-1),
+    C = l                       = -sum_{m>=1} j^m x^(2m) / m,
+
+the logarithmic and binomial series (Flajolet & Sedgewick, Analytic
+Combinatorics, App. A), so each is written down in O(T) exact operations.
 
 The monomial prefactor x^(2*beta*j) only stays inside the ramification-2
 lattice when 2*beta*j is an integer; anything else raises.
@@ -26,8 +31,8 @@ lattice when 2*beta*j is an integer; anything else raises.
 from __future__ import annotations
 
 from .errors import RamificationError
-from .rationals import Rational, format_rational, rat
-from .series import PuiseuxSeries, add, exp_series, log1p_series, mul
+from .rationals import ONE, Rational, format_rational, rat
+from .series import PuiseuxSeries, add, exp_series
 
 
 class Frame:
@@ -88,29 +93,47 @@ def shift_exponent(beta, j: int) -> int:
     return int(s)
 
 
+def binomial_weights(j: int, e, count: int) -> list:
+    """[w_0, ..., w_(count-1)] with (1 - j x^2)^e = sum_m w_m x^(2m): the
+    binomial series, stepped as w_0 = 1, w_m = w_(m-1) * (m - 1 - e) * j / m.
+
+    Only ring operations and division by integers, so e may be symbolic."""
+    w = [ONE]
+    for m in range(1, count):
+        w.append(w[-1] * (e * -j + (m - 1) * j) / m)
+    return w
+
+
 def frame_ratio_parts(j: int, T: int):
     """The three universal series (A, B, C) with F(n-j)/F(n) equal to
     x^(2*beta*j) * exp(beta*A + c*B + alpha*C), each known through O(x^T).
 
-    They depend only on the shift j, so a caller solving for unknown frame
-    parameters can combine them with symbolic coefficients.
+    Each is written down from its closed form in O(T) exact operations:
+
+        A = sum_{m>=1} j^(m+1) x^(2m) / (m (m+1))      = (x^-2 - j) l + j,
+        B = sum_{m>=1} w_m x^(2m-1)                    = ((1 - j x^2)^(1/2) - 1) / x,
+        C = -sum_{m>=1} j^m x^(2m) / m                 = l,
+
+    where l = log(1 - j x^2) and w_m are the binomial weights of
+    (1 - j x^2)^(1/2).  They depend only on the shift j, so a caller
+    solving for unknown frame parameters can combine them with symbolic
+    coefficients.
     """
     if not isinstance(j, int) or isinstance(j, bool) or j < 1:
         raise ValueError(f"shift must be a positive integer, got {j!r}")
     if T < 1:
         raise ValueError("need truncation >= 1")
-    # l = log(1 - j*x^2), known through O(x^(T+2)) so that the division by
-    # x^2 below still leaves O(x^T).
-    l = log1p_series(PuiseuxSeries.monomial(-j, 2, T + 2))
-    # A = (x^-2 - j) * l + j: the x^0 terms cancel exactly, valuation 2.
-    xm2_minus_j = PuiseuxSeries.from_terms({-2: Rational(1), 0: Rational(-j)}, T)
-    a_part = add(mul(xm2_minus_j, l), PuiseuxSeries.constant(j, T))
-    # B = x^-1 * (e^(l/2) - 1), valuation 1.
-    half = exp_series(l.scale(Rational(1, 2)))
-    b_part = add(half, PuiseuxSeries.constant(-1, T + 2)).x_shift(-1).truncate(T)
-    # C = l.
-    c_part = l.truncate(T)
-    return a_part, b_part, c_part
+    a = [Rational(0)] * T
+    b = [Rational(0)] * T
+    c = [Rational(0)] * T
+    power = j  # j^m
+    for m in range(1, (T + 1) // 2):
+        c[2 * m] = Rational(-power, m)
+        power *= j
+        a[2 * m] = Rational(power, m * (m + 1))
+    for m, w in enumerate(binomial_weights(j, Rational(1, 2), T // 2 + 1)[1:], 1):
+        b[2 * m - 1] = w
+    return PuiseuxSeries(0, a, T), PuiseuxSeries(0, b, T), PuiseuxSeries(0, c, T)
 
 
 def frame_ratio(fr: Frame, j: int, T: int) -> PuiseuxSeries:

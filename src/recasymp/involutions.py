@@ -7,13 +7,13 @@ independent routes are provided so they can cross-check each other:
     used everywhere else in the package;
   * the closed-form sum over the number of 2-cycles;
   * the exponential generating function exp(z + z^2/2), built as the
-    product of two separately expanded factors;
+    product of two separately expanded factors (a binomial convolution);
   * brute-force enumeration of all permutations, for tiny n.
 
-Everything here is exact integer or rational arithmetic; there is nothing
-to round.  The sequence grows like n^(n/2) e^(-n/2 + sqrt(n)), so lists for
-n in the thousands hold integers with thousands of digits and are still
-cheap to produce.
+Everything here is exact integer arithmetic; there is nothing to round.
+The sequence grows like n^(n/2) e^(-n/2 + sqrt(n)), so lists for n in the
+thousands hold integers with thousands of digits and are still cheap to
+produce.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 from itertools import permutations
 
 from .errors import InputTooLarge
-from .rationals import Rational
 
 #: Hard cap for the factorial-time brute-force counter (10! is 3628800).
 BRUTE_FORCE_LIMIT = 10
@@ -59,37 +58,26 @@ def involution_count_by_sum(n: int) -> int:
 def involution_counts_by_egf(n_max: int) -> list[int]:
     """[t_0, ..., t_{n_max}] from the EGF exp(z) * exp(z^2/2).
 
-    The two exponentials are expanded separately from their factorial
-    formulas and convolved with exact rationals; multiplying coefficient m
-    by m! must land on an integer, and anything else is an internal error.
+    The coefficients of a product of EGFs, times m!, are the binomial
+    convolution of the factors' coefficients times their factorials:
+    t_m = sum_i C(m, i) * b_(m-i), with 1 for exp(z) and b_k = k! [z^k]
+    exp(z^2/2), which is (k - 1)!! for even k and 0 for odd k.  All of it
+    is integer arithmetic built from the two factors alone, so the route
+    stays independent of both the recurrence and the sum over 2-cycles.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     size = n_max + 1
-    # exp(z): 1/m!
-    a = []
-    f = 1
-    for m in range(size):
-        if m:
-            f *= m
-        a.append(Rational(1, f))
-    # exp(z^2/2): z^(2m) / (2^m m!)
-    b = [Rational(0)] * size
-    g = 1
-    p = 1
-    for m in range(0, size, 2):
-        b[m] = Rational(1, g * p)
-        g *= (m // 2) + 1
-        p *= 2
+    b = [0] * size
+    b[0] = 1
+    for k in range(2, size, 2):
+        b[k] = b[k - 2] * (k - 1)
     out = []
-    fact = 1
+    row = [1]  # C(m, i) for i = 0..m
     for m in range(size):
         if m:
-            fact *= m
-        c = sum((a[i] * b[m - i] for i in range(m + 1)), Rational(0))
-        value = c * fact
-        assert value.denominator == 1, "EGF coefficient times m! must be integral"
-        out.append(int(value))
+            row = [1] + [row[i - 1] + row[i] for i in range(1, m)] + [1]
+        out.append(sum(row[i] * b[m - i] for i in range(m % 2, m + 1, 2)))
     return out
 
 

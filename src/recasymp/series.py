@@ -30,6 +30,8 @@ All floating point input is rejected.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import NegativeValuation, NonPositiveValuation
 from .rationals import ONE, Rational
 
@@ -184,16 +186,19 @@ class PuiseuxSeries:
 
 
 def add(s1: PuiseuxSeries, s2: PuiseuxSeries) -> PuiseuxSeries:
-    """Sum, known through O(x^min(T1, T2))."""
+    """Sum, known through O(x^min(T1, T2)).
+
+    The first operand's coefficients are copied into place and only the
+    second's are added, so no output slot costs more than one addition."""
     t = min(s1.truncation, s2.truncation)
     v = min(s1.valuation, s2.valuation, t)
     out = [Rational(0)] * (t - v)
-    for s in (s1, s2):
-        for i, c in enumerate(s.coeffs):
-            k = s.valuation + i
-            if k >= t:
-                break
-            out[k - v] = out[k - v] + c
+    lo = s1.valuation - v
+    first = s1.coeffs[: max(0, t - s1.valuation)]
+    out[lo : lo + len(first)] = first
+    hi = lo + len(first)
+    for k, c in enumerate(s2.coeffs[: max(0, t - s2.valuation)], s2.valuation - v):
+        out[k] = out[k] + c if lo <= k < hi else c
     return PuiseuxSeries(v, out, t)
 
 
@@ -236,19 +241,25 @@ def exp_series(s: PuiseuxSeries) -> PuiseuxSeries:
 
     Computed through the defining differential equation f' = s' f, whose
     coefficient recurrence m*f_m = sum_{i=1}^{m} i*s_i*f_{m-i} costs O(T^2)
-    ring operations and divides only by integers."""
+    ring operations and divides only by integers.  The nonzero products
+    i*s_i are formed once, before the recurrence runs.  When s lives on the
+    exponents divisible by some step (an even series, say), so does exp(s),
+    and the recurrence visits only those orders."""
     _require_positive_valuation(s, "exp_series")
     t = s.truncation
-    sd = [Rational(0)] * t
-    for i, c in enumerate(s.coeffs):
-        sd[s.valuation + i] = c
-    f = [Rational(0)] * t
-    f[0] = ONE
-    for m in range(1, t):
+    ds = [
+        (i, i * c)
+        for i, c in enumerate(s.coeffs, s.valuation)
+        if not _is_zero(c)
+    ]
+    step = gcd(*(i for i, _ in ds)) if ds else t
+    f = [ONE] + [Rational(0)] * (t - 1)
+    for m in range(step, t, step):
         acc = Rational(0)
-        for i in range(1, m + 1):
-            if not _is_zero(sd[i]):
-                acc = acc + (i * sd[i]) * f[m - i]
+        for i, d in ds:
+            if i > m:
+                break
+            acc = acc + d * f[m - i]
         f[m] = acc / m
     return PuiseuxSeries(0, f, t)
 

@@ -372,6 +372,26 @@ def test_constant_beyond_floor_is_precision_error(capsys):
     assert "precision error" in err
 
 
+# -- usage messages ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("eval", "--preset", "a85", "--n", "4", "--k", "0", "--digits", "5",
+          "--constant", "abc"), "--constant"),
+        (("eval", "--preset", "a85", "--n", "4", "--k", "-1", "--digits", "5"), "--k"),
+        (("seq", "--preset", "a85", "--n", "-1"), "--n"),
+    ],
+    ids=["eval-constant-abc", "eval-k-negative", "seq-n-negative"],
+)
+def test_usage_error_names_its_flag(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: argument {flag}: ")
+    assert "invalid literal" not in err
+
+
 # -- entry point --------------------------------------------------------------------
 
 

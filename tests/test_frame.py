@@ -8,10 +8,15 @@ from recasymp import (
     PuiseuxSeries,
     RamificationError,
     Rational,
+    add,
+    exp_series,
     frame_ratio,
     frame_ratio_parts,
+    log1p_series,
+    mul,
     shift_exponent,
 )
+from recasymp.frame import binomial_weights
 
 
 def test_frame_construction_and_equality():
@@ -69,6 +74,39 @@ def test_ratio_parts_frozen():
     assert A3 == PuiseuxSeries.from_terms({2: Rational(9, 2), 4: Rational(9, 2)}, 5)
     assert B3 == PuiseuxSeries.from_terms({1: Rational(-3, 2), 3: Rational(-9, 8)}, 5)
     assert C3 == PuiseuxSeries.from_terms({2: -3, 4: Rational(-9, 2)}, 5)
+
+
+def _parts_by_series_algebra(j, T):
+    # The defining construction: l = log(1 - j x^2) through O(x^(T+2)),
+    # A = (x^-2 - j) l + j, B = (e^(l/2) - 1)/x, C = l.
+    l = log1p_series(PuiseuxSeries.monomial(-j, 2, T + 2))
+    xm2_minus_j = PuiseuxSeries.from_terms({-2: 1, 0: -j}, T)
+    A = add(mul(xm2_minus_j, l), PuiseuxSeries.constant(j, T))
+    half = exp_series(l.scale(Rational(1, 2)))
+    B = add(half, PuiseuxSeries.constant(-1, T + 2)).x_shift(-1).truncate(T)
+    return A, B, l.truncate(T)
+
+
+@pytest.mark.parametrize("j", range(1, 7))
+def test_ratio_parts_closed_forms_match_series_algebra(j):
+    for T in range(1, 61):
+        parts = frame_ratio_parts(j, T)
+        assert parts == _parts_by_series_algebra(j, T), T
+        assert all(p.truncation == T for p in parts)
+
+
+def test_binomial_weights():
+    # (1 - 2x^2)^3 is a polynomial; (1 - 3x^2)^-1 the geometric series.
+    assert binomial_weights(2, Rational(3), 6) == [1, -6, 12, -8, 0, 0]
+    assert binomial_weights(3, Rational(-1), 5) == [1, 3, 9, 27, 81]
+    # (1 - x^2)^(1/2) = 1 - x^2/2 - x^4/8 - x^6/16 - 5x^8/128.
+    assert binomial_weights(1, Rational(1, 2), 5) == [
+        1,
+        Rational(-1, 2),
+        Rational(-1, 8),
+        Rational(-1, 16),
+        Rational(-5, 128),
+    ]
 
 
 def test_ratio_leading_coefficient_is_one(a85_fr):

@@ -30,6 +30,10 @@ def test_egf_route_prefix():
     assert involution_counts_by_egf(10) == A000085_PREFIX
 
 
+def test_egf_route_matches_recurrence_to_1000():
+    assert involution_counts_by_egf(1000) == involution_numbers(1000)
+
+
 def test_brute_force_prefix():
     assert [involution_count_brute(n) for n in range(9)] == A000085_PREFIX[:9]
 

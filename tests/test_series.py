@@ -132,6 +132,36 @@ def test_add_truncation_is_min():
     assert add(a, b).truncation == 4
 
 
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        # One operand starts at or past the other's truncation: the sum is
+        # the other operand, cut to the common truncation.
+        (S(5, [1, 2, 3], 8), S(0, [1, 1, 1], 3), S(0, [1, 1, 1], 3)),
+        (S(0, [1, 1, 1], 3), S(5, [1, 2, 3], 8), S(0, [1, 1, 1], 3)),
+        (S(3, [7, 1], 5), S(0, [2, 0, 4], 3), S(0, [2, 0, 4], 3)),
+        (S(0, [2, 0, 4], 3), S(3, [7, 1], 5), S(0, [2, 0, 4], 3)),
+        (S(3, [7, 1, 1], 6), S(-1, [5, 0, 1], 2), S(-1, [5, 0, 1], 2)),
+        # Zero series, at, below and above the other operand's truncation.
+        (PuiseuxSeries.zero(10), S(0, [1, 2, 3, 4], 4), S(0, [1, 2, 3, 4], 4)),
+        (S(0, [1, 2, 3, 4], 4), PuiseuxSeries.zero(10), S(0, [1, 2, 3, 4], 4)),
+        (S(3, [1, 2, 3], 6), PuiseuxSeries.zero(2), PuiseuxSeries.zero(2)),
+        (PuiseuxSeries.zero(2), S(3, [1, 2, 3], 6), PuiseuxSeries.zero(2)),
+        (PuiseuxSeries.zero(4), S(1, [1, 2, 3], 4), S(1, [1, 2, 3], 4)),
+        (PuiseuxSeries.zero(3), PuiseuxSeries.zero(5), PuiseuxSeries.zero(3)),
+        (PuiseuxSeries.zero(-2), S(-4, [1, 1, 1], -1), S(-4, [1, 1], -2)),
+        # Disjoint, interleaved and cancelling supports below the truncation.
+        (S(2, [1, 1], 4), S(0, [1, 0], 2), S(0, [1, 0], 2)),
+        (S(2, [1, 1, 1], 5), S(0, [1, 1, 0, 0, 0], 5), S(0, [1] * 5, 5)),
+        (S(1, [1, 0, 1, 0], 5), S(0, [1, 0, 1, 0, 1], 5), S(0, [1] * 5, 5)),
+        (S(0, [1, 2, 3], 3), S(1, [-2, 0], 3), S(0, [1, 0, 3], 3)),
+    ],
+)
+def test_add_operand_at_or_past_truncation(a, b, expected):
+    assert add(a, b) == expected
+    assert add(b, a) == expected
+
+
 def test_mul_basic():
     one_plus = S(0, [1, 1, 0], 3)
     one_minus = S(0, [1, -1, 0], 3)
@@ -190,6 +220,21 @@ def test_exp_of_x_is_exponential_series():
         6,
     )
     assert got == want
+
+
+def test_exp_stays_on_the_lattice_of_its_argument():
+    # exp(x^3) = 1 + x^3 + x^6/2 + x^9/6; exp(2x^2 - x^4) through O(x^7).
+    got = exp_series(PuiseuxSeries.monomial(1, 3, 10))
+    assert got == PuiseuxSeries.from_terms(
+        {0: 1, 3: 1, 6: Rational(1, 2), 9: Rational(1, 6)}, 10
+    )
+    got = exp_series(PuiseuxSeries.from_terms({2: 2, 4: -1}, 7))
+    assert got == PuiseuxSeries.from_terms({0: 1, 2: 2, 4: 1, 6: Rational(-2, 3)}, 7)
+    # An odd term anywhere reaches every order.
+    got = exp_series(PuiseuxSeries.from_terms({2: 2, 5: 1}, 7))
+    assert got == PuiseuxSeries.from_terms(
+        {0: 1, 2: 2, 4: 2, 5: 1, 6: Rational(4, 3)}, 7
+    )
 
 
 def test_exp_requires_positive_valuation():
