@@ -57,7 +57,7 @@ from .errors import FrameMismatch, ResonantOrder
 from .frame import Frame, frame_ratio
 from .rationals import Rational, format_rational, parse_rational
 from .recurrence import Recurrence, poly_to_laurent
-from .series import PuiseuxSeries, add, compose_shift, mul
+from .series import PuiseuxSeries, _from_numerators, add, compose_shift, mul
 
 
 class Expansion:
@@ -155,11 +155,14 @@ def _divide_one_minus_jx2(s: PuiseuxSeries, j: int) -> PuiseuxSeries:
     """s / (1 - j x^2) by the O(T) recurrence y_m = s_m + j * y_(m-2).
 
     The divisor is an exact polynomial with constant term 1, so the
-    valuation and the truncation of s carry over unchanged."""
-    y = list(s.coeffs)
+    valuation, the truncation and the denominator of s carry over
+    unchanged; the recurrence runs on the numerators.  The content stays
+    1: a common factor of the den and every y_m would divide every
+    s_m = y_m - j * y_(m-2) as well."""
+    y = list(s.nums)
     for m in range(2, len(y)):
-        y[m] = y[m] + j * y[m - 2]
-    return PuiseuxSeries(s.valuation, y, s.truncation)
+        y[m] += j * y[m - 2]
+    return _from_numerators(s.valuation, y, s.den, s.truncation, reduced=True)
 
 
 def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
@@ -196,7 +199,9 @@ def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
         a_k = -r.coefficient(o) / q
         coefficients.append(a_k)
         if a_k != 0:
-            r = add(r, b.scale(a_k))
+            # The shifted b reaches k orders past r; only r's orders are
+            # scaled.
+            r = add(r, b.truncate(r.truncation).scale(a_k))
     return Expansion(frame, K, coefficients)
 
 

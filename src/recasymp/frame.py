@@ -30,8 +30,10 @@ lattice when 2*beta*j is an integer; anything else raises.
 
 from __future__ import annotations
 
+from math import factorial, lcm
+
 from .errors import RamificationError
-from .rationals import ONE, Rational, format_rational, rat
+from .rationals import Rational, format_rational, rat
 from .series import PuiseuxSeries, add, exp_series
 
 
@@ -93,17 +95,6 @@ def shift_exponent(beta, j: int) -> int:
     return int(s)
 
 
-def binomial_weights(j: int, e, count: int) -> list:
-    """[w_0, ..., w_(count-1)] with (1 - j x^2)^e = sum_m w_m x^(2m): the
-    binomial series, stepped as w_0 = 1, w_m = w_(m-1) * (m - 1 - e) * j / m.
-
-    Only ring operations and division by integers, so e may be symbolic."""
-    w = [ONE]
-    for m in range(1, count):
-        w.append(w[-1] * (e * -j + (m - 1) * j) / m)
-    return w
-
-
 def frame_ratio_parts(j: int, T: int):
     """The three universal series (A, B, C) with F(n-j)/F(n) equal to
     x^(2*beta*j) * exp(beta*A + c*B + alpha*C), each known through O(x^T).
@@ -115,25 +106,39 @@ def frame_ratio_parts(j: int, T: int):
         C = -sum_{m>=1} j^m x^(2m) / m                 = l,
 
     where l = log(1 - j x^2) and w_m are the binomial weights of
-    (1 - j x^2)^(1/2).  They depend only on the shift j, so a caller
-    solving for unknown frame parameters can combine them with symbolic
-    coefficients.
+    (1 - j x^2)^(1/2), stepped as w_0 = 1, w_m = w_(m-1) * (2m - 3) * j / (2m).
+    Each part is written as integers times one reciprocal: A and C over
+    lcm(1, ..., M + 1), M the last m below the truncation, and B over
+    2^H * H!, H the last m of B, which the step's 2m divide.  They depend
+    only on the shift j, so a caller solving for unknown frame parameters
+    can combine them with symbolic coefficients.
     """
     if not isinstance(j, int) or isinstance(j, bool) or j < 1:
         raise ValueError(f"shift must be a positive integer, got {j!r}")
     if T < 1:
         raise ValueError("need truncation >= 1")
-    a = [Rational(0)] * T
-    b = [Rational(0)] * T
-    c = [Rational(0)] * T
+    top = (T + 1) // 2
+    den = lcm(*range(1, top + 1))
+    a = [0] * T
+    c = [0] * T
     power = j  # j^m
-    for m in range(1, (T + 1) // 2):
-        c[2 * m] = Rational(-power, m)
+    for m in range(1, top):
+        c[2 * m] = -power * (den // m)
         power *= j
-        a[2 * m] = Rational(power, m * (m + 1))
-    for m, w in enumerate(binomial_weights(j, Rational(1, 2), T // 2 + 1)[1:], 1):
+        a[2 * m] = power * (den // (m * (m + 1)))
+    half = T // 2
+    w_den = 2**half * factorial(half)
+    b = [0] * T
+    w = w_den  # w_m * w_den, an integer for every m <= half
+    for m in range(1, half + 1):
+        w = w * (2 * m - 3) * j // (2 * m)
         b[2 * m - 1] = w
-    return PuiseuxSeries(0, a, T), PuiseuxSeries(0, b, T), PuiseuxSeries(0, c, T)
+    over = Rational(1, den)
+    return (
+        PuiseuxSeries(0, a, T).scale(over),
+        PuiseuxSeries(0, b, T).scale(Rational(1, w_den)),
+        PuiseuxSeries(0, c, T).scale(over),
+    )
 
 
 def frame_ratio(fr: Frame, j: int, T: int) -> PuiseuxSeries:

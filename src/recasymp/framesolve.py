@@ -62,6 +62,9 @@ class _Poly2:
     def __setattr__(self, name, value):
         raise AttributeError("_Poly2 is immutable")
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     @classmethod
     def constant(cls, q) -> "_Poly2":
         return cls({(0, 0): Rational(q)})

@@ -1,10 +1,13 @@
 """Exact rational arithmetic backend.
 
 All series coefficients, frame parameters and expansion coefficients in this
-package are arbitrary-precision rationals, always in lowest terms with a
-positive denominator.  gmpy2.mpq provides that contract with C-speed
-arithmetic; fractions.Fraction provides the identical contract in pure
-Python and is used as a fallback when gmpy2 is not installed.
+package are arbitrary-precision rationals, and every value handed out is in
+lowest terms with a positive denominator.  (Series store integer
+numerators over one shared denominator instead, see the series module;
+their coefficients come out as values of this type.)  gmpy2.mpq provides
+that contract with C-speed arithmetic; fractions.Fraction provides the
+identical contract in pure Python and is used as a fallback when gmpy2 is
+not installed.
 
 No floating point value is ever accepted or produced here: parsing takes
 integer or "p/q" strings, formatting emits them back.
@@ -16,9 +19,6 @@ try:
     from gmpy2 import mpq as Rational
 except ImportError:  # pragma: no cover
     from fractions import Fraction as Rational
-
-#: The multiplicative identity of the coefficient field.
-ONE = Rational(1)
 
 
 def rat(value) -> "Rational":

@@ -4,15 +4,22 @@ The working variable is x = n^(-1/2), so a series in x with integer
 exponents is a Puiseux series in 1/n whose lattice is fixed at
 ramification 2.
 
-A series is a triple (valuation v, coefficient tuple, truncation T) and
+A series is (valuation v, numerators, denominator d, truncation T) and
 represents
 
-    sum_{k=v}^{T-1} c_{k-v} x^k  +  O(x^T),
+    sum_{k=v}^{T-1} (n_{k-v} / d) x^k  +  O(x^T),
 
-with the c stored densely (interior zeros explicit, len(coeffs) == T - v).
-Nonzero series keep a nonzero leading coefficient: leading zeros are
-normalised away by raising the valuation.  The zero series is the empty
-tuple with v == T.  Instances are immutable.
+with the numerators stored densely (interior zeros explicit, len(nums) ==
+T - v) over one shared positive denominator.  Nonzero series keep a nonzero
+leading numerator: leading zeros are normalised away by raising the
+valuation.  Rational series are canonical: gcd(d, *nums) == 1, so equal
+series have equal storage.  The zero series is the empty tuple over d == 1
+with v == T.  Instances are immutable; ``coeffs`` is the derived tuple of
+coefficient values n/d.
+
+Every kernel works on the numerators with integer arithmetic and divides
+out the content gcd(d, *nums) once per result, instead of reducing a
+fraction after every coefficient operation.
 
 Truncation orders obey the usual interval arithmetic of O-terms:
 
@@ -22,57 +29,67 @@ Truncation orders obey the usual interval arithmetic of O-terms:
     shift substitution x -> x*(1 - j*x^2)^(-1/2): v and T preserved
 
 Coefficients are exact rationals in the normal case, but every algorithm
-here only uses ring operations plus division by integers, so series over
-other exact commutative rings work too; the frame finder exploits that
-with polynomial coefficients.
+here only uses ring operations plus division by integers, so numerators
+from other exact commutative rings work too; the frame finder exploits
+that with polynomial coefficients.  Such a numerator counts as content 1,
+so its series is not reduced.
 All floating point input is rejected.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import factorial, gcd, lcm
 
 from .errors import NegativeValuation, NonPositiveValuation
-from .rationals import ONE, Rational
+from .rationals import Rational
 
 
-def _coerce(c):
-    """Admit exact coefficients only; ints are promoted to rationals."""
+def _split(c):
+    """(numerator, denominator) of an exact coefficient.  An element of
+    another exact ring (the frame finder's polynomials) is its own
+    numerator over 1."""
+    if isinstance(c, int):
+        return c, 1
     if isinstance(c, float):
         raise TypeError("float coefficients are not allowed in exact series")
-    if isinstance(c, int):
-        return Rational(c)
-    return c
+    den = getattr(c, "denominator", None)
+    if den is None:
+        return c, 1
+    return int(c.numerator), int(den)
 
 
-def _is_zero(c) -> bool:
-    return bool(c == 0)
+def _value(num, den):
+    """The coefficient num/den, in lowest terms for integer num."""
+    return Rational(num, den) if isinstance(num, int) else num / den
+
+
+def _content(den, nums):
+    """gcd(den, *nums), or 1 once a numerator is not an integer."""
+    try:
+        return gcd(den, *nums)
+    except TypeError:
+        return 1
 
 
 class PuiseuxSeries:
     """One truncated series.  Use the classmethods and module functions to
-    build and combine instances; direct construction validates the dense
-    coefficient contract."""
+    build and combine instances; direct construction takes the dense list
+    of exact coefficients and brings them over one denominator."""
 
-    __slots__ = ("valuation", "coeffs", "truncation")
+    __slots__ = ("valuation", "nums", "den", "truncation", "_values")
 
     def __init__(self, valuation: int, coeffs, truncation: int):
         if truncation < valuation:
             raise ValueError("truncation below valuation")
-        coeffs = [_coerce(c) for c in coeffs]
-        if len(coeffs) != truncation - valuation:
+        parts = [_split(c) for c in coeffs]
+        if len(parts) != truncation - valuation:
             raise ValueError(
                 f"need exactly truncation - valuation = "
-                f"{truncation - valuation} coefficients, got {len(coeffs)}"
+                f"{truncation - valuation} coefficients, got {len(parts)}"
             )
-        # Normalise: the leading stored coefficient must be nonzero, else
-        # the valuation moves up; an all-zero series collapses to (T, (), T).
-        lead = 0
-        while lead < len(coeffs) and _is_zero(coeffs[lead]):
-            lead += 1
-        object.__setattr__(self, "valuation", valuation + lead)
-        object.__setattr__(self, "coeffs", tuple(coeffs[lead:]))
-        object.__setattr__(self, "truncation", truncation)
+        den = lcm(*(d for _, d in parts))
+        nums = [n * (den // d) for n, d in parts]
+        _fill(self, valuation, nums, den, truncation, reduced=False)
 
     def __setattr__(self, name, value):
         raise AttributeError("PuiseuxSeries is immutable")
@@ -82,7 +99,7 @@ class PuiseuxSeries:
     @classmethod
     def zero(cls, truncation: int) -> "PuiseuxSeries":
         """The zero series known through O(x^truncation)."""
-        return cls(truncation, (), truncation)
+        return _from_numerators(truncation, (), 1, truncation)
 
     @classmethod
     def constant(cls, c, truncation: int) -> "PuiseuxSeries":
@@ -123,10 +140,18 @@ class PuiseuxSeries:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficient values n/d, one per stored numerator."""
+        if self._values is None:
+            values = tuple(_value(n, self.den) for n in self.nums)
+            object.__setattr__(self, "_values", values)
+        return self._values
 
     def coefficient(self, exponent: int):
         """The coefficient of x^exponent.  Exponents below the valuation
@@ -138,25 +163,33 @@ class PuiseuxSeries:
             )
         if exponent < self.valuation:
             return Rational(0)
-        return self.coeffs[exponent - self.valuation]
+        return _value(self.nums[exponent - self.valuation], self.den)
 
     def terms(self):
         """Iterate (exponent, coefficient) over stored nonzero terms."""
-        for i, c in enumerate(self.coeffs):
-            if not _is_zero(c):
-                yield self.valuation + i, c
+        for i, n in enumerate(self.nums):
+            if n:
+                yield self.valuation + i, _value(n, self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        return (
-            self.valuation == other.valuation
-            and self.truncation == other.truncation
-            and self.coeffs == other.coeffs
+        if (self.valuation, self.truncation, len(self.nums)) != (
+            other.valuation,
+            other.truncation,
+            len(other.nums),
+        ):
+            return False
+        if self.den == other.den:
+            return self.nums == other.nums
+        # Only series that are not canonical (non-integer numerators) can
+        # be equal over different denominators.
+        return all(
+            a * other.den == b * self.den for a, b in zip(self.nums, other.nums)
         )
 
     def __hash__(self):
-        return hash((self.valuation, self.truncation, self.coeffs))
+        return hash((self.valuation, self.truncation, self.den, self.nums))
 
     def __repr__(self) -> str:
         body = " + ".join(f"{c}*x^{k}" for k, c in self.terms()) or "0"
@@ -169,59 +202,96 @@ class PuiseuxSeries:
         if truncation >= self.truncation:
             return self
         v = min(self.valuation, truncation)
-        return PuiseuxSeries(v, self.coeffs[: truncation - v], truncation)
+        return _from_numerators(v, self.nums[: truncation - v], self.den, truncation)
 
     def x_shift(self, m: int) -> "PuiseuxSeries":
         """Multiply by the exact monomial x^m (m may be negative)."""
-        return PuiseuxSeries(self.valuation + m, self.coeffs, self.truncation + m)
+        return _from_numerators(
+            self.valuation + m, self.nums, self.den, self.truncation + m, reduced=True
+        )
 
     def scale(self, c) -> "PuiseuxSeries":
-        """Multiply every coefficient by the exact scalar c."""
-        c = _coerce(c)
-        if _is_zero(c):
+        """Multiply every coefficient by the exact scalar c = p/q: the
+        numerators by p, the denominator by q."""
+        p, q = _split(c)
+        if not p:
             return PuiseuxSeries.zero(self.truncation)
-        return PuiseuxSeries(
-            self.valuation, [c * a for a in self.coeffs], self.truncation
+        return _from_numerators(
+            self.valuation, [p * a for a in self.nums], self.den * q, self.truncation
         )
+
+
+def _fill(s: PuiseuxSeries, valuation: int, nums, den: int, truncation: int,
+          reduced: bool) -> None:
+    """Set the slots of s from exact numerators over den > 0, stripping
+    leading zeros and dividing out the content unless the caller knows it
+    is 1 already."""
+    lead = 0
+    while lead < len(nums) and not nums[lead]:
+        lead += 1
+    nums = tuple(nums[lead:])
+    g = 1 if reduced else _content(den, nums) if nums else den
+    if g != 1:
+        nums = tuple(a // g for a in nums)
+        den //= g
+    set_slot = object.__setattr__
+    set_slot(s, "valuation", valuation + lead)
+    set_slot(s, "nums", nums)
+    set_slot(s, "den", den)
+    set_slot(s, "truncation", truncation)
+    set_slot(s, "_values", None)
+
+
+def _from_numerators(valuation: int, nums, den: int, truncation: int,
+                     reduced: bool = False) -> PuiseuxSeries:
+    """The kernels' constructor: numerators already exact (ints, or ring
+    elements from the frame finder) over den > 0, len(nums) == T - v; no
+    per-coefficient validation.  reduced=True skips the content gcd for a
+    result whose content is known to be 1 (or to need no reduction)."""
+    s = object.__new__(PuiseuxSeries)
+    _fill(s, valuation, nums, den, truncation, reduced)
+    return s
 
 
 def add(s1: PuiseuxSeries, s2: PuiseuxSeries) -> PuiseuxSeries:
     """Sum, known through O(x^min(T1, T2)).
 
-    The first operand's coefficients are copied into place and only the
-    second's are added, so no output slot costs more than one addition."""
+    Both operands are brought over lcm(d1, d2) by their cofactors; the
+    first operand's numerators are copied into place and only the second's
+    are added, so no output slot costs more than one addition."""
     t = min(s1.truncation, s2.truncation)
     v = min(s1.valuation, s2.valuation, t)
-    out = [Rational(0)] * (t - v)
+    den = lcm(s1.den, s2.den)
+    out = [0] * (t - v)
     lo = s1.valuation - v
-    first = s1.coeffs[: max(0, t - s1.valuation)]
+    first = s1.nums[: max(0, t - s1.valuation)]
+    if den != s1.den:
+        first = [den // s1.den * a for a in first]
     out[lo : lo + len(first)] = first
     hi = lo + len(first)
-    for k, c in enumerate(s2.coeffs[: max(0, t - s2.valuation)], s2.valuation - v):
+    second = s2.nums[: max(0, t - s2.valuation)]
+    if den != s2.den:
+        second = [den // s2.den * c for c in second]
+    for k, c in enumerate(second, s2.valuation - v):
         out[k] = out[k] + c if lo <= k < hi else c
-    return PuiseuxSeries(v, out, t)
+    return _from_numerators(v, out, den, t)
 
 
 def mul(s1: PuiseuxSeries, s2: PuiseuxSeries) -> PuiseuxSeries:
     """Product, known through O(x^min(T1 + v2, T2 + v1)): each factor's
-    O-term is multiplied by the other factor's leading monomial."""
+    O-term is multiplied by the other factor's leading monomial.  The
+    numerators are convolved over the denominator d1 * d2."""
     t = min(s1.truncation + s2.valuation, s2.truncation + s1.valuation)
     v = s1.valuation + s2.valuation
     if s1.is_zero or s2.is_zero:
-        return PuiseuxSeries(t, (), t)
+        return PuiseuxSeries.zero(t)
     n = t - v
-    out = [Rational(0)] * n
-    for i, a in enumerate(s1.coeffs):
-        if i >= n:
-            break
-        if _is_zero(a):
-            continue
-        jmax = min(len(s2.coeffs), n - i)
-        for j in range(jmax):
-            b = s2.coeffs[j]
-            if not _is_zero(b):
-                out[i + j] = out[i + j] + a * b
-    return PuiseuxSeries(v, out, t)
+    out = [0] * n
+    for i, a in enumerate(s1.nums[:n]):
+        if a:
+            for k, b in enumerate(s2.nums[: n - i], i):
+                out[k] += a * b
+    return _from_numerators(v, out, s1.den * s2.den, t)
 
 
 def _require_positive_valuation(s: PuiseuxSeries, what: str) -> None:
@@ -236,51 +306,69 @@ def _require_positive_valuation(s: PuiseuxSeries, what: str) -> None:
         )
 
 
+def _place(f: list, q: int, m: int, num, den: int) -> int:
+    """Store the coefficient num/den as f[m], where f[:m] are numerators
+    over the running denominator q, and return the new q.  The fraction is
+    reduced first, and q grows to lcm(q, den), rescaling the prefix, only
+    when den does not divide it."""
+    g = _content(den, (num,))
+    if g != 1:
+        num //= g
+        den //= g
+    if q % den:
+        grown = lcm(q, den)
+        f[:m] = [grown // q * a for a in f[:m]]
+        q = grown
+    f[m] = num if den == q else q // den * num
+    return q
+
+
 def exp_series(s: PuiseuxSeries) -> PuiseuxSeries:
     """exp(s) for a series s with positive valuation; truncation preserved.
 
     Computed through the defining differential equation f' = s' f, whose
     coefficient recurrence m*f_m = sum_{i=1}^{m} i*s_i*f_{m-i} costs O(T^2)
-    ring operations and divides only by integers.  The nonzero products
-    i*s_i are formed once, before the recurrence runs.  When s lives on the
-    exponents divisible by some step (an even series, say), so does exp(s),
-    and the recurrence visits only those orders."""
+    ring operations and divides only by integers.  With s_i = S_i/D and the
+    f so far over a running denominator Q, each order sums the integer
+    acc = sum_i i*S_i*F_{m-i} and places f_m = acc/(m*D*Q); Q is the lcm of
+    the reduced denominators, so it grows only when one needs it.  The
+    nonzero products i*S_i are formed once, before the recurrence runs.
+    When s lives on the exponents divisible by some step (an even series,
+    say), so does exp(s), and the recurrence visits only those orders."""
     _require_positive_valuation(s, "exp_series")
     t = s.truncation
-    ds = [
-        (i, i * c)
-        for i, c in enumerate(s.coeffs, s.valuation)
-        if not _is_zero(c)
-    ]
+    ds = [(i, i * c) for i, c in enumerate(s.nums, s.valuation) if c]
     step = gcd(*(i for i, _ in ds)) if ds else t
-    f = [ONE] + [Rational(0)] * (t - 1)
+    f = [1] + [0] * (t - 1)
+    q = 1
     for m in range(step, t, step):
-        acc = Rational(0)
+        acc = 0
         for i, d in ds:
             if i > m:
                 break
-            acc = acc + d * f[m - i]
-        f[m] = acc / m
-    return PuiseuxSeries(0, f, t)
+            acc += d * f[m - i]
+        q = _place(f, q, m, acc, m * s.den * q)
+    return _from_numerators(0, f, q, t)
 
 
 def log1p_series(s: PuiseuxSeries) -> PuiseuxSeries:
     """log(1 + s) for a series s with positive valuation; truncation
     preserved.  Uses the recurrence from (1+s) g' = s', the exact inverse
-    of the one behind exp_series."""
+    of the one behind exp_series, on the same running denominator:
+    g_m = (m*S_m*Q - sum_{i<m} i*G_i*S_{m-i}) / (m*D*Q)."""
     _require_positive_valuation(s, "log1p_series")
     t = s.truncation
-    sd = [Rational(0)] * t
-    for i, c in enumerate(s.coeffs):
-        sd[s.valuation + i] = c
-    g = [Rational(0)] * t
+    sd = [0] * t
+    sd[s.valuation : t] = s.nums
+    g = [0] * t
+    q = 1
     for m in range(1, t):
-        acc = m * sd[m]
+        acc = m * sd[m] * q
         for i in range(1, m):
-            if not _is_zero(sd[m - i]):
-                acc = acc - (i * g[i]) * sd[m - i]
-        g[m] = acc / m
-    return PuiseuxSeries(0, g, t)
+            if sd[m - i]:
+                acc -= i * g[i] * sd[m - i]
+        q = _place(g, q, m, acc, m * s.den * q)
+    return _from_numerators(0, g, q, t)
 
 
 def compose_shift(s: PuiseuxSeries, j: int) -> PuiseuxSeries:
@@ -299,18 +387,19 @@ def compose_shift(s: PuiseuxSeries, j: int) -> PuiseuxSeries:
     t = s.truncation
     if s.is_zero:
         return s
-    out = [Rational(0)] * (t - s.valuation)
-    for k, c in zip(range(s.valuation, t), s.coeffs):
-        # x^k picks up (1 - j*x^2)^(-k/2) = sum_i w_i x^(2i) with
-        # w_0 = 1 and w_{i+1} = w_i * j*(k + 2i) / (2*(i + 1)).
-        if _is_zero(c):
+    v = s.valuation
+    # x^k picks up (1 - j*x^2)^(-k/2) = sum_i w_i x^(2i) with w_0 = 1 and
+    # w_{i+1} = w_i * j*(k + 2i) / (2*(i + 1)), so w_i * 2^i * i! is an
+    # integer: over the one denominator 2^I * I!, I the most steps any term
+    # takes, every weight is an integer (the step past the last is unused).
+    steps = (t - 1 - v) // 2
+    base = 2**steps * factorial(steps)
+    out = [0] * (t - v)
+    for k, c in enumerate(s.nums, v):
+        if not c:
             continue
-        w = ONE
-        e = k
-        i = 0
-        while e < t:
-            out[e - s.valuation] = out[e - s.valuation] + c * w
-            w = w * Rational(j * (k + 2 * i), 2 * (i + 1))
-            i += 1
-            e += 2
-    return PuiseuxSeries(s.valuation, out, t)
+        w = base
+        for i, e in enumerate(range(k - v, t - v, 2)):
+            out[e] += c * w
+            w = w * j * (k + 2 * i) // (2 * (i + 1))
+    return _from_numerators(v, out, s.den * base, t)

@@ -109,6 +109,18 @@ def test_coeffs_k60_json_is_byte_identical(capsys):
     )
 
 
+def test_coeffs_k169_json_is_byte_identical(capsys):
+    # The deep expansion of acceptance criterion 2 through the CLI; the
+    # digest was taken from the per-coefficient Fraction kernels.
+    code, out, _ = run(
+        capsys, "coeffs", "--preset", "a85", "--K", "169", "--format", "json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "71513e54e463c9442e38aecdac8e5bd820633084dc07c1a28290ef2320d38bba"
+    )
+
+
 def test_coeffs_latex(capsys):
     code, out, _ = run(
         capsys, "coeffs", "--preset", "a85", "--K", "9", "--format", "latex"

@@ -16,7 +16,6 @@ from recasymp import (
     mul,
     shift_exponent,
 )
-from recasymp.frame import binomial_weights
 
 
 def test_frame_construction_and_equality():
@@ -93,20 +92,6 @@ def test_ratio_parts_closed_forms_match_series_algebra(j):
         parts = frame_ratio_parts(j, T)
         assert parts == _parts_by_series_algebra(j, T), T
         assert all(p.truncation == T for p in parts)
-
-
-def test_binomial_weights():
-    # (1 - 2x^2)^3 is a polynomial; (1 - 3x^2)^-1 the geometric series.
-    assert binomial_weights(2, Rational(3), 6) == [1, -6, 12, -8, 0, 0]
-    assert binomial_weights(3, Rational(-1), 5) == [1, 3, 9, 27, 81]
-    # (1 - x^2)^(1/2) = 1 - x^2/2 - x^4/8 - x^6/16 - 5x^8/128.
-    assert binomial_weights(1, Rational(1, 2), 5) == [
-        1,
-        Rational(-1, 2),
-        Rational(-1, 8),
-        Rational(-1, 16),
-        Rational(-5, 128),
-    ]
 
 
 def test_ratio_leading_coefficient_is_one(a85_fr):
