@@ -57,7 +57,7 @@ from .errors import FrameMismatch, ResonantOrder
 from .frame import Frame, frame_ratio
 from .rationals import Rational, format_rational, parse_rational
 from .recurrence import Recurrence, poly_to_laurent
-from .series import PuiseuxSeries, _from_numerators, add, compose_shift, mul
+from .series import PuiseuxSeries, add, compose_shift, divide_one_minus_jx2, mul
 
 
 class Expansion:
@@ -151,20 +151,6 @@ def _assemble(rec: Recurrence, frame, unit_orders: int):
     return terms, units
 
 
-def _divide_one_minus_jx2(s: PuiseuxSeries, j: int) -> PuiseuxSeries:
-    """s / (1 - j x^2) by the O(T) recurrence y_m = s_m + j * y_(m-2).
-
-    The divisor is an exact polynomial with constant term 1, so the
-    valuation, the truncation and the denominator of s carry over
-    unchanged; the recurrence runs on the numerators.  The content stays
-    1: a common factor of the den and every y_m would divide every
-    s_m = y_m - j * y_(m-2) as well."""
-    y = list(s.nums)
-    for m in range(2, len(y)):
-        y[m] += j * y[m - 2]
-    return _from_numerators(s.valuation, y, s.den, s.truncation, reduced=True)
-
-
 def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
     """Solve for the first K correction coefficients of rec in the given
     frame.  Exact; raises FrameMismatch or ResonantOrder when the order-by-
@@ -183,7 +169,7 @@ def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
     for k in range(1, K + 1):
         if k > 1:
             responses = {
-                j: (cur, _divide_one_minus_jx2(prev, j))
+                j: (cur, divide_one_minus_jx2(prev, j))
                 for j, (prev, cur) in responses.items()
             }
         b = terms[0]

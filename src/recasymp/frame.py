@@ -33,8 +33,8 @@ from __future__ import annotations
 from math import factorial, lcm
 
 from .errors import RamificationError
-from .rationals import Rational, format_rational, rat
-from .series import PuiseuxSeries, add, exp_series
+from .rationals import format_rational, rat
+from .series import PuiseuxSeries, _from_numerators, add, exp_series
 
 
 class Frame:
@@ -107,11 +107,11 @@ def frame_ratio_parts(j: int, T: int):
 
     where l = log(1 - j x^2) and w_m are the binomial weights of
     (1 - j x^2)^(1/2), stepped as w_0 = 1, w_m = w_(m-1) * (2m - 3) * j / (2m).
-    Each part is written as integers times one reciprocal: A and C over
-    lcm(1, ..., M + 1), M the last m below the truncation, and B over
-    2^H * H!, H the last m of B, which the step's 2m divide.  They depend
-    only on the shift j, so a caller solving for unknown frame parameters
-    can combine them with symbolic coefficients.
+    Each part is built straight as integer numerators over one
+    denominator: A and C over lcm(1, ..., M + 1), M the last m below the
+    truncation, and B over 2^H * H!, H the last m of B, which the step's
+    2m divide.  They depend only on the shift j, so a caller solving for
+    unknown frame parameters can combine them with symbolic coefficients.
     """
     if not isinstance(j, int) or isinstance(j, bool) or j < 1:
         raise ValueError(f"shift must be a positive integer, got {j!r}")
@@ -133,11 +133,10 @@ def frame_ratio_parts(j: int, T: int):
     for m in range(1, half + 1):
         w = w * (2 * m - 3) * j // (2 * m)
         b[2 * m - 1] = w
-    over = Rational(1, den)
     return (
-        PuiseuxSeries(0, a, T).scale(over),
-        PuiseuxSeries(0, b, T).scale(Rational(1, w_den)),
-        PuiseuxSeries(0, c, T).scale(over),
+        _from_numerators(0, a, den, T),
+        _from_numerators(0, b, w_den, T),
+        _from_numerators(0, c, den, T),
     )
 
 

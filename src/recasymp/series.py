@@ -27,35 +27,43 @@ Truncation orders obey the usual interval arithmetic of O-terms:
     mul:        T = min(T1 + v2, T2 + v1)
     exp, log1p: T preserved (arguments must have positive valuation)
     shift substitution x -> x*(1 - j*x^2)^(-1/2): v and T preserved
+    division by 1 - j*x^2: v and T preserved
 
 Coefficients are exact rationals in the normal case, but every algorithm
 here only uses ring operations plus division by integers, so numerators
 from other exact commutative rings work too; the frame finder exploits
-that with polynomial coefficients.  Such a numerator counts as content 1,
-so its series is not reduced.
+that with polynomial coefficients.  Only ints and the backends' integer
+and rational types are split into integers; any other coefficient is kept
+as such a ring element, and the kernels use its own operators.  Such a
+numerator counts as content 1, so its series is not reduced.
 All floating point input is rejected.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from .errors import NegativeValuation, NonPositiveValuation
 from .rationals import Rational
 
 
+#: The exact number types the constructor splits into a Python int
+#: numerator and denominator: int, and the integer and rational types of
+#: both backends, since input may mix them.
+_SPLIT = frozenset({int, bool, Fraction, Rational, type(Rational(0).numerator)})
+
+
 def _split(c):
-    """(numerator, denominator) of an exact coefficient.  An element of
-    another exact ring (the frame finder's polynomials) is its own
-    numerator over 1."""
-    if isinstance(c, int):
-        return c, 1
+    """(numerator, denominator) of an exact coefficient.  Any value of
+    another type (the frame finder's polynomials, or a subclass with
+    arithmetic of its own) is a ring element and its own numerator over 1,
+    so the kernels combine it with its own operators."""
     if isinstance(c, float):
         raise TypeError("float coefficients are not allowed in exact series")
-    den = getattr(c, "denominator", None)
-    if den is None:
-        return c, 1
-    return int(c.numerator), int(den)
+    if type(c) in _SPLIT:
+        return int(c.numerator), int(c.denominator)
+    return c, 1
 
 
 def _value(num, den):
@@ -88,7 +96,7 @@ class PuiseuxSeries:
                 f"{truncation - valuation} coefficients, got {len(parts)}"
             )
         den = lcm(*(d for _, d in parts))
-        nums = [n * (den // d) for n, d in parts]
+        nums = [n if d == den else n * (den // d) for n, d in parts]
         _fill(self, valuation, nums, den, truncation, reduced=False)
 
     def __setattr__(self, name, value):
@@ -189,7 +197,9 @@ class PuiseuxSeries:
         )
 
     def __hash__(self):
-        return hash((self.valuation, self.truncation, self.den, self.nums))
+        # Over the values, so that a series holding ring-element numerators
+        # hashes like the equal canonical one.
+        return hash((self.valuation, self.truncation, self.coeffs))
 
     def __repr__(self) -> str:
         body = " + ".join(f"{c}*x^{k}" for k, c in self.terms()) or "0"
@@ -244,10 +254,13 @@ def _fill(s: PuiseuxSeries, valuation: int, nums, den: int, truncation: int,
 
 def _from_numerators(valuation: int, nums, den: int, truncation: int,
                      reduced: bool = False) -> PuiseuxSeries:
-    """The kernels' constructor: numerators already exact (ints, or ring
-    elements from the frame finder) over den > 0, len(nums) == T - v; no
-    per-coefficient validation.  reduced=True skips the content gcd for a
-    result whose content is known to be 1 (or to need no reduction)."""
+    """The kernels' constructor, also used for the frame module's closed
+    forms: numerators already exact (ints, or ring elements from the frame
+    finder) over den > 0, len(nums) == T - v; no per-coefficient
+    validation.  reduced=True skips the content gcd for a result whose
+    content is known to be 1 (or to need no reduction), as for x_shift and
+    the march's division: their results are the largest of a deep solve,
+    and their gcds would add about a fifth to a K=100 one."""
     s = object.__new__(PuiseuxSeries)
     _fill(s, valuation, nums, den, truncation, reduced)
     return s
@@ -369,6 +382,20 @@ def log1p_series(s: PuiseuxSeries) -> PuiseuxSeries:
                 acc -= i * g[i] * sd[m - i]
         q = _place(g, q, m, acc, m * s.den * q)
     return _from_numerators(0, g, q, t)
+
+
+def divide_one_minus_jx2(s: PuiseuxSeries, j: int) -> PuiseuxSeries:
+    """s / (1 - j x^2) by the O(T) recurrence y_m = s_m + j * y_(m-2).
+
+    The divisor is an exact polynomial with constant term 1, so the
+    valuation, the truncation and the denominator of s carry over
+    unchanged; the recurrence runs on the numerators.  The content stays
+    1: a common factor of the den and every y_m would divide every
+    s_m = y_m - j * y_(m-2) as well."""
+    y = list(s.nums)
+    for m in range(2, len(y)):
+        y[m] += j * y[m - 2]
+    return _from_numerators(s.valuation, y, s.den, s.truncation, reduced=True)
 
 
 def compose_shift(s: PuiseuxSeries, j: int) -> PuiseuxSeries:

@@ -20,6 +20,7 @@ from recasymp import (
     solve_expansion,
 )
 from recasymp import engine
+from recasymp.series import divide_one_minus_jx2
 
 # First ten correction coefficients of the involution-number expansion;
 # a_1..a_5 are classical, the rest are pinned from the exact solver and
@@ -204,7 +205,7 @@ def test_march_division_is_two_shift_units(s, j):
     # keep the truncation of s, as in the march.
     ample = s.truncation - s.valuation + 2
     u = compose_shift(PuiseuxSeries.monomial(1, 1, ample), j).x_shift(-1)
-    assert engine._divide_one_minus_jx2(s, j) == mul(mul(s, u), u)
+    assert divide_one_minus_jx2(s, j) == mul(mul(s, u), u)
 
 
 @settings(max_examples=80)
@@ -213,7 +214,7 @@ def test_march_division_inverts_its_divisor(s, j):
     divisor = PuiseuxSeries.from_terms(
         {0: 1, 2: -j}, s.truncation - s.valuation + 3
     )
-    assert mul(engine._divide_one_minus_jx2(s, j), divisor) == s
+    assert mul(divide_one_minus_jx2(s, j), divisor) == s
 
 
 def test_march_products_do_not_grow_with_K(a85, a85_fr, monkeypatch):

@@ -8,14 +8,15 @@ lists, large-height rationals, and polynomial coefficients as the frame
 finder uses them.  The canonical form of the storage is checked alongside.
 """
 
+from fractions import Fraction
 from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recasymp import PuiseuxSeries, Rational, add, compose_shift, exp_series, mul
-from recasymp.engine import _divide_one_minus_jx2
 from recasymp.framesolve import _Poly2
+from recasymp.series import divide_one_minus_jx2
 
 # -- reference kernels on coefficient values ------------------------------------
 
@@ -137,7 +138,7 @@ def test_ring_kernels_match_reference(a, b, c, j, m, data):
         (add(a, b), ref_add(a, b)),
         (mul(a, b), ref_mul(a, b)),
         (a.scale(c), ref_scale(a, c)),
-        (_divide_one_minus_jx2(a, j), ref_divide_one_minus_jx2(a, j)),
+        (divide_one_minus_jx2(a, j), ref_divide_one_minus_jx2(a, j)),
     ]
     for got, want in results:
         assert got == want
@@ -181,6 +182,27 @@ def test_shared_denominator_is_the_lcm():
     assert PuiseuxSeries.zero(3).den == 1
 
 
+def test_other_number_types_keep_their_operators():
+    # Only int and the backends' own types are split into integers; a
+    # subclass with arithmetic of its own stays a ring element, so the
+    # kernels call its operators, and its series equals and hashes like
+    # the canonical one.
+    products = [0]
+
+    class Counted(Fraction):
+        def __mul__(self, other):
+            products[0] += 1
+            return Fraction(self) * other
+
+    s = PuiseuxSeries(0, [Counted(1, 2), Counted(3)], 2)
+    plain = PuiseuxSeries(0, [Fraction(1, 2), 3], 2)
+    assert s == plain and hash(s) == hash(plain)
+    products[0] = 0
+    square = mul(s, s)
+    assert products[0] == 3
+    assert square == mul(plain, plain) and hash(square) == hash(mul(plain, plain))
+
+
 # -- polynomial coefficients, as in the frame search ---------------------------------------
 
 poly_entries = st.one_of(polys, rationals, st.just(0))
@@ -197,7 +219,7 @@ def test_kernels_match_reference_over_polynomials(a, b, p, j):
     assert add(a, b) == ref_add(a, b)
     assert mul(a, b) == ref_mul(a, b)
     assert a.scale(p) == ref_scale(a, p)
-    assert _divide_one_minus_jx2(a, j) == ref_divide_one_minus_jx2(a, j)
+    assert divide_one_minus_jx2(a, j) == ref_divide_one_minus_jx2(a, j)
     assert compose_shift(b, j) == ref_compose_shift(b, j)
 
 
