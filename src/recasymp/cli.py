@@ -68,7 +68,7 @@ def _load_json_file(path: str, what: str) -> dict:
 def _load_recurrence(path: str) -> Recurrence:
     try:
         return Recurrence.from_json_dict(_load_json_file(path, "recurrence"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _UsageError(f"bad recurrence file {path}: {exc}") from None
 
 

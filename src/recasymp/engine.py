@@ -122,7 +122,7 @@ def _reach(rec: Recurrence) -> int:
     return 2 * (sum(1 for _ in rec.active_shifts()) - 1)
 
 
-def _assemble(rec: Recurrence, frame, unit_orders: int):
+def _assemble(rec: Recurrence, frame: Frame, unit_orders: int):
     """Build the weights W_j = L_j * Phi_j and shift units u_j, with the
     unit factor of every Phi_j known through O(x^unit_orders).
 
@@ -131,9 +131,6 @@ def _assemble(rec: Recurrence, frame, unit_orders: int):
     as the exact L_j is carried through O(x^unit_orders) (its valuation is
     -2 deg p_j <= 0) and the units through O(x^unit_orders) as well, so
     that products with them keep the truncation of W_j.
-
-    frame needs beta, c and alpha only; c and alpha may lie in any exact
-    commutative ring, which is how frame_solve keeps them symbolic.
 
     Returns (terms, units) where terms maps j -> W_j (including j = 0 with
     W_0 = L_0) and units maps j -> u_j/x as a valuation-0 series.

@@ -110,8 +110,8 @@ def frame_ratio_parts(j: int, T: int):
     Each part is built straight as integer numerators over one
     denominator: A and C over lcm(1, ..., M + 1), M the last m below the
     truncation, and B over 2^H * H!, H the last m of B, which the step's
-    2m divide.  They depend only on the shift j, so a caller solving for
-    unknown frame parameters can combine them with symbolic coefficients.
+    2m divide.  They depend only on the shift j, so the frame finder
+    expands exp(c*B + alpha*C) from them in powers of c and alpha.
     """
     if not isinstance(j, int) or isinstance(j, bool) or j < 1:
         raise ValueError(f"shift must be a positive integer, got {j!r}")
@@ -146,9 +146,7 @@ def frame_ratio(fr: Frame, j: int, T: int) -> PuiseuxSeries:
     The result has valuation 2*beta*j and is known through
     O(x^(T + 2*beta*j)): T orders of the unit factor exp(g_j).  kappa drops
     out of the ratio, so two frames differing only in kappa give identical
-    results.  Only fr.beta, fr.c and fr.alpha are read, and c and alpha may
-    lie in any exact commutative ring: the frame finder passes polynomial
-    unknowns for them.
+    results.
     """
     s = shift_exponent(fr.beta, j)
     a_part, b_part, c_part = frame_ratio_parts(j, T)

@@ -26,10 +26,12 @@ def rat(value) -> "Rational":
 
     Accepts int, Rational, or a string of the form "p" or "p/q" (optional
     sign, arbitrary size).  Floats are rejected: silent binary-to-decimal
-    conversion would break every exactness guarantee downstream.
+    conversion would break every exactness guarantee downstream.  So are
+    bools: Python counts them as ints, but a JSON true is not the number 1.
     """
-    if isinstance(value, float):
-        raise TypeError("float is not an exact rational; pass int or 'p/q' string")
+    if isinstance(value, (float, bool)):
+        kind = type(value).__name__
+        raise TypeError(f"{kind} is not an exact rational; pass int or 'p/q' string")
     if isinstance(value, str):
         return parse_rational(value)
     return Rational(value)

@@ -29,14 +29,13 @@ Truncation orders obey the usual interval arithmetic of O-terms:
     shift substitution x -> x*(1 - j*x^2)^(-1/2): v and T preserved
     division by 1 - j*x^2: v and T preserved
 
-Coefficients are exact rationals in the normal case, but every algorithm
-here only uses ring operations plus division by integers, so numerators
-from other exact commutative rings work too; the frame finder exploits
-that with polynomial coefficients.  Only ints and the backends' integer
-and rational types are split into integers; any other coefficient is kept
-as such a ring element, and the kernels use its own operators.  Such a
-numerator counts as content 1, so its series is not reduced.
-All floating point input is rejected.
+Coefficients are exact rationals.  Only ints and the backends' integer and
+rational types are split into integers; any other exact value (a subclass
+with arithmetic of its own, as an operation counter uses) is kept as a
+numerator over 1 and combined with its own operators, since every kernel
+needs only ring operations plus division by integers.  Such a numerator
+counts as content 1, so its series is not reduced.  All floating point
+input is rejected.
 """
 
 from __future__ import annotations
@@ -56,9 +55,8 @@ _SPLIT = frozenset({int, bool, Fraction, Rational, type(Rational(0).numerator)})
 
 def _split(c):
     """(numerator, denominator) of an exact coefficient.  Any value of
-    another type (the frame finder's polynomials, or a subclass with
-    arithmetic of its own) is a ring element and its own numerator over 1,
-    so the kernels combine it with its own operators."""
+    another type (a subclass with arithmetic of its own) is its own
+    numerator over 1, so the kernels combine it with its own operators."""
     if isinstance(c, float):
         raise TypeError("float coefficients are not allowed in exact series")
     if type(c) in _SPLIT:
@@ -197,7 +195,7 @@ class PuiseuxSeries:
         )
 
     def __hash__(self):
-        # Over the values, so that a series holding ring-element numerators
+        # Over the values, so that a series holding non-integer numerators
         # hashes like the equal canonical one.
         return hash((self.valuation, self.truncation, self.coeffs))
 
@@ -255,8 +253,8 @@ def _fill(s: PuiseuxSeries, valuation: int, nums, den: int, truncation: int,
 def _from_numerators(valuation: int, nums, den: int, truncation: int,
                      reduced: bool = False) -> PuiseuxSeries:
     """The kernels' constructor, also used for the frame module's closed
-    forms: numerators already exact (ints, or ring elements from the frame
-    finder) over den > 0, len(nums) == T - v; no per-coefficient
+    forms: numerators already exact (ints, or values kept by _split) over
+    den > 0, len(nums) == T - v; no per-coefficient
     validation.  reduced=True skips the content gcd for a result whose
     content is known to be 1 (or to need no reduction), as for x_shift and
     the march's division: their results are the largest of a deep solve,

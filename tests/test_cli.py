@@ -1,11 +1,17 @@
 """The command line surface: outputs, formats, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recasymp import Expansion
 from recasymp.cli import main
@@ -167,6 +173,27 @@ def test_coeffs_missing_file(capsys):
     code, _, err = run(capsys, "coeffs", "--recurrence", "/no/such.json", "--K", "1")
     assert code == 1
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("key, value", [("beta", True), ("c", 1.0)])
+def test_coeffs_frame_file_with_inexact_value_is_usage_error(tmp_path, capsys, key, value):
+    # A bool is not read as 1, just as a float is not read as a rational.
+    rec = write_json(tmp_path, "a85.json", {"order": 2, "coeffs": [[1], [-1], [1, -1]]})
+    frame = write_json(tmp_path, "frame.json", {**A85_FRAME, key: value})
+    code, out, err = run(
+        capsys, "coeffs", "--recurrence", rec, "--frame", frame, "--K", "1"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad frame file ")
+
+
+def test_coeffs_recurrence_file_with_infinite_order_is_usage_error(tmp_path, capsys):
+    # JSON's Infinity loads as a float that int() cannot convert.
+    rec = tmp_path / "inf.json"
+    rec.write_text('{"order": Infinity, "coeffs": [[1], [0, -1]]}', encoding="utf-8")
+    code, out, err = run(capsys, "coeffs", "--recurrence", str(rec), "--K", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad recurrence file ")
 
 
 def test_coeffs_malformed_recurrence_file(tmp_path, capsys):
@@ -402,6 +429,90 @@ def test_usage_error_names_its_flag(capsys, argv, flag):
     assert (code, out) == (1, "")
     assert err.startswith(f"error: argument {flag}: ")
     assert "invalid literal" not in err
+
+
+# -- fuzzing the file-reading commands -------------------------------------------
+
+_small = st.integers(min_value=-3, max_value=3)
+_junk = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=4),
+    st.sampled_from([1.0, float("inf"), float("nan"), 10**400]),
+    st.sampled_from(["1/0", "1/2", "-3/4", "x"]), st.lists(_small, max_size=2),
+    st.dictionaries(st.text(max_size=2), _small, max_size=1),
+)
+
+
+def _spoiled(draw, value, junk=_junk):
+    """value, or one time in eight junk in its place."""
+    return draw(junk) if draw(st.integers(min_value=0, max_value=7)) == 0 else value
+
+
+@st.composite
+def _recurrence_file(draw):
+    """The text of a recurrence file of order <= 4 and degree <= 3, its
+    declared order right, absent or spoiled, and at times a coefficient,
+    a polynomial, the payload or the JSON itself spoiled."""
+    end = st.lists(_small, min_size=1, max_size=4).filter(any)
+    inner = st.lists(st.lists(_small, max_size=4), max_size=3)
+    coeffs = [draw(end), *draw(inner), draw(end)]
+    payload = {"coeffs": coeffs}
+    if draw(st.booleans()):
+        payload["order"] = _spoiled(draw, len(coeffs) - 1)
+    i = draw(st.integers(min_value=0, max_value=len(coeffs) - 1))
+    if coeffs[i]:
+        k = draw(st.integers(min_value=0, max_value=len(coeffs[i]) - 1))
+        coeffs[i][k] = _spoiled(draw, coeffs[i][k])
+    coeffs[i] = _spoiled(draw, coeffs[i])
+    return _spoiled(draw, json.dumps(_spoiled(draw, payload)), st.text(max_size=8))
+
+
+@st.composite
+def _frame_file(draw):
+    """The text of a frame file with small values, each possibly spoiled."""
+    values = st.one_of(_small, st.sampled_from(["1/2", "-1/2", "3/2", "1/3"]))
+    keys = ["beta", "c", "alpha"] + (["kappa"] if draw(st.booleans()) else [])
+    payload = {key: _spoiled(draw, draw(values)) for key in keys}
+    return _spoiled(draw, json.dumps(_spoiled(draw, payload)), st.text(max_size=8))
+
+
+_K = st.integers(min_value=-1, max_value=6).map(str)
+
+
+@st.composite
+def _invocations(draw):
+    """A command line over the file-reading commands and the file contents
+    it names: well-formed, mistyped or not JSON at all."""
+    files = {"rec.json": draw(_recurrence_file())}
+    command = draw(st.sampled_from(["solve-frame", "coeffs", "render"]))
+    argv = [command, "--recurrence", "rec.json"]
+    if command == "solve-frame":
+        if draw(st.booleans()):
+            argv += ["--verify", draw(_K)]
+        argv += draw(st.sampled_from([[], ["--format", "json"]]))
+    else:
+        argv += ["--K" if command == "coeffs" else "--k", draw(_K)]
+        if draw(st.booleans()):
+            files["frame.json"] = draw(_frame_file())
+            argv += ["--frame", "frame.json"]
+        if command == "coeffs":
+            argv += draw(st.sampled_from([[], ["--format", "json"], ["--format", "latex"]]))
+    return argv, files
+
+
+@settings(max_examples=150, deadline=None)
+@given(_invocations())
+def test_file_commands_end_in_an_exit_code_never_a_traceback(invocation):
+    argv, files = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            (Path(tmp) / name).write_text(text, encoding="utf-8")
+        argv = [str(Path(tmp) / a) if a in files else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
 
 
 # -- entry point --------------------------------------------------------------------

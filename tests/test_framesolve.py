@@ -1,9 +1,10 @@
 """Automatic determination of frame parameters from the recurrence alone."""
 
-from math import comb
+from functools import reduce
+from math import comb, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from recasymp import (
@@ -18,7 +19,8 @@ from recasymp import (
     residual_check,
     solve_expansion,
 )
-from recasymp import framesolve
+from recasymp import add, framesolve
+from recasymp.engine import _assemble, _reach
 
 
 def test_involution_frame(a85, a85_fr):
@@ -180,16 +182,62 @@ def test_rational_roots_large_coefficients():
     assert rational_roots([-big, big - 1, 1]) == [-big, 1]
 
 
-def test_rational_roots_factors_each_end_coefficient_once(monkeypatch):
-    # prod_{i=1..6} (x - i): one divisor list for the constant term 720 and
-    # one for the leading coefficient, not one per numerator candidate.
-    coeffs = [1]
-    for i in range(1, 7):
-        coeffs = [a - i * b for a, b in zip([0] + coeffs, coeffs + [0])]
-    calls = []
-    divisors = framesolve._divisors
-    monkeypatch.setattr(
-        framesolve, "_divisors", lambda n: calls.append(n) or divisors(n)
-    )
-    assert rational_roots(coeffs) == [1, 2, 3, 4, 5, 6]
-    assert sorted(calls) == [1, 720]
+def test_rational_roots_need_no_factoring():
+    # N is the product of two primes above 10^6, beyond trial division.
+    N = 1000003 * 1000033
+    assert rational_roots([N, -(N + 1), 1]) == [1, N]
+
+
+small_rationals = st.builds(
+    Rational, st.integers(min_value=-30, max_value=30), st.integers(min_value=1, max_value=12)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_rationals, min_size=1, max_size=4), small, small, st.sampled_from([1, -1]))
+def test_rational_roots_are_exactly_the_linear_factors(roots, b, c, sign):
+    # x^2 + b x + c is irreducible over Q unless its discriminant is a
+    # square; the first linear factor is repeated, and the leading
+    # coefficient takes either sign.
+    disc = b * b - 4 * c
+    assume(disc < 0 or isqrt(disc) ** 2 != disc)
+    poly = [sign * c, sign * b, sign]
+    for r in roots + roots[:1]:
+        poly = [
+            r.denominator * lo - r.numerator * hi
+            for lo, hi in zip([0] + poly, poly + [0])
+        ]
+    assert rational_roots(poly) == sorted(set(roots))
+
+
+# -- the frame equations against the solver's own assembly -----------------------
+
+
+@st.composite
+def recurrences(draw):
+    end = st.lists(small, min_size=1, max_size=3).filter(any)
+    inner = st.lists(small, max_size=3)
+    order = draw(st.integers(min_value=1, max_value=3))
+    inside = [draw(inner) for _ in range(order - 1)]
+    return Recurrence([draw(end)] + inside + [draw(end)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(recurrences(), small_rationals, small_rationals)
+def test_frame_equations_match_the_assembled_residual(rec, c, alpha):
+    # Each order's {(i, l): e} dict, evaluated at (c, alpha), is the
+    # coefficient of the bare-frame residual the solver assembles.
+    T = _reach(rec) + 1
+    try:
+        beta, orders = framesolve._frame_equations(rec, T)
+    except RamificationError:
+        assume(False)
+    terms, _ = _assemble(rec, Frame(beta, c, alpha), T)
+    residual = reduce(add, terms.values())
+    assert all(o < residual.truncation for o in orders)
+    low = min([residual.valuation, *orders])
+    for o in range(low, residual.truncation):
+        value = sum(
+            e * c**i * alpha**l for (i, l), e in orders.get(o, {}).items()
+        )
+        assert value == residual.coefficient(o)

@@ -1,4 +1,4 @@
-"""The exact rational backend: parsing, formatting, float rejection."""
+"""The exact rational backend: parsing, formatting, float and bool rejection."""
 
 import pytest
 
@@ -73,6 +73,13 @@ def test_rat_accepts_int_string_rational():
 def test_rat_rejects_float():
     with pytest.raises(TypeError):
         rat(0.5)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_rat_rejects_bool(value):
+    # A bool is an int to Python, but True is never a meant 1.
+    with pytest.raises(TypeError, match="bool"):
+        rat(value)
 
 
 def test_exactness():

@@ -4,8 +4,9 @@ Each reference below is the straightforward algorithm on coefficient
 values, one exact rational operation per coefficient, with no shared
 denominator to track.  The properties require identical series on random
 inputs: valuations -4..12, mixed truncations, sparse and dense coefficient
-lists, large-height rationals, and polynomial coefficients as the frame
-finder uses them.  The canonical form of the storage is checked alongside.
+lists, large-height rationals, and coefficients of a number type the
+kernels do not split into integers.  The canonical form of the storage is
+checked alongside.
 """
 
 from fractions import Fraction
@@ -15,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recasymp import PuiseuxSeries, Rational, add, compose_shift, exp_series, mul
-from recasymp.framesolve import _Poly2
 from recasymp.series import divide_one_minus_jx2
 
 # -- reference kernels on coefficient values ------------------------------------
@@ -96,12 +96,14 @@ tall = st.builds(
 rationals = st.one_of(small, tall)
 # Sparse lists draw mostly zeros; dense ones draw none.
 sparse_entry = st.one_of(st.just(0), st.just(0), st.just(0), rationals)
-polys = st.builds(
-    _Poly2,
-    st.dictionaries(
-        st.tuples(st.integers(0, 2), st.integers(0, 2)), rationals, max_size=3
-    ),
-)
+
+
+class Ring(Fraction):
+    """A rational of a type the kernels do not split into integers: each is
+    kept as a numerator over 1 and combined with its own operators."""
+
+
+rings = st.builds(Ring, rationals)
 
 
 @st.composite
@@ -203,19 +205,19 @@ def test_other_number_types_keep_their_operators():
     assert square == mul(plain, plain) and hash(square) == hash(mul(plain, plain))
 
 
-# -- polynomial coefficients, as in the frame search ---------------------------------------
+# -- coefficients kept as ring elements --------------------------------------------------
 
-poly_entries = st.one_of(polys, rationals, st.just(0))
+ring_entries = st.one_of(rings, rationals, st.just(0))
 
 
 @settings(max_examples=40)
 @given(
-    series(entries=poly_entries),
-    series(entries=poly_entries, min_valuation=0),
-    polys,
+    series(entries=ring_entries),
+    series(entries=ring_entries, min_valuation=0),
+    rings,
     shifts,
 )
-def test_kernels_match_reference_over_polynomials(a, b, p, j):
+def test_kernels_match_reference_over_ring_elements(a, b, p, j):
     assert add(a, b) == ref_add(a, b)
     assert mul(a, b) == ref_mul(a, b)
     assert a.scale(p) == ref_scale(a, p)
@@ -224,8 +226,8 @@ def test_kernels_match_reference_over_polynomials(a, b, p, j):
 
 
 @settings(max_examples=30)
-@given(series(entries=poly_entries, min_valuation=1, max_len=6))
-def test_exp_matches_reference_over_polynomials(s):
+@given(series(entries=ring_entries, min_valuation=1, max_len=6))
+def test_exp_matches_reference_over_ring_elements(s):
     if s.truncation < 1:
         return
     assert exp_series(s) == ref_exp(s)
