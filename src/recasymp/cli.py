@@ -68,7 +68,7 @@ def _load_json_file(path: str, what: str) -> dict:
 def _load_recurrence(path: str) -> Recurrence:
     try:
         return Recurrence.from_json_dict(_load_json_file(path, "recurrence"))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise _UsageError(f"bad recurrence file {path}: {exc}") from None
 
 
@@ -171,6 +171,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    get_preset(args.preset)  # ratio_check knows a85 alone; reject the rest
     report = ratio_check(args.n, args.k, args.digits)
     if args.format == "json":
         out = _compact_json(report.to_json_dict())

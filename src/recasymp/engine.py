@@ -18,11 +18,22 @@ r is the residual so far and the linear response is
 
     B_k = x^k * ( W_0 + sum_{j>=1} W_j * u_j(x)^k ),      W_j = L_j * Phi_j,
 
-because a_k enters S(u_j) as a_k * x^k * u_j^k.  At the lowest order o
-where either side has a known nonzero coefficient, r[o] + a_k * B_k[o] = 0
-either determines a_k exactly, or proves the frame wrong (forced nonzero
-residual), or exposes a resonance (both sides vanish through the last
-order at which a_k can be read, see below, so a_k is a free parameter).
+because a_k enters S(u_j) as a_k * x^k * u_j^k.
+
+Each a_k is read at one order, fixed by the indicial structure of the
+formal solution (Wimp & Zeilberger, J. Math. Anal. Appl. 111, 1985).
+Raising alpha by delta multiplies Phi_j by (1 - j x^2)^delta, so the bare
+residual (S = 1) at alpha + delta is sum_l binom(delta, l) x^(2l) M_l with
+M_l = sum_j (-j)^l W_j, and B_k is x^k times it at delta = -k/2.  Let
+leading + d be the lowest order of x^(2l) M_l over 1 <= l <= t - 1, with
+leading = -sigma the leading balance (M_1 .. M_(t-1) fix every W_j, a
+Vandermonde system, so no larger l reaches lower).  Below leading + d the
+bare residual M_0 must vanish for the frame to fit; at leading + d its
+coefficient is the alpha-equation P(alpha + delta).  So B_k vanishes below
+o = leading + k + d and is P(alpha - k/2) there, and the equation at o
+determines a_k, or proves the frame wrong (r is nonzero below o, or at o
+while P(alpha - k/2) = 0), or exposes a resonance (both sides vanish at o,
+so a_k is a free parameter).
 
 With g_j = u_j/x = (1 - j x^2)^(-1/2), the responses W_j * g_j^k are
 marched two steps at a time: W_j and W_j * g_j are the only products, and
@@ -32,21 +43,16 @@ step would make it O(K*T^2)).  The division keeps the truncation of W_j,
 which a product by g_j would not have cut either.
 
 All series arithmetic is exact, and every truncation is sized once, before
-any arithmetic, by one rule (the indicial structure of the formal solution,
-Wimp & Zeilberger, J. Math. Anal. Appl. 111, 1985).  W_j has valuation
--(2 deg p_j - 2 beta j), so the leading balance sits at order -sigma,
-sigma = max_j (2 deg p_j - 2 beta j).  Its polynomial chi(z) = sum lc(p_j)
-z^j, over the shifts that reach it, has at most t nonzero terms for t
-active shifts, so by Descartes' rule of signs its root z = 1 has
-multiplicity m <= t - 1.  The frame's c-equation then sits at most m orders
-above the leading balance and its alpha-equation at most 2m.  Multiplying
-S by x^k = n^(-k/2) shifts alpha by -k/2, so B_k is x^k times the frame
-residual at alpha - k/2, and a_k is read at most k + 2(t - 1) orders above
-the leading balance.  With the unit factor of every Phi_j known through
-O(x^T), W_j is known through T orders past its valuation, so sigma cancels
-from every budget: the solve takes T = K + 2(t - 1) + 1, and when r and B_k
-both vanish through order k - sigma + 2(t - 1), a_k is reported as
-resonant rather than read from further out.
+any arithmetic.  W_j has valuation -(2 deg p_j - 2 beta j), so the leading
+balance sits at order -sigma, sigma = max_j (2 deg p_j - 2 beta j).  Its
+polynomial chi(z) = sum lc(p_j) z^j, over the shifts that reach it, has at
+most t nonzero terms for t active shifts, so by Descartes' rule of signs
+its root z = 1 has multiplicity m <= t - 1: the frame's c-equation sits at
+most m orders above the leading balance and its alpha-equation at most 2m.
+Once r vanishes at the leading balance a shift j >= 1 reaches it, so
+d <= 2(t - 1).  With the unit factor of every Phi_j known through O(x^T),
+W_j is known through T orders past its valuation, so sigma cancels from
+every budget: the solve takes T = K + 2(t - 1) + 1.
 """
 
 from __future__ import annotations
@@ -117,35 +123,38 @@ class Expansion:
 
 def _reach(rec: Recurrence) -> int:
     """2(t - 1) for t active shifts: how many orders above the leading
-    balance the frame equations and the equation for a_k (counted from
-    order k) can sit; see the module docstring."""
+    balance the frame equations and the offset d can sit; see the module
+    docstring."""
     return 2 * (sum(1 for _ in rec.active_shifts()) - 1)
 
 
-def _assemble(rec: Recurrence, frame: Frame, unit_orders: int):
-    """Build the weights W_j = L_j * Phi_j and shift units u_j, with the
-    unit factor of every Phi_j known through O(x^unit_orders).
+def _assemble(rec: Recurrence, frame: Frame, unit_orders: int) -> dict:
+    """Build the weights W_j = L_j * Phi_j, with the unit factor of every
+    Phi_j known through O(x^unit_orders).
 
     By the product rule T = min(T1 + v2, T2 + v1), W_j is then known through
     unit_orders orders past its valuation -(2 deg p_j - 2 beta j), as long
     as the exact L_j is carried through O(x^unit_orders) (its valuation is
-    -2 deg p_j <= 0) and the units through O(x^unit_orders) as well, so
-    that products with them keep the truncation of W_j.
+    -2 deg p_j <= 0).
 
-    Returns (terms, units) where terms maps j -> W_j (including j = 0 with
-    W_0 = L_0) and units maps j -> u_j/x as a valuation-0 series.
+    Returns {j: W_j}, including j = 0 with W_0 = L_0.
     """
-    x = PuiseuxSeries.monomial(1, 1, unit_orders + 1)
     terms = {}
-    units = {}
     for j, p in rec.active_shifts():
         lj = poly_to_laurent(p, unit_orders)
-        if j == 0:
-            terms[0] = lj
-            continue
-        terms[j] = mul(lj, frame_ratio(frame, j, unit_orders))
-        units[j] = compose_shift(x, j).x_shift(-1)
-    return terms, units
+        terms[j] = mul(lj, frame_ratio(frame, j, unit_orders)) if j else lj
+    return terms
+
+
+def _indicial_order(terms: dict) -> int:
+    """leading + d, the lowest order of x^(2l) M_l over l = 1 .. t - 1 with
+    M_l = sum_j (-j)^l W_j: a_k is read at this order plus k (see the
+    module docstring)."""
+    weights = [(-j, w) for j, w in terms.items() if j]
+    return min(
+        2 * l + reduce(add, (w.scale(s**l) for s, w in weights)).valuation
+        for l in range(1, len(terms))
+    )
 
 
 def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
@@ -154,14 +163,16 @@ def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
     order equations say so."""
     if K < 0:
         raise ValueError("K must be >= 0")
-    reach = _reach(rec)
-    terms, units = _assemble(rec, frame, K + reach + 1)
-    # The leading balance, -sigma, is the lowest valuation among the W_j.
-    leading = min(w.valuation for w in terms.values())
+    unit_orders = K + _reach(rec) + 1
+    terms = _assemble(rec, frame, unit_orders)
+    indicial = _indicial_order(terms)
     r = reduce(add, terms.values())
-    # (W_j g_j^(k-1), W_j g_j^k) per shift, seeded for k = 1; after that
-    # g_j^k = g_j^(k-2) / (1 - j x^2) advances each pair by one division.
-    responses = {j: (w, mul(w, units[j])) for j, w in terms.items() if j != 0}
+    # (W_j g_j^(k-1), W_j g_j^k) per shift, seeded for k = 1 with the unit
+    # g_j = u_j/x; after that g_j^k = g_j^(k-2) / (1 - j x^2) advances each
+    # pair by one division.
+    x = PuiseuxSeries.monomial(1, 1, unit_orders + 1)
+    units = {j: compose_shift(x, j).x_shift(-1) for j in terms if j}
+    responses = {j: (w, mul(w, units[j])) for j, w in terms.items() if j}
     coefficients = []
     for k in range(1, K + 1):
         if k > 1:
@@ -173,12 +184,12 @@ def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
         for _, v in responses.values():
             b = add(b, v)
         b = b.x_shift(k)
-        o = min(r.valuation, b.valuation)
-        if o > leading + k + reach:
-            raise ResonantOrder(k, leading + k + reach)
+        o = indicial + k
+        if r.valuation < o:
+            raise FrameMismatch(k, r.valuation)
         q = b.coefficient(o)
         if q == 0:
-            raise FrameMismatch(k, o)
+            raise FrameMismatch(k, o) if r.coefficient(o) else ResonantOrder(k, o)
         a_k = -r.coefficient(o) / q
         coefficients.append(a_k)
         if a_k != 0:
@@ -192,15 +203,15 @@ def residual_check(rec: Recurrence, exp: Expansion) -> int:
     """Substitute the solved expansion back into the recurrence and report
     how many orders beyond the leading one the residual vanishes.
 
-    A return of m means E(S) = O(x^(v0 + m)) where v0 is the first order at
-    which anything could have been nonzero; m >= exp.K certifies that every
-    solved coefficient does its job.  The residual is known one order past
-    the solve's window, through order K + 1 + 2(t - 1) - sigma, so it sees
-    the order at which a_(K+1) would be read.  When it vanishes through all
-    of that, as for an exact solution, the value is the window's limit: a
-    lower bound, still >= exp.K."""
+    A return of m means E(S) = O(x^(v0 + m)), where v0 is the order at
+    which a_1 is read (or the residual's valuation, if lower); m >= exp.K
+    certifies that every solved coefficient does its job.  The residual is
+    known through order K + 1 + 2(t - 1) - sigma, one past the solve's
+    window, so it sees the order at which a_(K+1) would be read.  When it
+    vanishes through all of that, as for an exact solution, the value is
+    the window's limit: a lower bound, still >= exp.K."""
     unit_orders = exp.K + _reach(rec) + 2
-    terms, units = _assemble(rec, exp.frame, unit_orders)
+    terms = _assemble(rec, exp.frame, unit_orders)
     # The certificate treats the solved correction as an exact polynomial:
     # residual orders beyond K measure its quality, so S carries zeros,
     # not its own O(x^(K+1)) term, through O(x^unit_orders).
@@ -212,6 +223,5 @@ def residual_check(rec: Recurrence, exp: Expansion) -> int:
     residual = reduce(
         add, (mul(w, compose_shift(s, j) if j else s) for j, w in terms.items())
     )
-    response1 = reduce(add, (mul(w, units[j]) if j else w for j, w in terms.items()))
-    v0 = min(residual.valuation, response1.valuation + 1)
+    v0 = min(residual.valuation, _indicial_order(terms) + 1)
     return residual.valuation - v0

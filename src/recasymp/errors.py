@@ -49,10 +49,10 @@ class FrameMismatch(EngineError):
 
 
 class ResonantOrder(EngineError):
-    """Through the last order at which the coefficient being solved for can
-    be read (see the engine module), both the forcing term and the linear
-    response vanish, so it is a free parameter.  It is reported, never
-    silently set."""
+    """At the one order where the coefficient being solved for is read (see
+    the engine module), both the forcing term and the linear response
+    vanish, so it is a free parameter.  It is reported, never silently
+    set."""
 
     def __init__(self, k: int, order: int):
         self.k = k

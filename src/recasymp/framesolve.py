@@ -178,12 +178,12 @@ def _solve_low_orders(orders: dict) -> dict:
         variables = {"c" for i, _ in poly if i} | {"alpha" for _, l in poly if l}
         if not variables:
             raise NoRationalRoot(
-                f"the order-{o} balance equation has a forced nonzero constant "
+                f"the balance equation at order {o} has a forced nonzero constant "
                 "term; this growth is outside the stretched-exponential template"
             )
         if len(variables) > 1:
             raise NoRationalRoot(
-                f"the order-{o} balance equation couples c and alpha; the "
+                f"the balance equation at order {o} couples c and alpha; the "
                 "sequential frame equations do not apply"
             )
         var = variables.pop()
@@ -191,12 +191,12 @@ def _solve_low_orders(orders: dict) -> dict:
         roots = rational_roots([powers.get(d, 0) for d in range(max(powers) + 1)])
         if not roots:
             raise NoRationalRoot(
-                f"the order-{o} equation for {var} has no rational root"
+                f"the equation for {var} at order {o} has no rational root"
             )
         if len(roots) > 1:
             raise AmbiguousRoot(
                 roots,
-                f"the order-{o} equation for {var} has multiple rational "
+                f"the equation for {var} at order {o} has multiple rational "
                 "roots: " + ", ".join(format_rational(r) for r in roots),
             )
         solved[var] = roots[0]

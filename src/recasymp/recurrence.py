@@ -87,11 +87,9 @@ class Recurrence:
     def from_json_dict(cls, data: dict) -> "Recurrence":
         coeffs = data["coeffs"]
         rec = cls(coeffs)
-        if "order" in data and int(data["order"]) != rec.order:
-            raise ValueError(
-                f"declared order {data['order']} does not match "
-                f"{len(coeffs) - 1} coefficient polynomials"
-            )
+        order = data.get("order", rec.order)
+        if type(order) is not int or order != rec.order:  # not a bool, float, str
+            raise ValueError(f"declared order {order!r} is not the int {rec.order}")
         return rec
 
 

@@ -68,9 +68,13 @@ def test_seq_negative_n_is_usage_error(capsys):
 
 
 def test_unknown_preset_is_usage_error(capsys):
-    code, _, err = run(capsys, "seq", "--preset", "nope", "--n", "3")
-    assert code == 1
-    assert "unknown preset" in err
+    for argv in (
+        ("seq", "--preset", "nope", "--n", "3"),
+        ("check", "--preset", "bogus", "--n", "100", "--k", "1", "--digits", "5"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "unknown preset" in err
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -188,12 +192,14 @@ def test_coeffs_frame_file_with_inexact_value_is_usage_error(tmp_path, capsys, k
 
 
 def test_coeffs_recurrence_file_with_infinite_order_is_usage_error(tmp_path, capsys):
-    # JSON's Infinity loads as a float that int() cannot convert.
-    rec = tmp_path / "inf.json"
-    rec.write_text('{"order": Infinity, "coeffs": [[1], [0, -1]]}', encoding="utf-8")
-    code, out, err = run(capsys, "coeffs", "--recurrence", str(rec), "--K", "1")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: bad recurrence file ")
+    # JSON's Infinity loads as a float; like 1.5, true and "1" it is not an
+    # int order, even where int() would accept it.
+    rec = tmp_path / "order.json"
+    for order in ("Infinity", "1.5", "1.0", "true", '"1"'):
+        rec.write_text(f'{{"order": {order}, "coeffs": [[1], [0, -1]]}}', encoding="utf-8")
+        code, out, err = run(capsys, "coeffs", "--recurrence", str(rec), "--K", "1")
+        assert (code, out) == (1, ""), order
+        assert err.startswith("error: bad recurrence file "), order
 
 
 def test_coeffs_malformed_recurrence_file(tmp_path, capsys):
@@ -429,6 +435,68 @@ def test_usage_error_names_its_flag(capsys, argv, flag):
     assert (code, out) == (1, "")
     assert err.startswith(f"error: argument {flag}: ")
     assert "invalid literal" not in err
+
+
+# -- traffic ---------------------------------------------------------------------
+
+A85_REC = {"order": 2, "coeffs": [[1], [-1], [1, -1]]}
+
+# The exact stdout of each README command line; "{fact}" and "{a85}" stand
+# for recurrence files.  The certificates are the exact numbers, not bounds.
+TRAFFIC = [
+    (("seq", "--preset", "a85", "--n", "10", "--last"), "9496\n"),
+    (("seq", "--preset", "a85", "--n", "1000", "--digits-only"),
+     "1297 digits; 2.1439289538422655419e1296\n"),
+    (("coeffs", "--preset", "a85", "--K", "2"), "1: 7/24\n2: -119/1152\n"),
+    (("coeffs", "--preset", "a85", "--K", "2", "--format", "json"),
+     '{"frame":{"beta":"1/2","c":"1","alpha":"0","kappa":"-1/4"},"K":2,'
+     '"a":["7/24","-119/1152"]}\n'),
+    (("coeffs", "--preset", "a85", "--K", "9", "--format", "latex"),
+     r"\frac{1}{\sqrt{2}} \, n^{\frac{n}{2}} \, e^{-\frac{n}{2} + \sqrt{n} - \frac{1}{4}}"
+     r" \left( 1 + \frac{7}{24 \sqrt{n}} - \frac{119}{1152 n}"
+     r" - \frac{7933}{414720 n^{\frac{3}{2}}} + \frac{1967381}{39813120 n^{2}}"
+     r" - \frac{57200419}{1337720832 n^{\frac{5}{2}}}"
+     r" + \frac{6340449533}{687970713600 n^{3}}"
+     r" + \frac{3840755481827}{115579079884800 n^{\frac{7}{2}}}"
+     r" - \frac{1165106617342939}{22191183337881600 n^{4}}"
+     r" + \frac{10362392814297883973}{263631258054033408000 n^{\frac{9}{2}}}"
+     r" + O\!\left(\frac{1}{n^{5}}\right) \right)" "\n"),
+    (("eval", "--preset", "a85", "--n", "1000", "--k", "1", "--digits", "20"),
+     "2.1441496003431008422e1296\n"),
+    (("check", "--preset", "a85", "--n", "1000", "--k", "1", "--digits", "20"),
+     "n: 1000\nk: 1\ndigits: 20\nasy: 2.1441496003431008422e1296\n"
+     "exact: 2.1439289538422655419e1296\nratio: 1.0001029168902448312\n"
+     "working precision: 34 dps\n"),
+    (("constant", "--preset", "a85", "--n", "2500", "--k", "20", "--digits", "20"),
+     "0.70710678118654752440\n"),
+    (("render", "--preset", "a85", "--k", "2"),
+     r"\frac{1}{\sqrt{2}} \, n^{\frac{n}{2}} \, e^{-\frac{n}{2} + \sqrt{n} - \frac{1}{4}}"
+     r" \left( 1 + \frac{7}{24 \sqrt{n}} - \frac{119}{1152 n}"
+     r" + O\!\left(\frac{1}{n^{\frac{3}{2}}}\right) \right)" "\n"),
+    (("solve-frame", "--recurrence", "{fact}", "--verify", "6"),
+     '{"beta":"1","c":"0","alpha":"1/2","kappa":"0"}\n'
+     "verified: residual vanishes through 7 orders\n"),
+    (("solve-frame", "--recurrence", "{a85}", "--verify", "6"),
+     '{"beta":"1/2","c":"1","alpha":"0","kappa":"0"}\n'
+     "verified: residual vanishes through 6 orders\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    TRAFFIC,
+    ids=[
+        "seq-last", "seq-digits-only", "coeffs-text", "coeffs-json", "coeffs-latex",
+        "eval", "check", "constant", "render", "solve-frame-fact", "solve-frame-a85",
+    ],
+)
+def test_traffic_stdout_is_pinned(tmp_path, capsys, argv, stdout):
+    files = {
+        "{fact}": write_json(tmp_path, "fact.json", FACT_REC),
+        "{a85}": write_json(tmp_path, "a85.json", A85_REC),
+    }
+    code, out, err = run(capsys, *(files.get(a, a) for a in argv))
+    assert (code, out, err) == (0, stdout, "")
 
 
 # -- fuzzing the file-reading commands -------------------------------------------

@@ -107,9 +107,49 @@ def test_resonance_is_reported():
     with pytest.raises(ResonantOrder) as info:
         solve_expansion(rec, fr, 2)
     assert info.value.k == 2
-    # Three active shifts: a_k is read at most 2(3 - 1) = 4 orders above
-    # k - sigma = k - 4, so a_2 is reported free at order 2.
+    # a_k is read only at k - sigma + d = k - 4 + 4, where its coefficient
+    # is P(alpha - k/2) with P(a) proportional to a (a + 1): a_2 is reported
+    # free at order 2.
     assert info.value.order == 2
+
+
+@pytest.mark.parametrize(
+    "coeffs, k",
+    [([[-1, 1], [2, -1], [3, -1], [-4, 1]], 2), ([[1, 1], [3, -1], [-2, -1], [-2, 1]], 5)],
+    ids=["k2", "k5"],
+)
+def test_resonance_is_reported_at_the_read_order(coeffs, k):
+    # P(a) = 2a(a + 1) and a(2a + 5): B_k vanishes at the order where a_k is
+    # read, and a_k must not be taken from a higher order where a_(k+2)
+    # enters as well.
+    with pytest.raises(ResonantOrder) as info:
+        solve_expansion(Recurrence(coeffs), Frame(0, 0, 0), 8)
+    assert info.value.k == k
+
+
+def _resonant_family(r):
+    """The order-3 recurrence M N annihilating 1, (-1)^n and
+    Gamma(n + 1 - r/2) / Gamma(n + 1) ~ n^(-r/2): N = 2n - (2n - r) S^-1
+    annihilates the last and maps the others to a constant and to
+    (-1)^n (4n - r), which M = (4n - 6 - r) + 4 S^-1 - (4n - 2 - r) S^-2
+    annihilates."""
+    s, t = (r + 2) * (r + 4), 6 * r + 20
+    return [[0, -2 * (r + 6), 8], [-s, t, -8], [0, 2 * (r + 6), -8], [s, -t, 8]]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=1, max_value=12))
+def test_resonance_at_a_chosen_second_indicial_root(r):
+    # The n^(-r/2) solution is x^r times the dominant one, so a_r is free.
+    rec = Recurrence(_resonant_family(r))
+    gamma = [Rational(1)]
+    for n in range(1, 8):
+        gamma.append(gamma[-1] * Rational(2 * n - r, 2 * n))
+    for values in ([1] * 8, [(-1) ** n for n in range(8)], gamma):
+        assert all(rec.sequence_residual(values, n) == 0 for n in range(3, 8))
+    with pytest.raises(ResonantOrder) as info:
+        solve_expansion(rec, Frame(0, 0, 0), 12)
+    assert info.value.k == r
 
 
 def test_solve_assembles_once(a85, a85_fr, monkeypatch):

@@ -97,6 +97,23 @@ def test_ambiguous_c_reports_all_candidates():
     assert info.value.candidates == [-2, 2]
 
 
+@pytest.mark.parametrize(
+    "coeffs, error",
+    [
+        ([[1, 1], [-2]], NoRationalRoot),
+        ([[1, -2, -1], [3], [1, 1, 3], [-1, -2, -2]], NoRationalRoot),
+        ([[-3, 0, -1], [3, 3, 2], [1, -2, -1]], AmbiguousRoot),
+    ],
+    ids=["forced-constant", "no-rational-c", "ambiguous-c"],
+)
+def test_equation_messages_print_negative_orders_plainly(coeffs, error):
+    # Each of these equations sits at order -2.
+    with pytest.raises(error) as info:
+        frame_solve(Recurrence(coeffs))
+    assert "at order -2 " in str(info.value)
+    assert "--" not in str(info.value)
+
+
 @pytest.mark.parametrize("m", range(2, 11))
 def test_difference_operator_alpha_is_ambiguous(m):
     # The m-th difference annihilates 1, n, ..., n^(m-1): chi(z) = (1 - z)^m
@@ -232,7 +249,7 @@ def test_frame_equations_match_the_assembled_residual(rec, c, alpha):
         beta, orders = framesolve._frame_equations(rec, T)
     except RamificationError:
         assume(False)
-    terms, _ = _assemble(rec, Frame(beta, c, alpha), T)
+    terms = _assemble(rec, Frame(beta, c, alpha), T)
     residual = reduce(add, terms.values())
     assert all(o < residual.truncation for o in orders)
     low = min([residual.valuation, *orders])
