@@ -29,7 +29,7 @@ from mpmath.ctx_mp import MPContext
 
 from .engine import Expansion, solve_expansion
 from .errors import PrecisionUnachievable, TruncationDominates
-from .involutions import involution_numbers
+from .involutions import involution_number
 from .presets import INV_SQRT2, a85_frame, a85_recurrence
 from .rationals import Rational, rat
 
@@ -174,7 +174,7 @@ def ratio_check(n: int, k: int, digits: int, *, expansion: Expansion | None = No
     if expansion is None:
         expansion = solve_expansion(a85_recurrence(), a85_frame(), k)
     asy = eval_expansion(expansion, INV_SQRT2, n, k, digits)
-    exact_int = involution_numbers(n)[n]
+    exact_int = involution_number(n)
     ctx = _fresh_context(working_dps(expansion.frame, n, digits))
     exact = ctx.mpf(exact_int)
     ratio = asy / exact
@@ -207,7 +207,7 @@ def connection_constant(rec, exp: Expansion, n: int, k: int, digits: int):
         raise TruncationDominates(digits, floor)
     denominator = eval_expansion(exp, 1, n, k, digits)
     ctx = _fresh_context(working_dps(exp.frame, n, digits))
-    return ctx.mpf(involution_numbers(n)[n]) / denominator
+    return ctx.mpf(involution_number(n)) / denominator
 
 
 def format_significant(x, digits: int) -> str:

@@ -19,6 +19,7 @@ produce.
 from __future__ import annotations
 
 from itertools import permutations
+from operator import add, mul
 
 from .errors import InputTooLarge
 
@@ -36,6 +37,17 @@ def involution_numbers(n_max: int) -> list[int]:
     for n in range(2, n_max + 1):
         out.append(out[n - 1] + (n - 1) * out[n - 2])
     return out
+
+
+def involution_number(n: int) -> int:
+    """t_n alone via the two-term recurrence, keeping only the last two
+    values instead of the whole list."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    prev, cur = 0, 1  # t_(-1) is multiplied by 0 in the first step
+    for m in range(1, n + 1):
+        prev, cur = cur, cur + (m - 1) * prev
+    return cur
 
 
 def involution_count_by_sum(n: int) -> int:
@@ -64,6 +76,8 @@ def involution_counts_by_egf(n_max: int) -> list[int]:
     exp(z^2/2), which is (k - 1)!! for even k and 0 for odd k.  All of it
     is integer arithmetic built from the two factors alone, so the route
     stays independent of both the recurrence and the sum over 2-cycles.
+    Since C(m, i) = C(m, m - i), the sum runs over the even indices of the
+    row against the even-index b_k.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -72,12 +86,13 @@ def involution_counts_by_egf(n_max: int) -> list[int]:
     b[0] = 1
     for k in range(2, size, 2):
         b[k] = b[k - 2] * (k - 1)
+    even_b = b[::2]
     out = []
     row = [1]  # C(m, i) for i = 0..m
     for m in range(size):
         if m:
-            row = [1] + [row[i - 1] + row[i] for i in range(1, m)] + [1]
-        out.append(sum(row[i] * b[m - i] for i in range(m % 2, m + 1, 2)))
+            row = [1, *map(add, row, row[1:]), 1]
+        out.append(sum(map(mul, row[::2], even_b)))
     return out
 
 
@@ -93,4 +108,11 @@ def involution_count_brute(n: int) -> int:
             f"got n = {n}"
         )
     idx = range(n)
-    return sum(1 for p in permutations(idx) if all(p[p[i]] == i for i in idx))
+    count = 0
+    for p in permutations(idx):
+        for i in idx:
+            if p[p[i]] != i:
+                break
+        else:
+            count += 1
+    return count

@@ -14,6 +14,7 @@ from recasymp import (
     involution_counts_by_egf,
     involution_numbers,
 )
+from recasymp.involutions import involution_number
 
 A000085_PREFIX = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496]
 
@@ -34,8 +35,20 @@ def test_egf_route_matches_recurrence_to_1000():
     assert involution_counts_by_egf(1000) == involution_numbers(1000)
 
 
+@pytest.mark.parametrize("n_max", [0, 1, 2])
+def test_egf_route_matches_recurrence_at_short_rows(n_max):
+    assert involution_counts_by_egf(n_max) == involution_numbers(n_max)
+
+
 def test_brute_force_prefix():
-    assert [involution_count_brute(n) for n in range(9)] == A000085_PREFIX[:9]
+    assert [involution_count_brute(n) for n in range(11)] == A000085_PREFIX
+
+
+def test_single_value_matches_list():
+    values = involution_numbers(1000)
+    assert [involution_number(n) for n in range(301)] == values[:301]
+    assert involution_number(1000) == values[1000]
+    assert len(str(involution_number(1000))) == 1297
 
 
 def test_routes_agree_to_120(t_values):
@@ -59,6 +72,8 @@ def test_negative_index_rejected():
         involution_counts_by_egf(-1)
     with pytest.raises(ValueError):
         involution_count_brute(-1)
+    with pytest.raises(ValueError):
+        involution_number(-1)
 
 
 def test_strictly_increasing(t_values):
