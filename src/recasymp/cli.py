@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 
 from .engine import residual_check, solve_expansion
 from .errors import (
@@ -119,7 +120,7 @@ def _constant(text: str):
 
 
 def _integer_summary(value: int) -> str:
-    digits = len(str(abs(value)))
+    digits = Decimal(value).adjusted() + 1
     ctx = _fresh_context(SUMMARY_DIGITS + 10)
     return f"{digits} digits; {format_significant(ctx.mpf(value), SUMMARY_DIGITS)}"
 
@@ -129,14 +130,15 @@ def _integer_summary(value: int) -> str:
 
 def _cmd_seq(args) -> int:
     preset = get_preset(args.preset)
-    values = preset.sequence(args.n)
+    # Decimal prints past the int-to-str digit limit of Python 3.11+, which
+    # str() of an int enforces; the interpreter-wide limit stays as it is.
     if args.digits_only:
-        print(_integer_summary(values[args.n]))
+        print(_integer_summary(preset.term(args.n)))
     elif args.last:
-        print(values[args.n])
+        print(Decimal(preset.term(args.n)))
     else:
-        for v in values:
-            print(v)
+        for v in preset.sequence(args.n):
+            print(Decimal(v))
     return 0
 
 

@@ -6,7 +6,8 @@ those into decimal digits of t_n means evaluating
     C * exp(beta*(n log n - n) + c*sqrt(n) + alpha*log n + kappa)
       * (1 + a_1 n^(-1/2) + ... + a_k n^(-k/2))
 
-in big-float arithmetic.  Every call builds a private mpmath context, so
+in big-float arithmetic.  Every evaluation builds one private mpmath
+context, and the checks that divide by an exact value reuse it, so
 concurrent callers and nested precisions never interfere through global
 state.  The working precision follows one policy: the requested digits,
 plus ten guard digits, plus one digit for every decimal order of magnitude
@@ -174,16 +175,14 @@ def ratio_check(n: int, k: int, digits: int, *, expansion: Expansion | None = No
     if expansion is None:
         expansion = solve_expansion(a85_recurrence(), a85_frame(), k)
     asy = eval_expansion(expansion, INV_SQRT2, n, k, digits)
-    exact_int = involution_number(n)
-    ctx = _fresh_context(working_dps(expansion.frame, n, digits))
-    exact = ctx.mpf(exact_int)
-    ratio = asy / exact
+    ctx = asy.context
+    exact = ctx.mpf(involution_number(n))
     return RatioReport(
         n=n,
         k=k,
         asy=asy,
         exact=exact,
-        ratio=ratio,
+        ratio=asy / exact,
         digits=digits,
         working_dps=ctx.dps,
     )
@@ -206,8 +205,7 @@ def connection_constant(rec, exp: Expansion, n: int, k: int, digits: int):
     if digits > floor:
         raise TruncationDominates(digits, floor)
     denominator = eval_expansion(exp, 1, n, k, digits)
-    ctx = _fresh_context(working_dps(exp.frame, n, digits))
-    return ctx.mpf(involution_number(n)) / denominator
+    return denominator.context.mpf(involution_number(n)) / denominator
 
 
 def format_significant(x, digits: int) -> str:

@@ -34,7 +34,7 @@ from math import factorial, lcm
 
 from .errors import RamificationError
 from .rationals import format_rational, rat
-from .series import PuiseuxSeries, _from_numerators, add, exp_series
+from .series import PuiseuxSeries, _lowest_terms, add, exp_series
 
 
 class Frame:
@@ -110,8 +110,10 @@ def frame_ratio_parts(j: int, T: int):
     Each part is built straight as integer numerators over one
     denominator: A and C over lcm(1, ..., M + 1), M the last m below the
     truncation, and B over 2^H * H!, H the last m of B, which the step's
-    2m divide.  They depend only on the shift j, so the frame finder
-    expands exp(c*B + alpha*C) from them in powers of c and alpha.
+    2m divide.  These denominators are products that share factors with
+    the numerators, so each part is then put in lowest terms.  They depend
+    only on the shift j, so the frame finder expands exp(c*B + alpha*C)
+    from them in powers of c and alpha.
     """
     if not isinstance(j, int) or isinstance(j, bool) or j < 1:
         raise ValueError(f"shift must be a positive integer, got {j!r}")
@@ -134,9 +136,9 @@ def frame_ratio_parts(j: int, T: int):
         w = w * (2 * m - 3) * j // (2 * m)
         b[2 * m - 1] = w
     return (
-        _from_numerators(0, a, den, T),
-        _from_numerators(0, b, w_den, T),
-        _from_numerators(0, c, den, T),
+        _lowest_terms(0, a, den, T),
+        _lowest_terms(0, b, w_den, T),
+        _lowest_terms(0, c, den, T),
     )
 
 

@@ -2,7 +2,8 @@
 
 A preset bundles everything the numeric commands need that pure algebra
 cannot supply: the recurrence, its growth frame, the connection constant,
-and a source of exact sequence values for cross-checking.
+and sources of exact sequence values for cross-checking: the list
+t_0 .. t_n, and t_n alone.
 
 The one preset shipped is "a85", the involution numbers t_n (number of
 permutations of n letters equal to their own inverse, OEIS A000085):
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .frame import Frame
-from .involutions import involution_numbers
+from .involutions import involution_number, involution_numbers
 from .recurrence import Recurrence
 
 #: Sentinel for the exact connection constant 1/sqrt(2); it is irrational,
@@ -45,6 +46,7 @@ class Preset:
     constant: object
     constant_latex: str
     sequence: object = field(repr=False)
+    term: object = field(repr=False)
 
 
 def get_preset(name: str) -> Preset:
@@ -64,5 +66,6 @@ PRESETS = {
         constant=INV_SQRT2,
         constant_latex=r"\frac{1}{\sqrt{2}}",
         sequence=involution_numbers,
+        term=involution_number,
     )
 }

@@ -12,14 +12,18 @@ represents
 with the numerators stored densely (interior zeros explicit, len(nums) ==
 T - v) over one shared positive denominator.  Nonzero series keep a nonzero
 leading numerator: leading zeros are normalised away by raising the
-valuation.  Rational series are canonical: gcd(d, *nums) == 1, so equal
-series have equal storage.  The zero series is the empty tuple over d == 1
-with v == T.  Instances are immutable; ``coeffs`` is the derived tuple of
-coefficient values n/d.
+valuation.  The zero series is the empty tuple over d == 1 with v == T.
+Instances are immutable; ``coeffs`` is the derived tuple of coefficient
+values n/d.  Equality and hashing go by value, so the same series may be
+stored over different denominators.
 
-Every kernel works on the numerators with integer arithmetic and divides
-out the content gcd(d, *nums) once per result, instead of reducing a
-fraction after every coefficient operation.
+Every kernel works on the numerators with integer arithmetic and keeps the
+denominator its arithmetic gives.  The content gcd(d, *nums) is divided
+out only where a denominator is formed as a product, so that it cannot
+build up: in mul (d1 * d2), in compose_shift (d * 2^I * I!) and in the
+frame module's closed forms.  The constructor's lcm and the running lcm
+of exp_series and log1p_series are in lowest terms by construction; a
+sum, a scaling, a cut or a division by 1 - j*x^2 may carry content.
 
 Truncation orders obey the usual interval arithmetic of O-terms:
 
@@ -34,8 +38,8 @@ rational types are split into integers; any other exact value (a subclass
 with arithmetic of its own, as an operation counter uses) is kept as a
 numerator over 1 and combined with its own operators, since every kernel
 needs only ring operations plus division by integers.  Such a numerator
-counts as content 1, so its series is not reduced.  All floating point
-input is rejected.
+counts as content 1, so no content is divided out of its series.  All
+floating point input is rejected.
 """
 
 from __future__ import annotations
@@ -95,7 +99,7 @@ class PuiseuxSeries:
             )
         den = lcm(*(d for _, d in parts))
         nums = [n if d == den else n * (den // d) for n, d in parts]
-        _fill(self, valuation, nums, den, truncation, reduced=False)
+        _fill(self, valuation, nums, den, truncation)
 
     def __setattr__(self, name, value):
         raise AttributeError("PuiseuxSeries is immutable")
@@ -188,15 +192,13 @@ class PuiseuxSeries:
             return False
         if self.den == other.den:
             return self.nums == other.nums
-        # Only series that are not canonical (non-integer numerators) can
-        # be equal over different denominators.
         return all(
             a * other.den == b * self.den for a, b in zip(self.nums, other.nums)
         )
 
     def __hash__(self):
-        # Over the values, so that a series holding non-integer numerators
-        # hashes like the equal canonical one.
+        # Over the values, so that equal series stored over different
+        # denominators hash alike.
         return hash((self.valuation, self.truncation, self.coeffs))
 
     def __repr__(self) -> str:
@@ -215,7 +217,7 @@ class PuiseuxSeries:
     def x_shift(self, m: int) -> "PuiseuxSeries":
         """Multiply by the exact monomial x^m (m may be negative)."""
         return _from_numerators(
-            self.valuation + m, self.nums, self.den, self.truncation + m, reduced=True
+            self.valuation + m, self.nums, self.den, self.truncation + m
         )
 
     def scale(self, c) -> "PuiseuxSeries":
@@ -229,39 +231,38 @@ class PuiseuxSeries:
         )
 
 
-def _fill(s: PuiseuxSeries, valuation: int, nums, den: int, truncation: int,
-          reduced: bool) -> None:
+def _fill(s: PuiseuxSeries, valuation: int, nums, den: int, truncation: int) -> None:
     """Set the slots of s from exact numerators over den > 0, stripping
-    leading zeros and dividing out the content unless the caller knows it
-    is 1 already."""
+    leading zeros; the zero series is stored over 1."""
     lead = 0
     while lead < len(nums) and not nums[lead]:
         lead += 1
     nums = tuple(nums[lead:])
-    g = 1 if reduced else _content(den, nums) if nums else den
-    if g != 1:
-        nums = tuple(a // g for a in nums)
-        den //= g
     set_slot = object.__setattr__
     set_slot(s, "valuation", valuation + lead)
     set_slot(s, "nums", nums)
-    set_slot(s, "den", den)
+    set_slot(s, "den", den if nums else 1)
     set_slot(s, "truncation", truncation)
     set_slot(s, "_values", None)
 
 
-def _from_numerators(valuation: int, nums, den: int, truncation: int,
-                     reduced: bool = False) -> PuiseuxSeries:
-    """The kernels' constructor, also used for the frame module's closed
-    forms: numerators already exact (ints, or values kept by _split) over
-    den > 0, len(nums) == T - v; no per-coefficient
-    validation.  reduced=True skips the content gcd for a result whose
-    content is known to be 1 (or to need no reduction), as for x_shift and
-    the march's division: their results are the largest of a deep solve,
-    and their gcds would add about a fifth to a K=100 one."""
+def _from_numerators(valuation: int, nums, den: int, truncation: int) -> PuiseuxSeries:
+    """The kernels' constructor: numerators already exact (ints, or values
+    kept by _split) over den > 0, len(nums) == T - v; no per-coefficient
+    validation, and the denominator is kept as given."""
     s = object.__new__(PuiseuxSeries)
-    _fill(s, valuation, nums, den, truncation, reduced)
+    _fill(s, valuation, nums, den, truncation)
     return s
+
+
+def _lowest_terms(valuation: int, nums, den: int, truncation: int) -> PuiseuxSeries:
+    """_from_numerators with the content gcd(den, *nums) divided out, for
+    the results whose denominator is a product (see the module docstring)."""
+    g = _content(den, nums)
+    if g != 1:
+        nums = [a // g for a in nums]
+        den //= g
+    return _from_numerators(valuation, nums, den, truncation)
 
 
 def add(s1: PuiseuxSeries, s2: PuiseuxSeries) -> PuiseuxSeries:
@@ -302,7 +303,7 @@ def mul(s1: PuiseuxSeries, s2: PuiseuxSeries) -> PuiseuxSeries:
         if a:
             for k, b in enumerate(s2.nums[: n - i], i):
                 out[k] += a * b
-    return _from_numerators(v, out, s1.den * s2.den, t)
+    return _lowest_terms(v, out, s1.den * s2.den, t)
 
 
 def _require_positive_valuation(s: PuiseuxSeries, what: str) -> None:
@@ -320,8 +321,8 @@ def _require_positive_valuation(s: PuiseuxSeries, what: str) -> None:
 def _place(f: list, q: int, m: int, num, den: int) -> int:
     """Store the coefficient num/den as f[m], where f[:m] are numerators
     over the running denominator q, and return the new q.  The fraction is
-    reduced first, and q grows to lcm(q, den), rescaling the prefix, only
-    when den does not divide it."""
+    put in lowest terms first, and q grows to lcm(q, den), rescaling the
+    prefix, only when den does not divide it."""
     g = _content(den, (num,))
     if g != 1:
         num //= g
@@ -342,8 +343,8 @@ def exp_series(s: PuiseuxSeries) -> PuiseuxSeries:
     ring operations and divides only by integers.  With s_i = S_i/D and the
     f so far over a running denominator Q, each order sums the integer
     acc = sum_i i*S_i*F_{m-i} and places f_m = acc/(m*D*Q); Q is the lcm of
-    the reduced denominators, so it grows only when one needs it.  The
-    nonzero products i*S_i are formed once, before the recurrence runs.
+    the denominators in lowest terms, so it grows only when one needs it.
+    The nonzero products i*S_i are formed once, before the recurrence runs.
     When s lives on the exponents divisible by some step (an even series,
     say), so does exp(s), and the recurrence visits only those orders."""
     _require_positive_valuation(s, "exp_series")
@@ -387,13 +388,11 @@ def divide_one_minus_jx2(s: PuiseuxSeries, j: int) -> PuiseuxSeries:
 
     The divisor is an exact polynomial with constant term 1, so the
     valuation, the truncation and the denominator of s carry over
-    unchanged; the recurrence runs on the numerators.  The content stays
-    1: a common factor of the den and every y_m would divide every
-    s_m = y_m - j * y_(m-2) as well."""
+    unchanged; the recurrence runs on the numerators."""
     y = list(s.nums)
     for m in range(2, len(y)):
         y[m] += j * y[m - 2]
-    return _from_numerators(s.valuation, y, s.den, s.truncation, reduced=True)
+    return _from_numerators(s.valuation, y, s.den, s.truncation)
 
 
 def compose_shift(s: PuiseuxSeries, j: int) -> PuiseuxSeries:
@@ -427,4 +426,4 @@ def compose_shift(s: PuiseuxSeries, j: int) -> PuiseuxSeries:
         for i, e in enumerate(range(k - v, t - v, 2)):
             out[e] += c * w
             w = w * j * (k + 2 * i) // (2 * (i + 1))
-    return _from_numerators(v, out, s.den * base, t)
+    return _lowest_terms(v, out, s.den * base, t)

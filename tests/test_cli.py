@@ -1,25 +1,31 @@
 """The command line surface: outputs, formats, exit codes."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recasymp import Expansion
+from recasymp import Expansion, presets
 from recasymp.cli import main
+from recasymp.involutions import involution_count_by_sum
 
 FACT_REC = {"order": 1, "coeffs": [[1], [0, -1]]}
 AMBIGUOUS_REC = {"order": 2, "coeffs": [[1], [-2, -2], [0, 0, 1]]}
 GEOMETRIC_REC = {"order": 1, "coeffs": [[1], [-2]]}
 A85_FRAME = {"beta": "1/2", "c": "1", "alpha": "0", "kappa": "-1/4"}
+# The interpreter's int-to-str digit limit (Python 3.11+) as the session
+# starts; no command may change it.
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: None)()
 
 
 def run(capsys, *argv):
@@ -59,6 +65,38 @@ def test_seq_digits_only_summary(capsys):
     )
     assert code == 0
     assert out.strip() == "1297 digits; 2.1439289538422655419e1296"
+
+
+@pytest.mark.parametrize(
+    "mode", [[], ["--last"], ["--digits-only"]], ids=["list", "last", "digits-only"]
+)
+def test_seq_past_the_int_to_str_digit_limit(capsys, mode):
+    # t_3000 has 4588 digits, past the 4300 that str() of an int allows on
+    # Python 3.11+; the CLI converts without touching that limit.
+    code, out, _ = run(capsys, "seq", "--preset", "a85", "--n", "3000", *mode)
+    assert code == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == INT_DIGIT_LIMIT
+    last = out.splitlines()[-1]
+    if mode == ["--digits-only"]:
+        assert last == "4588 digits; 5.8972648739430762467e4587"
+    else:
+        assert Decimal(last) == Decimal(involution_count_by_sum(3000))
+    if not mode:
+        assert len(out.splitlines()) == 3001
+
+
+@pytest.mark.parametrize(
+    "mode, want",
+    [("--last", "9496"), ("--digits-only", "4 digits; 9496.0000000000000000")],
+)
+def test_seq_single_value_modes_skip_the_list(capsys, monkeypatch, mode, want):
+    def no_list(n):
+        raise AssertionError("the whole list was built")
+
+    a85 = dataclasses.replace(presets.PRESETS["a85"], sequence=no_list)
+    monkeypatch.setitem(presets.PRESETS, "a85", a85)
+    code, out, _ = run(capsys, "seq", "--preset", "a85", "--n", "10", mode)
+    assert (code, out.strip()) == (0, want)
 
 
 def test_seq_negative_n_is_usage_error(capsys):

@@ -1,18 +1,24 @@
-"""Package structure: every import statement sits at module level."""
+"""Package structure: every import statement sits at module level, and the
+storage of a series stays behind the series module."""
 
 import ast
 from pathlib import Path
 
 import recasymp
 
+MODULES = sorted(Path(recasymp.__file__).parent.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
 
 def test_no_import_inside_a_function():
     # A function-level import hides a module dependency (and any cycle it
     # closes) until the function first runs.
     nested = []
-    for path in sorted(Path(recasymp.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for fn in ast.walk(tree):
+    for path in MODULES:
+        for fn in ast.walk(_tree(path)):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 nested += [
                     f"{path.name}:{node.lineno} in {fn.name}"
@@ -20,3 +26,36 @@ def test_no_import_inside_a_function():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert nested == []
+
+
+def test_series_storage_stays_in_the_series_module():
+    # How a series stores its coefficients (numerators over one
+    # denominator, in lowest terms or not) is decided in series.py alone:
+    # no other module reads .nums or .den, and only frame.py, which writes
+    # its closed forms straight as numerators, imports a private name.
+    leaks = []
+    for path in MODULES:
+        if path.name == "series.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Attribute) and node.attr in ("nums", "den"):
+                leaks.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+            if path.name == "frame.py":
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module in (
+                "series",
+                "recasymp.series",
+            ):
+                leaks += [
+                    f"{path.name}:{node.lineno} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "series"
+                and node.attr.startswith("_")
+            ):
+                leaks.append(f"{path.name}:{node.lineno} reads series.{node.attr}")
+    assert leaks == []

@@ -5,8 +5,10 @@ values, one exact rational operation per coefficient, with no shared
 denominator to track.  The properties require identical series on random
 inputs: valuations -4..12, mixed truncations, sparse and dense coefficient
 lists, large-height rationals, and coefficients of a number type the
-kernels do not split into integers.  The canonical form of the storage is
-checked alongside.
+kernels do not split into integers.  The storage is checked alongside:
+every result is well formed and equal by value to the series rebuilt from
+its coefficients, and the results whose denominator is a product are in
+lowest terms.
 """
 
 from fractions import Fraction
@@ -117,17 +119,26 @@ def series(draw, entries=None, min_valuation=-4, max_valuation=12, max_len=10):
 shifts = st.integers(min_value=1, max_value=5)
 
 
-def assert_canonical(s):
-    """The storage contract of a series with rational coefficients."""
+def assert_well_formed(s):
+    """The storage contract of every series with rational coefficients."""
     assert s.den > 0
     assert all(isinstance(n, int) for n in s.nums)
-    assert gcd(s.den, *s.nums) == 1
     assert len(s.nums) == s.truncation - s.valuation
     assert not s.nums or s.nums[0] != 0
-    # The same series built from its values has the same storage and hash.
+    assert s.nums or s.den == 1
+    # Equality and hashing go by value: the same series built from its
+    # values equals it and hashes alike, whatever its denominator.
+    again = PuiseuxSeries(s.valuation, s.coeffs, s.truncation)
+    assert again == s and hash(again) == hash(s)
+
+
+def assert_lowest_terms(s):
+    """The storage of the constructor's series and of the kernel results
+    whose denominator is a product: no content, so equal series share it."""
+    assert_well_formed(s)
+    assert gcd(s.den, *s.nums) == 1
     again = PuiseuxSeries(s.valuation, s.coeffs, s.truncation)
     assert (again.nums, again.den) == (s.nums, s.den)
-    assert again == s and hash(again) == hash(s)
 
 
 # -- rational coefficients ------------------------------------------------------------
@@ -136,21 +147,25 @@ def assert_canonical(s):
 @settings(max_examples=60)
 @given(series(), series(), rationals, shifts, st.integers(min_value=-6, max_value=6), st.data())
 def test_ring_kernels_match_reference(a, b, c, j, m, data):
+    assert_lowest_terms(a)
+    assert_lowest_terms(b)
+    product = mul(a, b)
+    assert product == ref_mul(a, b)
+    assert_lowest_terms(product)
     results = [
         (add(a, b), ref_add(a, b)),
-        (mul(a, b), ref_mul(a, b)),
         (a.scale(c), ref_scale(a, c)),
         (divide_one_minus_jx2(a, j), ref_divide_one_minus_jx2(a, j)),
     ]
     for got, want in results:
         assert got == want
-        assert_canonical(got)
-    assert_canonical(a.x_shift(m))
+        assert_well_formed(got)
+    assert_well_formed(a.x_shift(m))
     t = data.draw(st.integers(min_value=a.valuation - 3, max_value=a.truncation))
     v = min(a.valuation, t)
     cut = a.truncate(t)
     assert cut == PuiseuxSeries(v, a.coeffs[: t - v], t)
-    assert_canonical(cut)
+    assert_well_formed(cut)
     # Equal series built two ways share their storage and their hash.
     ab, ba = mul(a, b), mul(b, a)
     assert (ab.nums, ab.den) == (ba.nums, ba.den) and hash(ab) == hash(ba)
@@ -165,7 +180,7 @@ def test_exp_matches_reference(s):
         return
     got = exp_series(s)
     assert got == ref_exp(s)
-    assert_canonical(got)
+    assert_lowest_terms(got)
 
 
 @settings(max_examples=60)
@@ -173,7 +188,7 @@ def test_exp_matches_reference(s):
 def test_compose_shift_matches_reference(s, j):
     got = compose_shift(s, j)
     assert got == ref_compose_shift(s, j)
-    assert_canonical(got)
+    assert_lowest_terms(got)
 
 
 def test_shared_denominator_is_the_lcm():
@@ -181,7 +196,23 @@ def test_shared_denominator_is_the_lcm():
     assert (s.nums, s.den) == ((2, -3, 36), 12)
     assert s.coeffs == (Rational(1, 6), Rational(-1, 4), 3)
     assert add(s, s.scale(-1)) == PuiseuxSeries.zero(3)
-    assert PuiseuxSeries.zero(3).den == 1
+    assert add(s, s.scale(-1)).den == PuiseuxSeries.zero(3).den == 1
+
+
+def test_sums_and_scalings_may_keep_content():
+    # add and scale keep the denominator their arithmetic gives, so the
+    # content can stay behind; the series still equals, and hashes like,
+    # the one the constructor puts in lowest terms.
+    s = PuiseuxSeries(0, [Rational(1, 2), Rational(1, 4)], 2)
+    t = PuiseuxSeries(0, [Rational(1, 2), Rational(-1, 4)], 2)
+    total = add(s, t)
+    doubled = s.scale(2)
+    for got, coeffs in ((total, [1, 0]), (doubled, [1, Rational(1, 2)])):
+        assert gcd(got.den, *got.nums) > 1
+        want = PuiseuxSeries(0, coeffs, 2)
+        assert got == want and hash(got) == hash(want)
+        assert got.coeffs == want.coeffs
+        assert_well_formed(got)
 
 
 def test_other_number_types_keep_their_operators():
