@@ -119,8 +119,22 @@ def _constant(text: str):
         ) from None
 
 
+def _digit_count(value: int) -> int:
+    """Decimal digits of a positive integer without converting it to
+    decimal, which takes time quadratic in its length.  The bit length b
+    puts the count at floor((b - 1) log10 2) + 1 or one more; the factor
+    below is just under log10 2, so the start is never too high, and
+    comparing with the next power of ten settles it."""
+    digits = (value.bit_length() - 1) * 3010299956 // 10**10 + 1
+    power = 10**digits
+    while value >= power:
+        digits += 1
+        power *= 10
+    return digits
+
+
 def _integer_summary(value: int) -> str:
-    digits = Decimal(value).adjusted() + 1
+    digits = _digit_count(value)
     ctx = _fresh_context(SUMMARY_DIGITS + 10)
     return f"{digits} digits; {format_significant(ctx.mpf(value), SUMMARY_DIGITS)}"
 

@@ -84,8 +84,8 @@ class AmbiguousRoot(FrameSolveError):
 
 
 class InputTooLarge(RecasympError):
-    """A deliberately bounded routine (the brute-force involution counter)
-    was asked for more than it is willing to do."""
+    """A deliberately bounded routine (the brute-force involution counter,
+    or the exact t_n alone) was asked for more than it is willing to do."""
 
 
 class EvaluationError(RecasympError):

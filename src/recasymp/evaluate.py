@@ -166,7 +166,8 @@ def ratio_check(n: int, k: int, digits: int, *, expansion: Expansion | None = No
     index n and divide by the exact t_n.
 
     The expansion is solved on the spot unless a sufficiently long one is
-    passed in; the exact value comes from the integer recurrence.  The
+    passed in; the exact value comes from the integer recurrence by binary
+    splitting, and n above EXACT_INDEX_LIMIT raises InputTooLarge.  The
     ratio therefore carries both the truncation error of the dominant
     expansion and the recessive second solution that the exact integers
     contain, whose relative size is about e^(-2 sqrt n) (3.4e-28 at
@@ -194,7 +195,8 @@ def connection_constant(rec, exp: Expansion, n: int, k: int, digits: int):
 
     Only meaningful where exact sequence values exist, i.e. for the
     involution recurrence; raises TruncationDominates when the expansion
-    is too short to support the requested digits at this n.
+    is too short to support the requested digits at this n, and
+    InputTooLarge when n is above EXACT_INDEX_LIMIT.
     """
     if rec != a85_recurrence():
         raise ValueError(

@@ -3,8 +3,10 @@
 t_n counts permutations of n letters equal to their own inverse.  Four
 independent routes are provided so they can cross-check each other:
 
-  * the two-term recurrence t_n = t_{n-1} + (n-1) t_{n-2}, the fast route
-    used everywhere else in the package;
+  * the two-term recurrence t_n = t_{n-1} + (n-1) t_{n-2}, stepped for
+    the list t_0 .. t_n, and split into a product tree of 2x2 integer
+    matrices for t_n alone, the fast route used everywhere else in the
+    package (up to EXACT_INDEX_LIMIT);
   * the closed-form sum over the number of 2-cycles;
   * the exponential generating function exp(z + z^2/2), built as the
     product of two separately expanded factors (a binomial convolution);
@@ -26,6 +28,12 @@ from .errors import InputTooLarge
 #: Hard cap for the factorial-time brute-force counter (10! is 3628800).
 BRUTE_FORCE_LIMIT = 10
 
+#: Cap on the index of a single exact t_n (about one second at the cap).
+EXACT_INDEX_LIMIT = 10**5
+
+#: Longest run of indices the product tree steps directly.
+_LEAF = 64
+
 
 def involution_numbers(n_max: int) -> list[int]:
     """[t_0, t_1, ..., t_{n_max}] via the two-term recurrence."""
@@ -39,15 +47,53 @@ def involution_numbers(n_max: int) -> list[int]:
     return out
 
 
+def _product(lo: int, hi: int) -> tuple[int, int, int, int]:
+    """The step matrices [[1, m - 1], [1, 0]] multiplied for m = hi - 1 down
+    to lo, as the entries (a, b, c, d).  A leaf steps four scalars; a longer
+    run is split in half, and the halves' products are big integers of
+    about equal size."""
+    if hi - lo <= _LEAF:
+        a, b, c, d = 1, 0, 0, 1
+        for m in range(lo, hi):
+            a, b, c, d = a + (m - 1) * c, b + (m - 1) * d, a, b
+        return a, b, c, d
+    mid = (lo + hi) // 2
+    a, b, c, d = _product(mid, hi)
+    e, f, g, h = _product(lo, mid)
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _advance(lo: int, hi: int, cur: int, prev: int) -> tuple[int, int]:
+    """(t_(hi-1), t_(hi-2)) from (t_(lo-1), t_(lo-2)).  The lower half is
+    advanced the same way and the upper half's matrix is applied to the pair
+    it carries up, so no full matrix is built for the lower half."""
+    if hi - lo > _LEAF:
+        mid = (lo + hi) // 2
+        cur, prev = _advance(lo, mid, cur, prev)
+        lo = mid
+    a, b, c, d = _product(lo, hi)
+    return a * cur + b * prev, c * cur + d * prev
+
+
 def involution_number(n: int) -> int:
-    """t_n alone via the two-term recurrence, keeping only the last two
-    values instead of the whole list."""
+    """t_n alone, by binary splitting of the two-term recurrence.
+
+    Each step maps the pair (t_(m-1), t_(m-2)) to (t_m, t_(m-1)) through
+    the integer matrix [[1, m - 1], [1, 0]].  Runs of up to _LEAF steps
+    are stepped directly; longer runs are split in half, so the big
+    multiplications pair integers of about equal size (Chudnovsky &
+    Chudnovsky, 1988; Bostan, Gaudry & Schost, 2007).  For n <= _LEAF
+    there is one leaf, so no threshold picks between two routes.  Refuses
+    n above EXACT_INDEX_LIMIT.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    prev, cur = 0, 1  # t_(-1) is multiplied by 0 in the first step
-    for m in range(1, n + 1):
-        prev, cur = cur, cur + (m - 1) * prev
-    return cur
+    if n > EXACT_INDEX_LIMIT:
+        raise InputTooLarge(
+            f"exact involution numbers are capped at n = {EXACT_INDEX_LIMIT}, "
+            f"got n = {n}"
+        )
+    return _advance(1, n + 1, 1, 0)[0]  # t_(-1) is multiplied by 0 in step 1
 
 
 def involution_count_by_sum(n: int) -> int:

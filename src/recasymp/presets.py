@@ -3,7 +3,8 @@
 A preset bundles everything the numeric commands need that pure algebra
 cannot supply: the recurrence, its growth frame, the connection constant,
 and sources of exact sequence values for cross-checking: the list
-t_0 .. t_n, and t_n alone.
+t_0 .. t_n by stepping the recurrence, and t_n alone by binary splitting
+(capped at EXACT_INDEX_LIMIT).
 
 The one preset shipped is "a85", the involution numbers t_n (number of
 permutations of n letters equal to their own inverse, OEIS A000085):

@@ -8,6 +8,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from recasymp import Expansion, presets
 from recasymp.cli import main
-from recasymp.involutions import involution_count_by_sum
+from recasymp.involutions import EXACT_INDEX_LIMIT, involution_count_by_sum
 
 FACT_REC = {"order": 1, "coeffs": [[1], [0, -1]]}
 AMBIGUOUS_REC = {"order": 2, "coeffs": [[1], [-2, -2], [0, 0, 1]]}
@@ -97,6 +98,20 @@ def test_seq_single_value_modes_skip_the_list(capsys, monkeypatch, mode, want):
     monkeypatch.setitem(presets.PRESETS, "a85", a85)
     code, out, _ = run(capsys, "seq", "--preset", "a85", "--n", "10", mode)
     assert (code, out.strip()) == (0, want)
+
+
+# 2^13301 is the first power of two whose digit count a five-digit log10 2
+# (0.30103, just above it) would overestimate.
+@pytest.mark.parametrize(
+    "base, j", [(10, 1), (10, 4299), (10, 4300), (10, 4301), (10, 20000), (2, 13301)]
+)
+def test_seq_digits_only_counts_digits_at_powers(capsys, monkeypatch, base, j):
+    for value in (base**j - 1, base**j, base**j + 1):
+        a85 = dataclasses.replace(presets.PRESETS["a85"], term=lambda n, v=value: v)
+        monkeypatch.setitem(presets.PRESETS, "a85", a85)
+        code, out, _ = run(capsys, "seq", "--preset", "a85", "--n", "1", "--digits-only")
+        assert code == 0
+        assert out.split()[:2] == [str(Decimal(value).adjusted() + 1), "digits;"]
 
 
 def test_seq_negative_n_is_usage_error(capsys):
@@ -444,6 +459,18 @@ def test_constant_estimates_inv_sqrt2(capsys):
         "--digits", "20",
     )
     assert (code, out.strip()) == (0, "0.70710678118654752440")
+
+
+@pytest.mark.parametrize("command", ["check", "constant"])
+def test_exact_value_past_the_cap_is_refused_at_once(capsys, command):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, command, "--preset", "a85", "--n", "1000000000", "--k", "1",
+        "--digits", "5",
+    )
+    assert (code, out) == (2, "")
+    assert f"capped at n = {EXACT_INDEX_LIMIT}" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_constant_beyond_floor_is_precision_error(capsys):

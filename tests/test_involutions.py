@@ -14,7 +14,7 @@ from recasymp import (
     involution_counts_by_egf,
     involution_numbers,
 )
-from recasymp.involutions import involution_number
+from recasymp.involutions import EXACT_INDEX_LIMIT, involution_number
 
 A000085_PREFIX = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496]
 
@@ -41,10 +41,15 @@ def test_brute_force_prefix():
 
 
 def test_single_value_matches_list():
+    # n <= 700 crosses the 64-index leaves and the first few splits.
     values = involution_numbers(1000)
-    assert [involution_number(n) for n in range(301)] == values[:301]
+    assert [involution_number(n) for n in range(701)] == values[:701]
     assert involution_number(1000) == values[1000]
     assert len(str(involution_number(1000))) == 1297
+
+
+def test_single_value_matches_the_sum_at_10_000():
+    assert involution_number(10**4) == involution_count_by_sum(10**4)
 
 
 def test_routes_agree_to_120(t_values):
@@ -57,6 +62,11 @@ def test_brute_force_is_bounded():
     assert BRUTE_FORCE_LIMIT == 10
     with pytest.raises(InputTooLarge):
         involution_count_brute(BRUTE_FORCE_LIMIT + 1)
+
+
+def test_single_value_is_bounded():
+    with pytest.raises(InputTooLarge, match=f"capped at n = {EXACT_INDEX_LIMIT}"):
+        involution_number(EXACT_INDEX_LIMIT + 1)
 
 
 def test_negative_index_rejected():
