@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 
 from .engine import residual_check, solve_expansion
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
     RecasympError,
 )
 from .evaluate import (
-    _fresh_context,
+    _context,
     connection_constant,
     eval_expansion,
     format_significant,
@@ -43,6 +43,10 @@ from .render import expansion_to_latex
 
 #: Significant digits used by the one-line big-integer summaries.
 SUMMARY_DIGITS = 20
+
+#: Integers up to this many bits go to Decimal in one conversion; on
+#: CPython 3.11 splitting starts to pay at about 30000 bits.
+_DECIMAL_SPLIT_BITS = 32768
 
 
 class _UsageError(Exception):
@@ -133,9 +137,34 @@ def _digit_count(value: int) -> int:
     return digits
 
 
+def _decimal(value: int) -> Decimal:
+    """A non-negative integer as an exact Decimal, printed past the
+    int-to-str digit limit of Python 3.11+ that str() of an int enforces;
+    the interpreter-wide limit stays as it is.
+
+    Decimal(value) takes time quadratic in the length, so past
+    _DECIMAL_SPLIT_BITS the integer is split by bits into halves and
+    rebuilt as hi * 2^h + lo in exact Decimal arithmetic, whose big
+    products are fast.  Halving gives at most two widths per level, and
+    each power of two is computed once."""
+    ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    powers: dict[int, Decimal] = {}
+
+    def convert(v: int, bits: int) -> Decimal:
+        if bits <= _DECIMAL_SPLIT_BITS:
+            return Decimal(v)
+        h = bits // 2
+        if h not in powers:
+            powers[h] = ctx.power(2, h)
+        hi = convert(v >> h, bits - h)
+        return ctx.add(ctx.multiply(hi, powers[h]), convert(v & ((1 << h) - 1), h))
+
+    return convert(value, value.bit_length())
+
+
 def _integer_summary(value: int) -> str:
     digits = _digit_count(value)
-    ctx = _fresh_context(SUMMARY_DIGITS + 10)
+    ctx = _context(SUMMARY_DIGITS + 10)
     return f"{digits} digits; {format_significant(ctx.mpf(value), SUMMARY_DIGITS)}"
 
 
@@ -144,15 +173,13 @@ def _integer_summary(value: int) -> str:
 
 def _cmd_seq(args) -> int:
     preset = get_preset(args.preset)
-    # Decimal prints past the int-to-str digit limit of Python 3.11+, which
-    # str() of an int enforces; the interpreter-wide limit stays as it is.
     if args.digits_only:
         print(_integer_summary(preset.term(args.n)))
     elif args.last:
-        print(Decimal(preset.term(args.n)))
+        print(_decimal(preset.term(args.n)))
     else:
         for v in preset.sequence(args.n):
-            print(Decimal(v))
+            print(_decimal(v))
     return 0
 
 

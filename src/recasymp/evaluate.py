@@ -6,13 +6,16 @@ those into decimal digits of t_n means evaluating
     C * exp(beta*(n log n - n) + c*sqrt(n) + alpha*log n + kappa)
       * (1 + a_1 n^(-1/2) + ... + a_k n^(-k/2))
 
-in big-float arithmetic.  Every evaluation builds one private mpmath
-context, and the checks that divide by an exact value reuse it, so
-concurrent callers and nested precisions never interfere through global
-state.  The working precision follows one policy: the requested digits,
-plus ten guard digits, plus one digit for every decimal order of magnitude
-of the exponent argument (exponentiation turns absolute error of the
-argument into relative error of the result, so huge exponents eat digits).
+in big-float arithmetic.  Each working precision has one mpmath context,
+built on first use and shared by every evaluation at that precision.  No
+code sets a context's precision after it is made, so a returned value
+keeps the precision it was computed at, and callers at different
+precisions never share mutable state (nor touch mpmath's global one).
+The checks that divide by an exact value reuse the evaluation's context.
+The working precision follows one policy: the requested digits, plus ten
+guard digits, plus one digit for every decimal order of magnitude of the
+exponent argument (exponentiation turns absolute error of the argument
+into relative error of the result, so huge exponents eat digits).
 
 Truncation error is a separate matter from rounding error: an expansion
 truncated at k terms knows t_n to roughly (k+1)/2 * log10(n) digits and no
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath
 from mpmath.ctx_mp import MPContext
@@ -84,7 +88,10 @@ def working_dps(frame, n: int, digits: int) -> int:
     return dps
 
 
-def _fresh_context(dps: int) -> MPContext:
+@lru_cache(maxsize=64)
+def _context(dps: int) -> MPContext:
+    """The shared context of working precision dps.  Callers must not
+    change its precision."""
     ctx = MPContext()
     ctx.dps = dps
     return ctx
@@ -114,7 +121,7 @@ def eval_expansion(exp: Expansion, C, n: int, k: int, digits: int):
         raise ValueError("evaluation needs n >= 1")
     if not 0 <= k <= exp.K:
         raise ValueError(f"k must be between 0 and K = {exp.K}, got {k}")
-    ctx = _fresh_context(working_dps(exp.frame, n, digits))
+    ctx = _context(working_dps(exp.frame, n, digits))
     fr = exp.frame
     log_n = ctx.log(n)
     sqrt_n = ctx.sqrt(n)

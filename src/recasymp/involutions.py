@@ -20,6 +20,7 @@ produce.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
 from operator import add, mul
 
@@ -75,6 +76,7 @@ def _advance(lo: int, hi: int, cur: int, prev: int) -> tuple[int, int]:
     return a * cur + b * prev, c * cur + d * prev
 
 
+@lru_cache(maxsize=8, typed=True)
 def involution_number(n: int) -> int:
     """t_n alone, by binary splitting of the two-term recurrence.
 
@@ -85,6 +87,11 @@ def involution_number(n: int) -> int:
     Chudnovsky, 1988; Bostan, Gaudry & Schost, 2007).  For n <= _LEAF
     there is one leaf, so no threshold picks between two routes.  Refuses
     n above EXACT_INDEX_LIMIT.
+
+    The last eight values are memoized (at most about 100 KB each at the
+    cap), since the numeric checks ask for the same few indices at many
+    precisions.  Refusals are not cached, and the memo is typed, so a
+    non-int index fails as it would without it.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

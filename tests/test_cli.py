@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recasymp import Expansion, presets
-from recasymp.cli import main
+from recasymp.cli import _DECIMAL_SPLIT_BITS, _decimal, main
 from recasymp.involutions import EXACT_INDEX_LIMIT, involution_count_by_sum
 
 FACT_REC = {"order": 1, "coeffs": [[1], [0, -1]]}
@@ -71,9 +71,11 @@ def test_seq_digits_only_summary(capsys):
 @pytest.mark.parametrize(
     "mode", [[], ["--last"], ["--digits-only"]], ids=["list", "last", "digits-only"]
 )
-def test_seq_past_the_int_to_str_digit_limit(capsys, mode):
+def test_seq_past_the_int_to_str_digit_limit(capsys, monkeypatch, mode):
     # t_3000 has 4588 digits, past the 4300 that str() of an int allows on
-    # Python 3.11+; the CLI converts without touching that limit.
+    # Python 3.11+; the CLI converts without touching that limit.  Its
+    # 15241 bits are split four levels deep at this split size.
+    monkeypatch.setattr("recasymp.cli._DECIMAL_SPLIT_BITS", 1024)
     code, out, _ = run(capsys, "seq", "--preset", "a85", "--n", "3000", *mode)
     assert code == 0
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == INT_DIGIT_LIMIT
@@ -81,9 +83,17 @@ def test_seq_past_the_int_to_str_digit_limit(capsys, mode):
     if mode == ["--digits-only"]:
         assert last == "4588 digits; 5.8972648739430762467e4587"
     else:
-        assert Decimal(last) == Decimal(involution_count_by_sum(3000))
+        assert last == str(Decimal(involution_count_by_sum(3000)))
+    if mode == ["--last"]:
+        assert out == last + "\n"
     if not mode:
         assert len(out.splitlines()) == 3001
+
+
+def test_split_decimal_conversion_matches_decimal():
+    for bits in (0, 1, _DECIMAL_SPLIT_BITS, _DECIMAL_SPLIT_BITS + 1, 2 * _DECIMAL_SPLIT_BITS + 3):
+        for value in (2**bits - 1, 2**bits, 2**bits + 1, 2**bits // 3):
+            assert str(_decimal(value)) == str(Decimal(value))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
 """Big-float evaluation, ratio checks, connection constant, formatting."""
 
+import sys
+import threading
+
 import mpmath
 import pytest
 from mpmath import mpf
@@ -20,6 +23,7 @@ from recasymp import (
     truncation_floor_digits,
     working_dps,
 )
+from recasymp.evaluate import _context
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +149,16 @@ def test_eval_rejects_float_constant(a85_k25):
         eval_expansion(a85_k25, 0.7071, 100, 5, 20)
 
 
+def test_values_keep_their_working_precision(a85_k25):
+    # Contexts are shared per precision and never re-precisioned, so a
+    # value made at 20 digits is still at its dps after a 40-digit one.
+    values = [eval_expansion(a85_k25, INV_SQRT2, 1000, 5, d) for d in (20, 40, 20)]
+    want = [working_dps(a85_k25.frame, 1000, d) for d in (20, 40, 20)]
+    assert [v.context.dps for v in values] == want
+    assert values[0].context is values[2].context is _context(want[0])
+    assert 0 < _context.cache_info().maxsize <= 64
+
+
 def test_precision_honesty(a85_k25):
     # Doubling the requested digits must not move the first 20.
     lo = eval_expansion(a85_k25, INV_SQRT2, 1000, 5, 20)
@@ -185,6 +199,35 @@ def test_ratio_improves_until_second_solution_floor(a85_k25):
     for k in range(25):
         assert errors[k + 1] <= errors[k] or errors[k + 1] <= floor
     assert mpf(10) ** -29 <= errors[25] <= mpf(10) ** -27
+
+
+def test_ratio_checks_in_threads_match_serial(a85_k25):
+    # Two precisions at once, two threads each: each precision has its own
+    # context, and the shared t_n memo hands every thread the same integer.
+    args = [(1000, 12, 20), (1000, 12, 45)]
+    serial = [ratio_check(*a, expansion=a85_k25).to_json_dict() for a in args]
+    got = [None] * 4
+    start = threading.Barrier(4)
+
+    def work(i):
+        start.wait()
+        for _ in range(20):
+            got[i] = ratio_check(*args[i % 2], expansion=a85_k25).to_json_dict()
+            if got[i] != serial[i % 2]:
+                return
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads finely
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == serial * 2
 
 
 def test_ratio_uses_supplied_expansion(a85_k25):

@@ -65,8 +65,18 @@ def test_brute_force_is_bounded():
 
 
 def test_single_value_is_bounded():
-    with pytest.raises(InputTooLarge, match=f"capped at n = {EXACT_INDEX_LIMIT}"):
-        involution_number(EXACT_INDEX_LIMIT + 1)
+    # Every call past the cap is refused: a refusal is never cached.
+    for _ in range(2):
+        with pytest.raises(InputTooLarge, match=f"capped at n = {EXACT_INDEX_LIMIT}"):
+            involution_number(EXACT_INDEX_LIMIT + 1)
+
+
+def test_single_value_memo_is_bounded_and_exact():
+    assert 0 < involution_number.cache_info().maxsize <= 8
+    for n in (0, 700, 2500, 700):
+        assert involution_number(n) == involution_number.__wrapped__(n)
+    with pytest.raises(TypeError):  # typed: a cached int does not answer a float
+        involution_number(700.0)
 
 
 def test_negative_index_rejected():
