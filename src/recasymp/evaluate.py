@@ -6,16 +6,24 @@ those into decimal digits of t_n means evaluating
     C * exp(beta*(n log n - n) + c*sqrt(n) + alpha*log n + kappa)
       * (1 + a_1 n^(-1/2) + ... + a_k n^(-k/2))
 
-in big-float arithmetic.  Each working precision has one mpmath context,
-built on first use and shared by every evaluation at that precision.  No
-code sets a context's precision after it is made, so a returned value
-keeps the precision it was computed at, and callers at different
-precisions never share mutable state (nor touch mpmath's global one).
-The checks that divide by an exact value reuse the evaluation's context.
-The working precision follows one policy: the requested digits, plus ten
-guard digits, plus one digit for every decimal order of magnitude of the
-exponent argument (exponentiation turns absolute error of the argument
-into relative error of the result, so huge exponents eat digits).
+in big-float arithmetic.  The correction sum runs Horner's rule on
+mpmath's raw mpf tuples (mpmath.libmp, used in this module alone) over the
+integer numerators L*a_i, L the lcm of the denominators of a_0 = 1, ...,
+a_k: each scaled numerator is rounded once, and there is one division by L
+at the end, so no a_i becomes an mpf object of its own.  Other exact
+rationals (frame parameters, a rational C) become mpf values by one
+correctly-rounded division each.
+
+Each working precision has one mpmath context, built on first use and
+shared by every evaluation at that precision.  No code sets a context's
+precision after it is made, so a returned value keeps the precision it was
+computed at, and callers at different precisions never share mutable state
+(nor touch mpmath's global one).  The checks that divide by an exact value
+reuse the evaluation's context.  The working precision follows one
+policy: the requested digits, plus ten guard digits, plus one digit for
+every decimal order of magnitude of the exponent argument (exponentiation
+turns absolute error of the argument into relative error of the result, so
+huge exponents eat digits).
 
 Truncation error is a separate matter from rounding error: an expansion
 truncated at k terms knows t_n to roughly (k+1)/2 * log10(n) digits and no
@@ -31,6 +39,14 @@ from functools import lru_cache
 
 import mpmath
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import (
+    from_int,
+    from_rational,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
+    round_nearest,
+)
 
 from .engine import Expansion, solve_expansion
 from .errors import PrecisionUnachievable, TruncationDominates
@@ -98,9 +114,14 @@ def _context(dps: int) -> MPContext:
 
 
 def _to_mpf(ctx, q):
-    """Exact rational (or int) to mpf: one correctly-rounded division."""
-    q = rat(q) if not isinstance(q, int) else Rational(q)
-    return ctx.mpf(int(q.numerator)) / ctx.mpf(int(q.denominator))
+    """Exact rational (or int, or 'p/q' string) to mpf: one
+    correctly-rounded division of the exact numerator by the exact
+    denominator at the context's precision."""
+    if not isinstance(q, Rational):
+        q = rat(q)
+    return ctx.make_mpf(
+        from_rational(int(q.numerator), int(q.denominator), ctx.prec, round_nearest)
+    )
 
 
 def _resolve_constant(ctx, C):
@@ -132,11 +153,18 @@ def eval_expansion(exp: Expansion, C, n: int, k: int, digits: int):
         + _to_mpf(ctx, fr.kappa)
     )
     frame_value = ctx.exp(argument)
-    # Horner in n^(-1/2) over the exact coefficients, rounded once each.
-    rx = 1 / sqrt_n
-    s = _to_mpf(ctx, exp.coefficient(k)) if k else ctx.mpf(1)
-    for i in range(k - 1, -1, -1):
-        s = s * rx + _to_mpf(ctx, exp.coefficient(i))
+    # Horner in n^(-1/2) on raw mpf tuples over the integer numerators
+    # L*a_i, L the lcm of the denominators: each numerator is rounded
+    # once, and the sum is divided by L once at the end.
+    coefficients = [exp.coefficient(i) for i in range(k + 1)]
+    L = math.lcm(*(int(a.denominator) for a in coefficients))
+    prec, rnd = ctx.prec, round_nearest
+    rx = (1 / sqrt_n)._mpf_
+    s = from_int(0)
+    for a in reversed(coefficients):
+        term = from_int(int(a.numerator) * (L // int(a.denominator)), prec, rnd)
+        s = mpf_add(mpf_mul(s, rx, prec, rnd), term, prec, rnd)
+    s = ctx.make_mpf(mpf_div(s, from_int(L), prec, rnd))
     return _resolve_constant(ctx, C) * frame_value * s
 
 

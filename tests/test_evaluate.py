@@ -1,11 +1,14 @@
 """Big-float evaluation, ratio checks, connection constant, formatting."""
 
+import random
 import sys
 import threading
+from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mpf
+from mpmath.ctx_mp import MPContext
 
 from recasymp import (
     INV_SQRT2,
@@ -23,7 +26,7 @@ from recasymp import (
     truncation_floor_digits,
     working_dps,
 )
-from recasymp.evaluate import _context
+from recasymp.evaluate import _GUARD_DIGITS, _context, _to_mpf
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +167,80 @@ def test_precision_honesty(a85_k25):
     lo = eval_expansion(a85_k25, INV_SQRT2, 1000, 5, 20)
     hi = eval_expansion(a85_k25, INV_SQRT2, 1000, 5, 40)
     assert format_significant(lo, 20) == format_significant(hi, 20)
+
+
+def _nearest(p: int, q: int, prec: int) -> Fraction:
+    """p/q (both positive) rounded to prec bits, ties to even, by exact
+    integer division."""
+    e = p.bit_length() - q.bit_length() - prec
+    while True:
+        num, den = (p << -e, q) if e < 0 else (p, q << e)
+        m, r = divmod(num, den)
+        if m < 1 << prec:
+            break
+        e += 1
+    if 2 * r > den or (2 * r == den and m & 1):
+        m += 1
+    return Fraction(m) * Fraction(2) ** e
+
+
+def test_to_mpf_rounds_the_quotient_once():
+    # Numerator and denominator wider than the precision: rounding each
+    # first and then dividing misses the nearest value in the last bit for
+    # about a third of such pairs.
+    ctx = _context(20)
+    rng = random.Random(20)
+    for _ in range(60):
+        p, q = rng.getrandbits(200) | 1 << 199, rng.getrandbits(190) | 1 << 189
+        x = _to_mpf(ctx, Rational(p, q))
+        assert x.context is ctx
+        assert Fraction(int(x.man)) * Fraction(2) ** int(x.exp) == _nearest(p, q, ctx.prec)
+    assert _to_mpf(ctx, "-3/4") == mpf(-3) / 4
+    for inexact in (0.75, True):
+        with pytest.raises(TypeError):
+            _to_mpf(ctx, inexact)
+
+
+def _reference(exp, n, k, dps):
+    """The frame value and the correction sum at n, each from the exact
+    rationals by plain mpf arithmetic, in a context of its own at dps
+    digits."""
+    ref = MPContext()
+    ref.dps = dps
+
+    def to_ref(v):
+        return ref.mpf(int(v.numerator)) / int(v.denominator)
+
+    fr = exp.frame
+    log_n = ref.log(n)
+    frame_value = ref.exp(
+        to_ref(fr.beta) * (n * log_n - n)
+        + to_ref(fr.c) * ref.sqrt(n)
+        + to_ref(fr.alpha) * log_n
+        + to_ref(fr.kappa)
+    )
+    total = ref.fsum(
+        to_ref(exp.coefficient(i)) * ref.power(n, -ref.mpf(i) / 2) for i in range(k + 1)
+    )
+    return ref, frame_value, total
+
+
+@pytest.mark.parametrize("n", [4, 1000, 10**4, 10**50])
+@pytest.mark.parametrize("k", [0, 1, 2, 17, 25])
+def test_eval_matches_an_independent_reference(a85_k25, n, k):
+    digits = 20
+    dps = working_dps(a85_k25.frame, n, digits)
+    value = eval_expansion(a85_k25, 1, n, k, digits)
+    bare = eval_expansion(a85_k25, 1, n, 0, digits)
+    assert value.context is bare.context is _context(dps)
+    ref, frame_value, total = _reference(a85_k25, n, k, 2 * dps)
+    # The correction sum is good to the working precision.  Dividing by
+    # the bare frame, computed by the same steps, isolates it.
+    assert abs(ref.mpf(value / bare) / total - 1) < ref.mpf(10) ** -(dps - 3)
+    # The whole value keeps the requested digits and most guard digits:
+    # the working precision beyond them pays for the exponent's magnitude.
+    whole = frame_value * total
+    assert abs(ref.mpf(value) / whole - 1) < ref.mpf(10) ** -(digits + _GUARD_DIGITS - 2)
 
 
 # -- ratio_check ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Package structure: every import statement sits at module level, and the
-storage of a series stays behind the series module."""
+"""Package structure: every import statement sits at module level, the
+storage of a series stays behind the series module, and raw mpf tuples stay
+in the evaluate module."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,30 @@ def test_series_storage_stays_in_the_series_module():
             ):
                 leaks.append(f"{path.name}:{node.lineno} reads series.{node.attr}")
     assert leaks == []
+
+
+def _is_libmp(name):
+    return name == "mpmath.libmp" or name.startswith("mpmath.libmp.")
+
+
+def test_raw_mpf_arithmetic_stays_in_the_evaluate_module():
+    # mpmath's raw tuple layer (mpmath.libmp) skips the context's checks
+    # and rounding defaults; evaluate.py alone works on it.
+    users = set()
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "mpmath"
+            ):
+                names = [f"mpmath.{node.attr}"]
+            else:
+                continue
+            if any(_is_libmp(name) for name in names):
+                users.add(path.name)
+    assert users == {"evaluate.py"}
