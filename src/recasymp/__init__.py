@@ -19,10 +19,8 @@ involution-number preset.
 from .engine import Expansion, residual_check, solve_expansion
 from .errors import (
     AmbiguousRoot,
-    EngineError,
     EvaluationError,
     FrameMismatch,
-    FrameSolveError,
     InputTooLarge,
     NegativeValuation,
     NonPositiveValuation,
@@ -31,7 +29,6 @@ from .errors import (
     RamificationError,
     RecasympError,
     ResonantOrder,
-    SeriesError,
     TruncationDominates,
 )
 from .evaluate import (
@@ -70,12 +67,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguousRoot",
     "BRUTE_FORCE_LIMIT",
-    "EngineError",
     "EvaluationError",
     "Expansion",
     "Frame",
     "FrameMismatch",
-    "FrameSolveError",
     "INV_SQRT2",
     "InputTooLarge",
     "NegativeValuation",
@@ -91,7 +86,6 @@ __all__ = [
     "RecasympError",
     "Recurrence",
     "ResonantOrder",
-    "SeriesError",
     "TruncationDominates",
     "a85_frame",
     "a85_recurrence",

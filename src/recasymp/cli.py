@@ -23,12 +23,10 @@ import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 
 from .engine import residual_check, solve_expansion
-from .errors import (
-    EvaluationError,
-    RecasympError,
-)
+from .errors import EvaluationError, RecasympError
 from .evaluate import (
     _context,
+    _to_mpf,
     connection_constant,
     eval_expansion,
     format_significant,
@@ -62,36 +60,27 @@ def _compact_json(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _load_json_file(path: str, what: str) -> dict:
+def _load(path: str, what: str, parse):
+    """parse(the JSON payload of path); a failure is a usage error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise _UsageError(f"cannot read {what} from {path}: {exc}") from None
-
-
-def _load_recurrence(path: str) -> Recurrence:
     try:
-        return Recurrence.from_json_dict(_load_json_file(path, "recurrence"))
+        return parse(payload)
     except (KeyError, TypeError, ValueError) as exc:
-        raise _UsageError(f"bad recurrence file {path}: {exc}") from None
-
-
-def _load_frame(path: str) -> Frame:
-    try:
-        return Frame.from_json_dict(_load_json_file(path, "frame"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _UsageError(f"bad frame file {path}: {exc}") from None
+        raise _UsageError(f"bad {what} file {path}: {exc}") from None
 
 
 def _problem(args) -> tuple[Recurrence, Frame, object, str | None]:
     """(recurrence, frame, constant, constant_latex) from --preset or
     --recurrence/--frame options."""
-    if getattr(args, "preset", None):
+    if args.preset is not None:
         preset = get_preset(args.preset)
         return preset.recurrence, preset.frame, preset.constant, preset.constant_latex
-    rec = _load_recurrence(args.recurrence)
-    frame = _load_frame(args.frame) if args.frame else frame_solve(rec)
+    rec = _load(args.recurrence, "recurrence", Recurrence.from_json_dict)
+    frame = _load(args.frame, "frame", Frame.from_json_dict) if args.frame else frame_solve(rec)
     return rec, frame, None, None
 
 
@@ -165,7 +154,7 @@ def _decimal(value: int) -> Decimal:
 def _integer_summary(value: int) -> str:
     digits = _digit_count(value)
     ctx = _context(SUMMARY_DIGITS + 10)
-    return f"{digits} digits; {format_significant(ctx.mpf(value), SUMMARY_DIGITS)}"
+    return f"{digits} digits; {format_significant(_to_mpf(ctx, value), SUMMARY_DIGITS)}"
 
 
 # -- commands ---------------------------------------------------------------
@@ -197,9 +186,10 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    preset = get_preset(args.preset)
-    exp = solve_expansion(preset.recurrence, preset.frame, args.k)
-    constant = preset.constant if args.constant is None else args.constant
+    rec, frame, constant, _ = _problem(args)
+    exp = solve_expansion(rec, frame, args.k)
+    if args.constant is not None:
+        constant = args.constant
     value = eval_expansion(exp, constant, args.n, args.k, args.digits)
     rendered = format_significant(value, args.digits)
     if args.format == "json":
@@ -243,10 +233,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_solve_frame(args) -> int:
-    rec = _load_recurrence(args.recurrence)
+    rec = _load(args.recurrence, "recurrence", Recurrence.from_json_dict)
     frame = frame_solve(rec)
     payload = frame.to_json_dict()
-    if args.verify is not None:
+    if args.verify is None:
+        print(_compact_json(payload))
+    else:
         exp = solve_expansion(rec, frame, args.verify)
         order = residual_check(rec, exp)
         if args.format == "json":
@@ -254,24 +246,13 @@ def _cmd_solve_frame(args) -> int:
         else:
             print(_compact_json(payload))
             print(f"verified: residual vanishes through {order} orders")
-        return 0
-    print(_compact_json(payload))
-    return 0
-
-
-def _cmd_render(args) -> int:
-    rec, frame, _, constant_latex = _problem(args)
-    exp = solve_expansion(rec, frame, args.k)
-    print(expansion_to_latex(exp, constant_latex=constant_latex))
     return 0
 
 
 def _cmd_constant(args) -> int:
-    preset = get_preset(args.preset)
-    exp = solve_expansion(preset.recurrence, preset.frame, args.k)
-    value = connection_constant(
-        preset.recurrence, exp, args.n, args.k, args.digits
-    )
+    rec, frame, _, _ = _problem(args)
+    exp = solve_expansion(rec, frame, args.k)
+    value = connection_constant(rec, exp, args.n, args.k, args.digits)
     print(format_significant(value, args.digits))
     return 0
 
@@ -374,7 +355,8 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--k", type=_at_least("k", 0), required=True, help="terms to display"
     )
-    p.set_defaults(func=_cmd_render)
+    # render is coeffs --format latex, with its own --k >= 0 bound.
+    p.set_defaults(func=_cmd_coeffs, format="latex")
 
     p = sub.add_parser(
         "constant", help="estimate the connection constant from exact values"
@@ -391,10 +373,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except EvaluationError as exc:

@@ -11,30 +11,22 @@ class RecasympError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class SeriesError(RecasympError):
-    """Base class for errors in truncated Puiseux series arithmetic."""
-
-
-class NonPositiveValuation(SeriesError):
+class NonPositiveValuation(RecasympError):
     """exp or log1p applied to a series with valuation <= 0; the result
     would not be a formal power series in the same variable."""
 
 
-class NegativeValuation(SeriesError):
+class NegativeValuation(RecasympError):
     """Shift substitution applied to a Laurent series with negative
     valuation; the substitution is only defined for power series."""
 
 
-class EngineError(RecasympError):
-    """Base class for errors raised while solving for an expansion."""
-
-
-class RamificationError(EngineError):
+class RamificationError(RecasympError):
     """The frame exponent beta makes some shift ratio x^(2*beta*j)
     leave the ramification-2 lattice (2*beta*j not an integer)."""
 
 
-class FrameMismatch(EngineError):
+class FrameMismatch(RecasympError):
     """At some order the residual has a forced nonzero coefficient that no
     choice of the current series coefficient can cancel: the frame
     (beta, c, alpha) does not belong to this recurrence."""
@@ -48,7 +40,7 @@ class FrameMismatch(EngineError):
         )
 
 
-class ResonantOrder(EngineError):
+class ResonantOrder(RecasympError):
     """At the one order where the coefficient being solved for is read (see
     the engine module), both the forcing term and the linear response
     vanish, so it is a free parameter.  It is reported, never silently
@@ -60,27 +52,19 @@ class ResonantOrder(EngineError):
         super().__init__(f"coefficient {k} is undetermined at order {order} (resonance)")
 
 
-class FrameSolveError(EngineError):
-    """Base class for failures of the automatic frame finder."""
-
-
-class NoRationalRoot(FrameSolveError):
+class NoRationalRoot(RecasympError):
     """A frame equation has no rational solution (or does not reduce to a
     univariate rational equation at all): the stretched-exponential
     template does not cover this recurrence."""
 
 
-class AmbiguousRoot(FrameSolveError):
+class AmbiguousRoot(RecasympError):
     """A frame equation has more than one rational solution; the caller
     must pick a branch explicitly."""
 
-    def __init__(self, candidates, message: str = ""):
+    def __init__(self, candidates, message: str):
         self.candidates = list(candidates)
-        super().__init__(
-            message
-            or "frame equation has multiple rational roots: "
-            + ", ".join(str(c) for c in self.candidates)
-        )
+        super().__init__(message)
 
 
 class InputTooLarge(RecasympError):

@@ -11,8 +11,8 @@ mpmath's raw mpf tuples (mpmath.libmp, used in this module alone) over the
 integer numerators L*a_i, L the lcm of the denominators of a_0 = 1, ...,
 a_k: each scaled numerator is rounded once, and there is one division by L
 at the end, so no a_i becomes an mpf object of its own.  Other exact
-rationals (frame parameters, a rational C) become mpf values by one
-correctly-rounded division each.
+rationals (frame parameters, a rational C, the exact t_n) become mpf
+values through _to_mpf, correctly rounded once each.
 
 Each working precision has one mpmath context, built on first use and
 shared by every evaluation at that precision.  No code sets a context's
@@ -114,20 +114,16 @@ def _context(dps: int) -> MPContext:
 
 
 def _to_mpf(ctx, q):
-    """Exact rational (or int, or 'p/q' string) to mpf: one
-    correctly-rounded division of the exact numerator by the exact
-    denominator at the context's precision."""
+    """Exact rational (or int, or 'p/q' string) to mpf, correctly rounded
+    at the context's precision.  An integer is rounded once, never first
+    made exact as ctx.mpf makes it (stripping trailing zero bits over the
+    whole integer); anything else is one division of exact integers."""
     if not isinstance(q, Rational):
         q = rat(q)
-    return ctx.make_mpf(
-        from_rational(int(q.numerator), int(q.denominator), ctx.prec, round_nearest)
-    )
-
-
-def _resolve_constant(ctx, C):
-    if C is INV_SQRT2:
-        return 1 / ctx.sqrt(2)
-    return _to_mpf(ctx, C)
+    p, d = int(q.numerator), int(q.denominator)
+    if d == 1:
+        return ctx.make_mpf(from_int(p, ctx.prec, round_nearest))
+    return ctx.make_mpf(from_rational(p, d, ctx.prec, round_nearest))
 
 
 def eval_expansion(exp: Expansion, C, n: int, k: int, digits: int):
@@ -165,7 +161,8 @@ def eval_expansion(exp: Expansion, C, n: int, k: int, digits: int):
         term = from_int(int(a.numerator) * (L // int(a.denominator)), prec, rnd)
         s = mpf_add(mpf_mul(s, rx, prec, rnd), term, prec, rnd)
     s = ctx.make_mpf(mpf_div(s, from_int(L), prec, rnd))
-    return _resolve_constant(ctx, C) * frame_value * s
+    constant = 1 / ctx.sqrt(2) if C is INV_SQRT2 else _to_mpf(ctx, C)
+    return constant * frame_value * s
 
 
 def truncation_floor_digits(n: int, k: int) -> int:
@@ -212,7 +209,7 @@ def ratio_check(n: int, k: int, digits: int, *, expansion: Expansion | None = No
         expansion = solve_expansion(a85_recurrence(), a85_frame(), k)
     asy = eval_expansion(expansion, INV_SQRT2, n, k, digits)
     ctx = asy.context
-    exact = ctx.mpf(involution_number(n))
+    exact = _to_mpf(ctx, involution_number(n))
     return RatioReport(
         n=n,
         k=k,
@@ -242,7 +239,7 @@ def connection_constant(rec, exp: Expansion, n: int, k: int, digits: int):
     if digits > floor:
         raise TruncationDominates(digits, floor)
     denominator = eval_expansion(exp, 1, n, k, digits)
-    return denominator.context.mpf(involution_number(n)) / denominator
+    return _to_mpf(denominator.context, involution_number(n)) / denominator
 
 
 def format_significant(x, digits: int) -> str:

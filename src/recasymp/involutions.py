@@ -5,8 +5,8 @@ independent routes are provided so they can cross-check each other:
 
   * the two-term recurrence t_n = t_{n-1} + (n-1) t_{n-2}, stepped for
     the list t_0 .. t_n, and split into a product tree of 2x2 integer
-    matrices for t_n alone, the fast route used everywhere else in the
-    package (up to EXACT_INDEX_LIMIT);
+    matrices for t_n alone (the product's top-left entry), the fast route
+    used everywhere else in the package (up to EXACT_INDEX_LIMIT);
   * the closed-form sum over the number of 2-cycles;
   * the exponential generating function exp(z + z^2/2), built as the
     product of two separately expanded factors (a binomial convolution);
@@ -64,29 +64,19 @@ def _product(lo: int, hi: int) -> tuple[int, int, int, int]:
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
-def _advance(lo: int, hi: int, cur: int, prev: int) -> tuple[int, int]:
-    """(t_(hi-1), t_(hi-2)) from (t_(lo-1), t_(lo-2)).  The lower half is
-    advanced the same way and the upper half's matrix is applied to the pair
-    it carries up, so no full matrix is built for the lower half."""
-    if hi - lo > _LEAF:
-        mid = (lo + hi) // 2
-        cur, prev = _advance(lo, mid, cur, prev)
-        lo = mid
-    a, b, c, d = _product(lo, hi)
-    return a * cur + b * prev, c * cur + d * prev
-
-
 @lru_cache(maxsize=8, typed=True)
 def involution_number(n: int) -> int:
     """t_n alone, by binary splitting of the two-term recurrence.
 
     Each step maps the pair (t_(m-1), t_(m-2)) to (t_m, t_(m-1)) through
-    the integer matrix [[1, m - 1], [1, 0]].  Runs of up to _LEAF steps
-    are stepped directly; longer runs are split in half, so the big
+    the integer matrix [[1, m - 1], [1, 0]].  The product of the steps
+    m = n down to 1 is built as a tree: runs of up to _LEAF steps are
+    stepped directly, longer runs are split in half, so the big
     multiplications pair integers of about equal size (Chudnovsky &
-    Chudnovsky, 1988; Bostan, Gaudry & Schost, 2007).  For n <= _LEAF
-    there is one leaf, so no threshold picks between two routes.  Refuses
-    n above EXACT_INDEX_LIMIT.
+    Chudnovsky, 1988; Bostan, Gaudry & Schost, 2007).  The start pair is
+    (t_0, t_(-1)) = (1, 0), so t_n is the product's top-left entry.  For
+    n <= _LEAF there is one leaf, so no threshold picks between two
+    routes.  Refuses n above EXACT_INDEX_LIMIT.
 
     The last eight values are memoized (at most about 100 KB each at the
     cap), since the numeric checks ask for the same few indices at many
@@ -100,7 +90,7 @@ def involution_number(n: int) -> int:
             f"exact involution numbers are capped at n = {EXACT_INDEX_LIMIT}, "
             f"got n = {n}"
         )
-    return _advance(1, n + 1, 1, 0)[0]  # t_(-1) is multiplied by 0 in step 1
+    return _product(1, n + 1)[0]
 
 
 def involution_count_by_sum(n: int) -> int:

@@ -140,6 +140,21 @@ def test_unknown_preset_is_usage_error(capsys):
         assert "unknown preset" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("coeffs", "--K", "1"), ("render", "--k", "1"),
+     ("eval", "--n", "10", "--k", "1", "--digits", "5"),
+     ("constant", "--n", "10", "--k", "1", "--digits", "1")],
+    ids=["coeffs", "render", "eval", "constant"],
+)
+def test_empty_preset_name_is_an_unknown_preset(capsys, argv):
+    # An empty --preset is a name, not a missing option: it is never read
+    # as a request for --recurrence.
+    code, out, err = run(capsys, argv[0], "--preset", "", *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == "error: unknown preset ''; available: a85\n"
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, err = run(capsys, "seq", "--preset", "a85", "--n", "3", "--frobnicate")
     assert code == 1
@@ -458,6 +473,35 @@ def test_render_from_file_has_no_constant(tmp_path, capsys):
     code, out, _ = run(capsys, "render", "--recurrence", rec, "--k", "2")
     assert code == 0
     assert out.startswith(r"n^{n} \, e^{-n} \, \sqrt{n}")
+
+
+@pytest.mark.parametrize(
+    "source, k",
+    [(("--preset", "a85"), 1), (("--preset", "a85"), 3),
+     (("--recurrence", "{fact}"), 2), (("--recurrence", "{a85}", "--frame", "{frame}"), 3)],
+    ids=["preset-k1", "preset-k3", "file-auto-frame", "file-with-frame"],
+)
+def test_render_is_coeffs_in_latex(tmp_path, capsys, source, k):
+    files = {
+        "{fact}": write_json(tmp_path, "fact.json", FACT_REC),
+        "{a85}": write_json(tmp_path, "a85.json", A85_REC),
+        "{frame}": write_json(tmp_path, "frame.json", A85_FRAME),
+    }
+    source = [files.get(a, a) for a in source]
+    rendered = run(capsys, "render", *source, "--k", str(k))
+    coeffs = run(capsys, "coeffs", *source, "--K", str(k), "--format", "latex")
+    assert rendered == coeffs
+    assert rendered[0] == 0 and rendered[1]
+
+
+def test_render_k_zero_is_the_bare_frame(capsys):
+    # coeffs refuses --K 0; render shows the frame and the O-term alone.
+    code, out, err = run(capsys, "render", "--preset", "a85", "--k", "0")
+    assert (code, err) == (0, "")
+    assert out == (
+        r"\frac{1}{\sqrt{2}} \, n^{\frac{n}{2}} \, e^{-\frac{n}{2} + \sqrt{n} - \frac{1}{4}}"
+        r" \left( 1 + O\!\left(\frac{1}{\sqrt{n}}\right) \right)" "\n"
+    )
 
 
 # -- constant ----------------------------------------------------------------------

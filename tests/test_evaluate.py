@@ -27,6 +27,7 @@ from recasymp import (
     working_dps,
 )
 from recasymp.evaluate import _GUARD_DIGITS, _context, _to_mpf
+from recasymp.involutions import involution_number
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +200,28 @@ def test_to_mpf_rounds_the_quotient_once():
     for inexact in (0.75, True):
         with pytest.raises(TypeError):
             _to_mpf(ctx, inexact)
+
+
+def test_to_mpf_rounds_an_integer_once():
+    # An exact t_n ends in many zero bits (2500 of 59369 at n = 10^4); it
+    # is rounded straight to the precision, to the nearest value, which is
+    # also what ctx.mpf gives after making the integer exact first.
+    ctx = _context(20)
+    rng = random.Random(21)
+    wide = [rng.getrandbits(300) | 1 << 299 for _ in range(40)]
+    top = 1 << ctx.prec
+    ties = [(2 * m + 1) << s for m in (top // 2, top - 1) for s in (0, 9)]
+    values = [involution_number(n) for n in (1000, 2500, 10**4)]
+    values += [w | 1 for w in wide] + [w & ~1 for w in wide] + ties
+    for t in values:
+        x = _to_mpf(ctx, t)
+        assert x.context is ctx
+        assert Fraction(int(x.man)) * Fraction(2) ** int(x.exp) == _nearest(t, 1, ctx.prec)
+        assert x == ctx.mpf(t)
+        assert _to_mpf(ctx, -t) == -x
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            _to_mpf(ctx, flag)
 
 
 def _reference(exp, n, k, dps):

@@ -1,6 +1,6 @@
 """Package structure: every import statement sits at module level, the
-storage of a series stays behind the series module, and raw mpf tuples stay
-in the evaluate module."""
+storage of a series stays behind the series module, and raw mpf tuples and
+the conversion of exact values to mpf stay in the evaluate module."""
 
 import ast
 from pathlib import Path
@@ -87,3 +87,18 @@ def test_raw_mpf_arithmetic_stays_in_the_evaluate_module():
             if any(_is_libmp(name) for name in names):
                 users.add(path.name)
     assert users == {"evaluate.py"}
+
+
+def test_exact_values_reach_mpmath_through_to_mpf():
+    # ctx.mpf(int) makes the integer exact before rounding it, stripping
+    # trailing zero bits over the whole integer; evaluate._to_mpf rounds
+    # an exact value once, so no module calls an attribute named mpf.
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "mpf"
+    ]
+    assert calls == []
