@@ -35,12 +35,25 @@ determines a_k, or proves the frame wrong (r is nonzero below o, or at o
 while P(alpha - k/2) = 0), or exposes a resonance (both sides vanish at o,
 so a_k is a free parameter).
 
-With g_j = u_j/x = (1 - j x^2)^(-1/2), the responses W_j * g_j^k are
-marched two steps at a time: W_j and W_j * g_j are the only products, and
-from then on g_j^(k+1) = g_j^(k-1) / (1 - j x^2) is an exact O(T)
-division, so the whole march costs O(K*T) ring operations (a product per
-step would make it O(K*T^2)).  The division keeps the truncation of W_j,
-which a product by g_j would not have cut either.
+With g_j = u_j/x = (1 - j x^2)^(-1/2), W_j and W_j * g_j are the only
+products: from then on g_j^(k+1) = g_j^(k-1) / (1 - j x^2), an exact
+division with integer coefficients, steps each shift's response (a product
+per step would make the march O(K*T^2)).  series.ResponseMarch runs the
+march on integer numerators:
+
+  - one denominator: W_0 and every pair (W_j, W_j * g_j) are brought over
+    one common denominator D once, so a division is the in-place
+    recurrence y_m += j * y_(m-2) and the sum inside B_k is a plain sum of
+    integers, with no lcm and no rescaling per step;
+  - a window: r is known only below its truncation, so step k reads the
+    sum inside B_k = x^k * (...) through T - k orders, and every response
+    is cut to them;
+  - the residual: r is a numerator list over a denominator of its own,
+    rescaled once when absorbing a_k * B_k makes that denominator grow; an
+    index past its leading zeros walks forward and gives its valuation.
+
+The march so costs sum_k (T - k) integer steps per shift, plus one pass
+over r's window per step to absorb a_k * B_k.
 
 All series arithmetic is exact, and every truncation is sized once, before
 any arithmetic.  W_j has valuation -(2 deg p_j - 2 beta j), so the leading
@@ -63,7 +76,7 @@ from .errors import FrameMismatch, ResonantOrder
 from .frame import Frame, frame_ratio
 from .rationals import Rational, format_rational, parse_rational
 from .recurrence import Recurrence, poly_to_laurent
-from .series import PuiseuxSeries, add, compose_shift, divide_one_minus_jx2, mul
+from .series import PuiseuxSeries, ResponseMarch, add, compose_shift, mul
 
 
 class Expansion:
@@ -166,36 +179,32 @@ def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
     unit_orders = K + _reach(rec) + 1
     terms = _assemble(rec, frame, unit_orders)
     indicial = _indicial_order(terms)
-    r = reduce(add, terms.values())
-    # (W_j g_j^(k-1), W_j g_j^k) per shift, seeded for k = 1 with the unit
-    # g_j = u_j/x; after that g_j^k = g_j^(k-2) / (1 - j x^2) advances each
-    # pair by one division.
+    # The seeds of each shift's responses: W_j and W_j * g_j, with the unit
+    # g_j = u_j/x; the march steps them on from there.
     x = PuiseuxSeries.monomial(1, 1, unit_orders + 1)
-    units = {j: compose_shift(x, j).x_shift(-1) for j in terms if j}
-    responses = {j: (w, mul(w, units[j])) for j, w in terms.items() if j}
+    march = ResponseMarch(
+        reduce(add, terms.values()),
+        terms[0],
+        {
+            j: (w, mul(w, compose_shift(x, j).x_shift(-1)))
+            for j, w in terms.items()
+            if j
+        },
+    )
     coefficients = []
     for k in range(1, K + 1):
-        if k > 1:
-            responses = {
-                j: (cur, divide_one_minus_jx2(prev, j))
-                for j, (prev, cur) in responses.items()
-            }
-        b = terms[0]
-        for _, v in responses.values():
-            b = add(b, v)
-        b = b.x_shift(k)
+        march.advance()
         o = indicial + k
-        if r.valuation < o:
-            raise FrameMismatch(k, r.valuation)
-        q = b.coefficient(o)
+        if march.valuation < o:
+            raise FrameMismatch(k, march.valuation)
+        q = march.response(o)
+        r_o = march.residual(o)
         if q == 0:
-            raise FrameMismatch(k, o) if r.coefficient(o) else ResonantOrder(k, o)
-        a_k = -r.coefficient(o) / q
+            raise FrameMismatch(k, o) if r_o else ResonantOrder(k, o)
+        a_k = -r_o / q
         coefficients.append(a_k)
         if a_k != 0:
-            # The shifted b reaches k orders past r; only r's orders are
-            # scaled.
-            r = add(r, b.truncate(r.truncation).scale(a_k))
+            march.absorb(a_k)
     return Expansion(frame, K, coefficients)
 
 

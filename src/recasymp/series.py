@@ -23,7 +23,8 @@ out only where a denominator is formed as a product, so that it cannot
 build up: in mul (d1 * d2), in compose_shift (d * 2^I * I!) and in the
 frame module's closed forms.  The constructor's lcm and the running lcm
 of exp_series and log1p_series are in lowest terms by construction; a
-sum, a scaling, a cut or a division by 1 - j*x^2 may carry content.
+sum, a scaling or a cut may carry content, and so may the numerators of
+the solver's march (ResponseMarch), which works on lists, not series.
 
 Truncation orders obey the usual interval arithmetic of O-terms:
 
@@ -31,7 +32,6 @@ Truncation orders obey the usual interval arithmetic of O-terms:
     mul:        T = min(T1 + v2, T2 + v1)
     exp, log1p: T preserved (arguments must have positive valuation)
     shift substitution x -> x*(1 - j*x^2)^(-1/2): v and T preserved
-    division by 1 - j*x^2: v and T preserved
 
 Coefficients are exact rationals.  Only ints and the backends' integer and
 rational types are split into integers; any other exact value (a subclass
@@ -383,16 +383,111 @@ def log1p_series(s: PuiseuxSeries) -> PuiseuxSeries:
     return _from_numerators(0, g, q, t)
 
 
-def divide_one_minus_jx2(s: PuiseuxSeries, j: int) -> PuiseuxSeries:
-    """s / (1 - j x^2) by the O(T) recurrence y_m = s_m + j * y_(m-2).
+class ResponseMarch:
+    """The solver's march on integer numerators: the residual r and the
+    linear responses b_k = W_0 + sum_j W_j * g_j^k, g_j = (1 - j x^2)^(-1/2),
+    for k = 1, 2, ... (see the engine module).
 
-    The divisor is an exact polynomial with constant term 1, so the
-    valuation, the truncation and the denominator of s carry over
-    unchanged; the recurrence runs on the numerators."""
-    y = list(s.nums)
-    for m in range(2, len(y)):
-        y[m] += j * y[m - 2]
-    return _from_numerators(s.valuation, y, s.den, s.truncation)
+    Built from r, W_0 and the pair (W_j, W_j * g_j) of each shift j >= 1.
+    W_0 and the pairs are brought once over one common denominator D, as
+    dense numerator lists from their lowest valuation.  Step k reads b_k
+    only below x^(T - k), T the truncation of r, since x^k * b_k is
+    absorbed into r; so every list is cut to that window, each pair steps
+    by the exact division g_j^k = g_j^(k-2) / (1 - j x^2), which is the
+    in-place recurrence y_m += j * y_(m-2) on the numerators, and b_k is a
+    plain sum of integers over D.  r stays a dense numerator list over a
+    denominator of its own, which grows to lcm(r_den, D * q) when a_k = p/q
+    is absorbed, rescaling r once, and whose leading-zero index walks
+    forward as the solve cancels its low orders.
+
+    Every response must be known through O(x^(T - 1)), the window of the
+    first step; the solver's weights are."""
+
+    __slots__ = (
+        "k", "_t", "_low", "_den", "_base", "_pairs", "_b", "_r", "_rlow", "_rden", "_lead"
+    )
+
+    def __init__(self, residual: PuiseuxSeries, base: PuiseuxSeries, pairs: dict):
+        parts = [base] + [s for pair in pairs.values() for s in pair]
+        t = residual.truncation
+        if any(s.truncation < t - 1 for s in parts):
+            raise ValueError("a response is not known through the residual's window")
+        low = min(s.valuation for s in parts)
+        den = lcm(*(s.den for s in parts))
+        n = max(0, t - 1 - low)
+
+        def dense(s):
+            out = [0] * n
+            at = s.valuation - low
+            cut = s.nums[: max(0, n - at)]
+            out[at : at + len(cut)] = cut if s.den == den else [den // s.den * a for a in cut]
+            return out
+
+        self.k = 0
+        self._low, self._den, self._t = low, den, t
+        self._base = dense(base)
+        self._pairs = [[j, dense(prev), dense(cur)] for j, (prev, cur) in pairs.items()]
+        self._b = []
+        # r is stored from an order no higher than any response reaches.
+        self._rlow = rlow = min(residual.valuation, low + 1)
+        self._r = [0] * (residual.valuation - rlow) + list(residual.nums)
+        self._rden = residual.den
+        self._lead = residual.valuation - rlow
+
+    @property
+    def valuation(self) -> int:
+        """The valuation of r (its truncation once r is zero)."""
+        return self._rlow + self._lead
+
+    def advance(self) -> None:
+        """Step k to k + 1 and build b_k in the window of that step."""
+        self.k = k = self.k + 1
+        n = max(0, self._t - k - self._low)
+        if k > 1:
+            for pair in self._pairs:
+                j, y, cur = pair
+                del y[n:]
+                for m in range(2, n):
+                    y[m] += j * y[m - 2]
+                pair[1], pair[2] = cur, y
+        del self._base[n:]
+        self._b = list(map(sum, zip(self._base, *(cur for _, _, cur in self._pairs))))
+
+    def _beyond(self, order: int) -> None:
+        if order >= self._t:
+            raise ValueError(f"coefficient of x^{order} is beyond O(x^{self._t})")
+
+    def residual(self, order: int):
+        """The coefficient of x^order in r."""
+        self._beyond(order)
+        i = order - self._rlow
+        return _value(self._r[i], self._rden) if i >= self._lead else Rational(0)
+
+    def response(self, order: int):
+        """The coefficient of x^order in x^k * b_k."""
+        self._beyond(order)
+        i = order - self._low - self.k
+        return _value(self._b[i], self._den) if i >= 0 else Rational(0)
+
+    def absorb(self, a) -> None:
+        """r += a * x^k * b_k, through r's truncation."""
+        p, q = _split(a)
+        r, den = self._r, self._den * q
+        grown = lcm(self._rden, den)
+        c = p * (grown // den)
+        off = self._low + self.k - self._rlow
+        # r is zero below its lead, so only r[lo:] can change.
+        lo = min(self._lead, off)
+        if grown == self._rden:
+            r[off:] = [x + c * y for x, y in zip(r[off:], self._b)]
+        else:
+            f = grown // self._rden
+            r[lo:off] = [f * x for x in r[lo:off]]
+            r[off:] = [f * x + c * y for x, y in zip(r[off:], self._b)]
+            self._rden = grown
+        while lo < len(r) and not r[lo]:
+            lo += 1
+        self._lead = lo
 
 
 def compose_shift(s: PuiseuxSeries, j: int) -> PuiseuxSeries:

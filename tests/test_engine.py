@@ -1,5 +1,8 @@
 """The order-by-order expansion solver and its residual certificate."""
 
+import random
+from functools import reduce
+
 import mpmath
 import pytest
 from hypothesis import given, settings
@@ -14,13 +17,17 @@ from recasymp import (
     Rational,
     Recurrence,
     ResonantOrder,
+    a85_frame,
+    a85_recurrence,
+    add,
     compose_shift,
+    frame_solve,
     mul,
     residual_check,
     solve_expansion,
 )
 from recasymp import engine
-from recasymp.series import divide_one_minus_jx2
+from recasymp.series import ResponseMarch
 
 # First ten correction coefficients of the involution-number expansion;
 # a_1..a_5 are classical, the rest are pinned from the exact solver and
@@ -238,23 +245,50 @@ def exact_series(draw):
     return PuiseuxSeries(v, coeffs, v + len(coeffs))
 
 
-@settings(max_examples=80)
-@given(exact_series(), st.integers(min_value=1, max_value=4))
-def test_march_division_is_two_shift_units(s, j):
-    # u = (1 - j x^2)^(-1/2) through an order ample for s, so both products
-    # keep the truncation of s, as in the march.
+def _single_shift_march(s, j):
+    """The march for one shift j with W_j = s, W_0 = 0 and a zero residual
+    known through one order past s, the most its window allows; and the
+    unit u = x (1 - j x^2)^(-1/2) through an order ample for s."""
     ample = s.truncation - s.valuation + 2
-    u = compose_shift(PuiseuxSeries.monomial(1, 1, ample), j).x_shift(-1)
-    assert divide_one_minus_jx2(s, j) == mul(mul(s, u), u)
+    u = compose_shift(PuiseuxSeries.monomial(1, 1, ample), j)
+    t = s.truncation + 1
+    march = ResponseMarch(
+        PuiseuxSeries.zero(t), PuiseuxSeries.zero(t), {j: (s, mul(s, u.x_shift(-1)))}
+    )
+    return march, u, t
+
+
+def _response(march, s, t):
+    """x^k * b_k of the march's current step k, read from the valuation of
+    x^k * s up to x^t."""
+    lo = min(s.valuation + march.k, t)
+    return PuiseuxSeries(lo, [march.response(o) for o in range(lo, t)], t)
 
 
 @settings(max_examples=80)
 @given(exact_series(), st.integers(min_value=1, max_value=4))
-def test_march_division_inverts_its_divisor(s, j):
-    divisor = PuiseuxSeries.from_terms(
-        {0: 1, 2: -j}, s.truncation - s.valuation + 3
-    )
-    assert mul(divide_one_minus_jx2(s, j), divisor) == s
+def test_march_response_is_weight_times_unit_powers(s, j):
+    # Step k of the march gives W_j * u^k, u^k built here by repeated mul.
+    march, u, t = _single_shift_march(s, j)
+    want = s
+    for _ in range(5):
+        march.advance()
+        want = mul(want, u)
+        assert _response(march, s, t) == want.truncate(t)
+
+
+@settings(max_examples=80)
+@given(exact_series(), st.integers(min_value=1, max_value=4))
+def test_march_steps_invert_their_divisor(s, j):
+    # Two steps divide by 1 - j x^2: x^(k+2) b_(k+2) (1 - j x^2) = x^2 x^k b_k.
+    march, _, t = _single_shift_march(s, j)
+    divisor = PuiseuxSeries.from_terms({0: 1, 2: -j}, t - s.valuation + 2)
+    responses = []
+    for _ in range(5):
+        march.advance()
+        responses.append(_response(march, s, t))
+    for low, high in zip(responses, responses[2:]):
+        assert mul(high, divisor) == low.x_shift(2).truncate(t)
 
 
 def test_march_products_do_not_grow_with_K(a85, a85_fr, monkeypatch):
@@ -273,6 +307,113 @@ def test_march_products_do_not_grow_with_K(a85, a85_fr, monkeypatch):
         solve_expansion(a85, a85_fr, K)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def _reference_march(rec, frame, K):
+    """The march as it ran on PuiseuxSeries before the integer kernel: every
+    response through all T orders, every sum over a fresh lcm."""
+    unit_orders = K + engine._reach(rec) + 1
+    terms = engine._assemble(rec, frame, unit_orders)
+    indicial = engine._indicial_order(terms)
+    r = reduce(add, terms.values())
+    x = PuiseuxSeries.monomial(1, 1, unit_orders + 1)
+    responses = {
+        j: (w, mul(w, compose_shift(x, j).x_shift(-1))) for j, w in terms.items() if j
+    }
+    a = []
+    for k in range(1, K + 1):
+        if k > 1:
+            responses = {j: (cur, _divide(prev, j)) for j, (prev, cur) in responses.items()}
+        b = reduce(add, (v for _, v in responses.values()), terms[0]).x_shift(k)
+        o = indicial + k
+        if r.valuation < o:
+            raise FrameMismatch(k, r.valuation)
+        q = b.coefficient(o)
+        if q == 0:
+            raise FrameMismatch(k, o) if r.coefficient(o) else ResonantOrder(k, o)
+        a.append(-r.coefficient(o) / q)
+        if a[-1] != 0:
+            r = add(r, b.truncate(r.truncation).scale(a[-1]))
+    return tuple(a)
+
+
+def _divide(s, j):
+    """s / (1 - j x^2) on coefficient values."""
+    y = list(s.coeffs)
+    for m in range(2, len(y)):
+        y[m] += j * y[m - 2]
+    return PuiseuxSeries(s.valuation, y, s.truncation)
+
+
+def _outcome(solve, rec, frame, K):
+    """The coefficients, or the typed error with its (k, order)."""
+    try:
+        return solve(rec, frame, K)
+    except (FrameMismatch, ResonantOrder) as err:
+        return type(err), err.k, err.order
+
+
+def _family(name, seed):
+    """A recurrence of the benchmark's frame-discovery families: t(n) =
+    r(n) t(n-1) and r(n) t(n-j) with r monic, and t(n) = u t(n-1) + (n+v)
+    t(n-2)."""
+    rng = random.Random(seed)
+    d = 1 + seed % 3 if name == "monic" else 1 + seed % 2
+    r = [-rng.randint(-3, 3) for _ in range(d)] + [-1]
+    if name == "monic":
+        return Recurrence([[1], r])
+    if name == "two-term":
+        return Recurrence([[1], [-rng.choice([-3, -2, -1, 1, 2, 3])], [-rng.randint(-3, 3), -1]])
+    return Recurrence([[1]] + [[]] * (1 + seed // 2 % 2) + [r])
+
+
+_MARCH_CASES = [
+    (f"{name}-{seed}", _family(name, seed), None, 12)
+    for name in ("monic", "two-term", "sparse")
+    for seed in (1, 2, 3)
+] + [
+    ("mismatch", Recurrence([[1], [-1], [1, -1]]), Frame("1/2", "0", "0"), 4),
+    ("resonant", Recurrence([[0, -1, 1], [-2, 4, -2], [2, -3, 1]]), Frame(0, 0, 0), 3),
+    ("a85", a85_recurrence(), a85_frame(), 40),
+]
+
+
+@pytest.mark.parametrize(
+    "rec, frame, K", [case[1:] for case in _MARCH_CASES], ids=[case[0] for case in _MARCH_CASES]
+)
+def test_march_matches_the_series_march(rec, frame, K):
+    frame = frame or frame_solve(rec)
+    want = _outcome(_reference_march, rec, frame, K)
+    got = _outcome(lambda *args: solve_expansion(*args).a, rec, frame, K)
+    assert got == want
+
+
+def test_weight_above_the_first_window():
+    # 2 t(n) - 2 n^2 t(n-1) + t(n-2) = 0 has the frame beta = 2, where W_2
+    # has valuation 8: at K = 0 the residual is known through O(x^5), so
+    # W_2 lies wholly above the first step's window and must be cut to
+    # nothing, not sliced with a negative bound (the path of
+    # solve-frame --verify 0 on this recurrence).
+    rec = Recurrence([[2], [0, 0, -2], [1]])
+    frame = frame_solve(rec)
+    assert frame == Frame(2, 0, 1)
+    exp = solve_expansion(rec, frame, 0)
+    assert exp.a == ()
+    assert residual_check(rec, exp) == 1
+    for K in (1, 2, 5):
+        assert solve_expansion(rec, frame, K).a == _reference_march(rec, frame, K)
+
+
+@pytest.mark.parametrize("K", [0, 1])
+@pytest.mark.parametrize("name", ["a85", "sparse"])
+def test_shortest_solves(a85, a85_fr, name, K):
+    rec, frame = (a85, a85_fr) if name == "a85" else (Recurrence([[1], [], [-1, -1]]), None)
+    frame = frame or frame_solve(rec)
+    exp = solve_expansion(rec, frame, K)
+    assert exp.a == _reference_march(rec, frame, K)
+    assert residual_check(rec, exp) >= K
+    if name == "a85" and K:
+        assert exp.a == (Rational(7, 24),)
 
 
 # -- residual certificate -----------------------------------------------------

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recasymp import PuiseuxSeries, Rational, add, compose_shift, exp_series, mul
-from recasymp.series import divide_one_minus_jx2
+from recasymp.series import ResponseMarch
 
 # -- reference kernels on coefficient values ------------------------------------
 
@@ -79,6 +79,21 @@ def ref_divide_one_minus_jx2(s, j):
     for m in range(2, len(y)):
         y[m] = y[m] + j * y[m - 2]
     return PuiseuxSeries(s.valuation, y, s.truncation)
+
+
+def march_divide(s, j):
+    """s / (1 - j x^2) from the solver's march, read one order short of the
+    truncation of s: with W_j = s, the second step's response is x^2 * s *
+    (1 - j x^2)^(-1), and its window ends there."""
+    t = s.truncation - 1
+    unit = compose_shift(PuiseuxSeries.monomial(1, 1, t - s.valuation + 3), j).x_shift(-1)
+    march = ResponseMarch(
+        PuiseuxSeries.zero(t + 2), PuiseuxSeries.zero(t + 2), {j: (s, mul(s, unit))}
+    )
+    march.advance()
+    march.advance()
+    lo = min(s.valuation, t)
+    return PuiseuxSeries(lo, [march.response(o + 2) for o in range(lo, t)], t)
 
 
 def ref_scale(s, c):
@@ -155,7 +170,7 @@ def test_ring_kernels_match_reference(a, b, c, j, m, data):
     results = [
         (add(a, b), ref_add(a, b)),
         (a.scale(c), ref_scale(a, c)),
-        (divide_one_minus_jx2(a, j), ref_divide_one_minus_jx2(a, j)),
+        (march_divide(a, j), ref_divide_one_minus_jx2(a, j).truncate(a.truncation - 1)),
     ]
     for got, want in results:
         assert got == want
@@ -252,7 +267,7 @@ def test_kernels_match_reference_over_ring_elements(a, b, p, j):
     assert add(a, b) == ref_add(a, b)
     assert mul(a, b) == ref_mul(a, b)
     assert a.scale(p) == ref_scale(a, p)
-    assert divide_one_minus_jx2(a, j) == ref_divide_one_minus_jx2(a, j)
+    assert march_divide(a, j) == ref_divide_one_minus_jx2(a, j).truncate(a.truncation - 1)
     assert compose_shift(b, j) == ref_compose_shift(b, j)
 
 
