@@ -65,12 +65,18 @@ most m orders above the leading balance and its alpha-equation at most 2m.
 Once r vanishes at the leading balance a shift j >= 1 reaches it, so
 d <= 2(t - 1).  With the unit factor of every Phi_j known through O(x^T),
 W_j is known through T orders past its valuation, so sigma cancels from
-every budget: the solve takes T = K + 2(t - 1) + 1.
+every budget: the solve takes T = K + 2(t - 1) + 1.  The certificate
+reads one order more, so the weights are assembled once, through T + 1,
+and memoized: the solve cuts each W_j by that one order, which stores the
+same numerators, denominator and truncation as an assembly through T
+(a cut is in lowest terms), and residual_check on its expansion finds
+them built.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
+from types import MappingProxyType
 
 from .errors import FrameMismatch, ResonantOrder
 from .frame import Frame, frame_ratio
@@ -141,7 +147,8 @@ def _reach(rec: Recurrence) -> int:
     return 2 * (sum(1 for _ in rec.active_shifts()) - 1)
 
 
-def _assemble(rec: Recurrence, frame: Frame, unit_orders: int) -> dict:
+@lru_cache(maxsize=1)
+def _assemble(rec: Recurrence, frame: Frame, unit_orders: int) -> MappingProxyType:
     """Build the weights W_j = L_j * Phi_j, with the unit factor of every
     Phi_j known through O(x^unit_orders).
 
@@ -150,13 +157,15 @@ def _assemble(rec: Recurrence, frame: Frame, unit_orders: int) -> dict:
     as the exact L_j is carried through O(x^unit_orders) (its valuation is
     -2 deg p_j <= 0).
 
-    Returns {j: W_j}, including j = 0 with W_0 = L_0.
+    Returns {j: W_j}, including j = 0 with W_0 = L_0, as a read-only
+    mapping: the last assembly is memoized, so a solve and the certificate
+    of its expansion share one object.
     """
     terms = {}
     for j, p in rec.active_shifts():
         lj = poly_to_laurent(p, unit_orders)
         terms[j] = mul(lj, frame_ratio(frame, j, unit_orders)) if j else lj
-    return terms
+    return MappingProxyType(terms)
 
 
 def _indicial_order(terms: dict) -> int:
@@ -177,7 +186,12 @@ def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
     if K < 0:
         raise ValueError("K must be >= 0")
     unit_orders = K + _reach(rec) + 1
-    terms = _assemble(rec, frame, unit_orders)
+    # The certificate's weights, each cut by the one order it reads past
+    # the solve's window.
+    terms = {
+        j: w.truncate(w.truncation - 1)
+        for j, w in _assemble(rec, frame, unit_orders + 1).items()
+    }
     indicial = _indicial_order(terms)
     # The seeds of each shift's responses: W_j and W_j * g_j, with the unit
     # g_j = u_j/x; the march steps them on from there.

@@ -150,10 +150,15 @@ def involution_count_brute(n: int) -> int:
             f"brute-force involution count is capped at n = {BRUTE_FORCE_LIMIT}, "
             f"got n = {n}"
         )
-    idx = range(n)
+    if n == 0:
+        return 1  # the empty permutation
+    rest = range(1, n)
     count = 0
-    for p in permutations(idx):
-        for i in idx:
+    for p in permutations(range(n)):
+        # Index 0 first: most permutations fail there, before any loop.
+        if p[p[0]]:
+            continue
+        for i in rest:
             if p[p[i]] != i:
                 break
         else:

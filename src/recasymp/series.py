@@ -21,10 +21,12 @@ Every kernel works on the numerators with integer arithmetic and keeps the
 denominator its arithmetic gives.  The content gcd(d, *nums) is divided
 out only where a denominator is formed as a product, so that it cannot
 build up: in mul (d1 * d2), in compose_shift (d * 2^I * I!) and in the
-frame module's closed forms.  The constructor's lcm and the running lcm
-of exp_series and log1p_series are in lowest terms by construction; a
-sum, a scaling or a cut may carry content, and so may the numerators of
-the solver's march (ResponseMarch), which works on lists, not series.
+frame module's closed forms; and in truncate, whose cut drops numerators
+that may have needed part of the denominator.  The constructor's lcm and
+the running lcm of exp_series and log1p_series are in lowest terms by
+construction; a sum or a scaling may carry content, and so may the
+numerators of the solver's march (ResponseMarch), which works on lists,
+not series.
 
 Truncation orders obey the usual interval arithmetic of O-terms:
 
@@ -73,6 +75,14 @@ def _value(num, den):
     return Rational(num, den) if isinstance(num, int) else num / den
 
 
+def _over_lcm(values):
+    """Split exact values and bring them over their lcm: (numerators,
+    denominator), in lowest terms for split values."""
+    parts = [_split(c) for c in values]
+    den = lcm(*(d for _, d in parts))
+    return [n if d == den else n * (den // d) for n, d in parts], den
+
+
 def _content(den, nums):
     """gcd(den, *nums), or 1 once a numerator is not an integer."""
     try:
@@ -91,14 +101,12 @@ class PuiseuxSeries:
     def __init__(self, valuation: int, coeffs, truncation: int):
         if truncation < valuation:
             raise ValueError("truncation below valuation")
-        parts = [_split(c) for c in coeffs]
-        if len(parts) != truncation - valuation:
+        nums, den = _over_lcm(coeffs)
+        if len(nums) != truncation - valuation:
             raise ValueError(
                 f"need exactly truncation - valuation = "
-                f"{truncation - valuation} coefficients, got {len(parts)}"
+                f"{truncation - valuation} coefficients, got {len(nums)}"
             )
-        den = lcm(*(d for _, d in parts))
-        nums = [n if d == den else n * (den // d) for n, d in parts]
         _fill(self, valuation, nums, den, truncation)
 
     def __setattr__(self, name, value):
@@ -133,18 +141,22 @@ class PuiseuxSeries:
     @classmethod
     def from_terms(cls, terms: dict, truncation: int) -> "PuiseuxSeries":
         """Build from {exponent: coefficient}; exponents beyond the
-        truncation are rejected rather than dropped."""
-        if terms:
-            lo = min(terms)
-            hi = max(terms)
-            if hi >= truncation:
-                raise ValueError(f"term at x^{hi} is at or beyond O(x^{truncation})")
-        else:
-            lo = truncation
-        coeffs = [0] * (truncation - lo)
-        for k, c in terms.items():
-            coeffs[k - lo] = c
-        return cls(lo, coeffs, truncation)
+        truncation are rejected rather than dropped.  Only the given
+        coefficients are split (a float among them is rejected) and brought
+        over their lcm; the orders between them are zero numerators, so a
+        sparse dict over a long truncation costs one list, not one split per
+        order."""
+        if not terms:
+            return cls.zero(truncation)
+        lo = min(terms)
+        hi = max(terms)
+        if hi >= truncation:
+            raise ValueError(f"term at x^{hi} is at or beyond O(x^{truncation})")
+        given, den = _over_lcm(terms.values())
+        nums = [0] * (truncation - lo)
+        for k, n in zip(terms, given):
+            nums[k - lo] = n
+        return _from_numerators(lo, nums, den, truncation)
 
     # -- queries -----------------------------------------------------------
 
@@ -206,13 +218,15 @@ class PuiseuxSeries:
         return f"PuiseuxSeries({body} + O(x^{self.truncation}))"
 
     def truncate(self, truncation: int) -> "PuiseuxSeries":
-        """Forget terms at and beyond the given (smaller) truncation."""
+        """Forget terms at and beyond the given (smaller) truncation.  The
+        cut is in lowest terms, so it stores what a series built through
+        that truncation stores."""
         if truncation > self.truncation:
             raise ValueError("cannot extend knowledge by truncating upward")
         if truncation >= self.truncation:
             return self
         v = min(self.valuation, truncation)
-        return _from_numerators(v, self.nums[: truncation - v], self.den, truncation)
+        return _lowest_terms(v, self.nums[: truncation - v], self.den, truncation)
 
     def x_shift(self, m: int) -> "PuiseuxSeries":
         """Multiply by the exact monomial x^m (m may be negative)."""
@@ -257,7 +271,8 @@ def _from_numerators(valuation: int, nums, den: int, truncation: int) -> Puiseux
 
 def _lowest_terms(valuation: int, nums, den: int, truncation: int) -> PuiseuxSeries:
     """_from_numerators with the content gcd(den, *nums) divided out, for
-    the results whose denominator is a product (see the module docstring)."""
+    the results whose denominator is a product, and for cuts (see the
+    module docstring)."""
     g = _content(den, nums)
     if g != 1:
         nums = [a // g for a in nums]

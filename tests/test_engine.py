@@ -21,6 +21,7 @@ from recasymp import (
     a85_recurrence,
     add,
     compose_shift,
+    frame_ratio,
     frame_solve,
     mul,
     residual_check,
@@ -49,6 +50,12 @@ A85_COEFFS = [
 def as_rational(text):
     num, _, den = text.partition("/")
     return Rational(int(num), int(den or 1))
+
+
+@pytest.fixture(autouse=True)
+def cold_weights():
+    # The weights are memoized across calls, and the memo outlives a test.
+    engine._assemble.cache_clear()
 
 
 def test_solve_matches_frozen_coefficients(a85_k10):
@@ -161,7 +168,8 @@ def test_resonance_at_a_chosen_second_indicial_root(r):
 
 def test_solve_assembles_once(a85, a85_fr, monkeypatch):
     # The truncation is sized before any arithmetic, so no input makes the
-    # solver rebuild its weights, a resonant one included.
+    # solver ask for its weights twice, a resonant one included; it asks for
+    # the certificate's window, which residual_check then finds memoized.
     calls = []
     assemble = engine._assemble
 
@@ -414,6 +422,72 @@ def test_shortest_solves(a85, a85_fr, name, K):
     assert residual_check(rec, exp) >= K
     if name == "a85" and K:
         assert exp.a == (Rational(7, 24),)
+
+
+# -- weights shared by the solve and its certificate --------------------------
+
+
+@pytest.mark.parametrize(
+    "coeffs, K", [(a85_recurrence().coeffs, 20), ([[1], [], [-1, -1]], 12)], ids=["a85", "sparse"]
+)
+def test_solve_and_certificate_build_the_weights_once(coeffs, K, monkeypatch):
+    # One frame ratio per active shift j >= 1, for the solve and the
+    # certificate together.
+    rec = Recurrence(coeffs)
+    frame = frame_solve(rec)
+    calls = []
+
+    def counting_frame_ratio(fr, j, T):
+        calls.append(j)
+        return frame_ratio(fr, j, T)
+
+    monkeypatch.setattr(engine, "frame_ratio", counting_frame_ratio)
+    exp = solve_expansion(rec, frame, K)
+    assert residual_check(rec, exp) >= K
+    assert sorted(calls) == [j for j, _ in rec.active_shifts() if j]
+
+
+def _solve_and_certify(rec, frame, K):
+    exp = solve_expansion(rec, frame, K)
+    return exp.a, residual_check(rec, exp)
+
+
+@pytest.mark.parametrize(
+    "rec, frame, K", [case[1:] for case in _MARCH_CASES], ids=[case[0] for case in _MARCH_CASES]
+)
+def test_memoized_weights_change_no_outcome(rec, frame, K):
+    # Cold: the solve assembles and the certificate reuses; warm: both reuse.
+    frame = frame or frame_solve(rec)
+    cold = _outcome(_solve_and_certify, rec, frame, K)
+    assert _outcome(_solve_and_certify, rec, frame, K) == cold
+
+
+@pytest.mark.parametrize(
+    "rec, frame, K", [case[1:] for case in _MARCH_CASES], ids=[case[0] for case in _MARCH_CASES]
+)
+def test_cut_weights_store_what_the_solve_window_stores(rec, frame, K):
+    # The cut drops the content the certificate's extra order brought, so
+    # the march sees the denominators of an assembly through its own window.
+    frame = frame or frame_solve(rec)
+    T = K + engine._reach(rec) + 1
+    wide = engine._assemble(rec, frame, T + 1)
+    narrow = engine._assemble.__wrapped__(rec, frame, T)
+    assert wide.keys() == narrow.keys()
+    for j, w in wide.items():
+        cut = w.truncate(w.truncation - 1)
+        assert (cut.valuation, cut.nums, cut.den, cut.truncation) == (
+            narrow[j].valuation,
+            narrow[j].nums,
+            narrow[j].den,
+            narrow[j].truncation,
+        )
+
+
+def test_memoized_weights_are_read_only(a85, a85_fr):
+    terms = engine._assemble(a85, a85_fr, 5)
+    with pytest.raises(TypeError):
+        terms[0] = PuiseuxSeries.zero(5)
+    assert engine._assemble(a85, a85_fr, 5) is terms
 
 
 # -- residual certificate -----------------------------------------------------

@@ -5,6 +5,8 @@ tracked per operation.  Randomized coverage lives in
 test_series_properties.py; this file pins concrete expansions.
 """
 
+import random
+
 import pytest
 
 from recasymp import (
@@ -74,6 +76,34 @@ def test_from_terms():
     assert s.coefficient(0) == -1
     with pytest.raises(ValueError):
         PuiseuxSeries.from_terms({5: 1}, 3)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_from_terms_stores_what_the_dense_constructor_stores(seed):
+    rng = random.Random(seed)
+    truncation = rng.randint(-3, 12)
+    exponents = rng.sample(range(truncation - 12, truncation), rng.randint(1, 6))
+    terms = {
+        k: rng.choice([0, rng.randint(-9, 9), Rational(rng.randint(-9, 9), rng.randint(1, 12))])
+        for k in exponents
+    }
+    lo = min(terms)
+    dense = S(lo, [terms.get(k, 0) for k in range(lo, truncation)], truncation)
+    got = PuiseuxSeries.from_terms(terms, truncation)
+    assert (got.valuation, got.nums, got.den, got.truncation) == (
+        dense.valuation,
+        dense.nums,
+        dense.den,
+        dense.truncation,
+    )
+
+
+def test_from_terms_refusals():
+    assert PuiseuxSeries.from_terms({}, 4) == PuiseuxSeries.zero(4)
+    with pytest.raises(ValueError):
+        PuiseuxSeries.from_terms({0: 1, 3: Rational(1, 2)}, 3)
+    with pytest.raises(TypeError):
+        PuiseuxSeries.from_terms({0: 1, 1: 0.5}, 3)
 
 
 def test_monomial_and_constant():
@@ -199,6 +229,9 @@ def test_truncate_and_x_shift():
     assert s.truncate(4) is s
     with pytest.raises(ValueError):
         s.truncate(5)
+    # The cut drops the content that only the forgotten terms needed.
+    cut = S(0, [1, Rational(1, 2), Rational(1, 6)], 3).truncate(2)
+    assert (cut.nums, cut.den) == ((2, 1), 2)
     shifted = s.x_shift(-3)
     assert shifted.valuation == -3
     assert shifted.truncation == 1
