@@ -1,0 +1,97 @@
+"""Time the a85 deep path in two checkouts, in alternating fresh processes.
+
+    python scripts/deep_path.py BASE HEAD --K 300 --pairs 5
+
+BASE and HEAD are repository checkouts (each with a ``src/recasymp``).  Each
+pair runs one fresh interpreter per checkout, the side that goes first
+alternating from pair to pair.  A run solves a85 through K coefficients with
+``solve_expansion`` and certifies them with ``residual_check``, timing each
+by the thread time of its process, and hashes the coefficients.  The script
+prints one JSON object: every pair's times, each side's medians, the ratios
+HEAD / BASE of those medians, and whether the two sides' coefficients agree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from statistics import median
+
+#: What one fresh process runs; argv[1] is K.
+_RUN = """
+import hashlib, json, sys
+from time import thread_time
+from recasymp.engine import residual_check, solve_expansion
+from recasymp.presets import get_preset
+
+preset = get_preset("a85")
+k = int(sys.argv[1])
+t0 = thread_time()
+exp = solve_expansion(preset.recurrence, preset.frame, k)
+t1 = thread_time()
+order = residual_check(preset.recurrence, exp)
+t2 = thread_time()
+print(json.dumps({
+    "solve_s": t1 - t0,
+    "certify_s": t2 - t1,
+    "total_s": t2 - t0,
+    "verified_order": order,
+    "a_sha256": hashlib.sha256(repr(exp.a).encode()).hexdigest(),
+}))
+"""
+
+_TIMES = ("solve_s", "certify_s", "total_s")
+
+
+def run_once(checkout: Path, k: int) -> dict:
+    """One fresh interpreter on the checkout's library: its times and hash."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN, str(k)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=Path, help="checkout timed as the baseline")
+    parser.add_argument("head", type=Path, help="checkout compared against it")
+    parser.add_argument("--K", dest="k", type=int, default=300, help="coefficients (300)")
+    parser.add_argument("--pairs", type=int, default=5, help="alternating pairs (5)")
+    args = parser.parse_args(argv)
+    sides = {"base": args.base.resolve(), "head": args.head.resolve()}
+    pairs = []
+    for i in range(args.pairs):
+        order = ("base", "head") if i % 2 == 0 else ("head", "base")
+        pair = {"first": order[0]}
+        for side in order:
+            pair[side] = run_once(sides[side], args.k)
+        pairs.append(pair)
+    medians = {
+        side: {t: median(p[side][t] for p in pairs) for t in _TIMES} for side in sides
+    }
+    report = {
+        "K": args.k,
+        "clock": "thread_time of each fresh process",
+        "checkouts": {side: str(path) for side, path in sides.items()},
+        "pairs": pairs,
+        "median": medians,
+        "ratio_head_over_base": {
+            t: medians["head"][t] / medians["base"][t] for t in _TIMES
+        },
+        "same_coefficients": len({p[s]["a_sha256"] for p in pairs for s in sides}) == 1,
+    }
+    print(json.dumps(report, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

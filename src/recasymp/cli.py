@@ -173,6 +173,9 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
+    if args.frame is not None and args.recurrence is None:
+        # A preset brings its own frame; a --frame beside it would be ignored.
+        raise _UsageError("argument --frame: needs --recurrence, not --preset")
     rec, frame, _, constant_latex = _problem(args)
     exp = solve_expansion(rec, frame, args.k)
     if args.format == "json":

@@ -28,6 +28,14 @@ construction; a sum or a scaling may carry content, and so may the
 numerators of the solver's march (ResponseMarch), which works on lists,
 not series.
 
+Because the numerators share one denominator, the low orders of a long
+series are padded to the width its highest order needs.  mul and
+compose_shift therefore also divide content out of their operands while
+they work: a numerator list longer than _BLOCK orders is cut into runs,
+each divided by gcd(d, *run), and each run's contribution is multiplied
+back by that gcd as it is added into the output.  The output numerators are
+the same integers either way; only the products are narrower.
+
 Truncation orders obey the usual interval arithmetic of O-terms:
 
     add:        T = min(T1, T2)
@@ -57,6 +65,10 @@ from .rationals import Rational
 #: numerator and denominator: int, and the integer and rational types of
 #: both backends, since input may mix them.
 _SPLIT = frozenset({int, bool, Fraction, Rational, type(Rational(0).numerator)})
+
+#: Orders per run in mul and compose_shift: a longer operand is split into
+#: runs of this many orders, each divided by its own content (_runs).
+_BLOCK = 32
 
 
 def _split(c):
@@ -304,20 +316,79 @@ def add(s1: PuiseuxSeries, s2: PuiseuxSeries) -> PuiseuxSeries:
     return _from_numerators(v, out, den, t)
 
 
+def _trimmed(nums):
+    """nums without its trailing zeros."""
+    end = len(nums)
+    while end and not nums[end - 1]:
+        end -= 1
+    return nums[:end]
+
+
+def _runs(nums, den: int) -> list:
+    """Cut a numerator list into runs of _BLOCK orders, as (offset, g, run
+    divided by g), g = gcd(den, *run) the part of the shared denominator that
+    the run does not need.  A list of at most _BLOCK orders, trailing zeros
+    aside, is one run over g = 1, with no gcd taken; a run holding a ring
+    element has g = 1."""
+    if len(nums) > _BLOCK:
+        nums = _trimmed(nums)
+    if len(nums) <= _BLOCK:
+        return [(0, 1, nums)]
+    runs = []
+    for at in range(0, len(nums), _BLOCK):
+        run = nums[at : at + _BLOCK]
+        g = _content(den, run)
+        runs.append((at, g, run if g == 1 else [a // g for a in run]))
+    return runs
+
+
+def _convolve(out: list, at: int, a, b) -> None:
+    """out[at + k] += sum_{i + l = k} a[i] * b[l], for every at + k below
+    len(out); zero entries of a are skipped."""
+    n = len(out)
+    for i, x in enumerate(a[: n - at], at):
+        if x:
+            for k, y in enumerate(b[: n - i], i):
+                out[k] += x * y
+
+
 def mul(s1: PuiseuxSeries, s2: PuiseuxSeries) -> PuiseuxSeries:
     """Product, known through O(x^min(T1 + v2, T2 + v1)): each factor's
     O-term is multiplied by the other factor's leading monomial.  The
-    numerators are convolved over the denominator d1 * d2."""
+    numerators are convolved over the denominator d1 * d2.
+
+    When both factors reach past _BLOCK orders (trailing zeros aside), each
+    is convolved run by run, every run divided by its own content (_runs),
+    so the low orders are not multiplied at the width the highest order
+    needs; each pair of runs that reaches below the truncation adds
+    g1 * g2 times its partial product into the output, which is then the
+    schoolbook convolution, integer for integer.  A short factor, such as
+    a recurrence's polynomial coefficient, gains nothing from runs."""
     t = min(s1.truncation + s2.valuation, s2.truncation + s1.valuation)
     v = s1.valuation + s2.valuation
     if s1.is_zero or s2.is_zero:
         return PuiseuxSeries.zero(t)
     n = t - v
     out = [0] * n
-    for i, a in enumerate(s1.nums[:n]):
-        if a:
-            for k, b in enumerate(s2.nums[: n - i], i):
-                out[k] += a * b
+    a, b = s1.nums, s2.nums
+    if n > _BLOCK:
+        a, b = _trimmed(a[:n]), _trimmed(b[:n])
+    if n <= _BLOCK or min(len(a), len(b)) <= _BLOCK:
+        _convolve(out, 0, a, b)
+        return _lowest_terms(v, out, s1.den * s2.den, t)
+    second = _runs(b, s2.den)
+    for p, ga, ra in _runs(a, s1.den):
+        for q, gb, rb in second:
+            lo = p + q
+            if lo >= n:
+                break
+            g = ga * gb
+            if g == 1:
+                _convolve(out, lo, ra, rb)
+                continue
+            part = [0] * min(n - lo, len(ra) + len(rb) - 1)
+            _convolve(part, 0, ra, rb)
+            out[lo : lo + len(part)] = [x + g * y for x, y in zip(out[lo:], part)]
     return _lowest_terms(v, out, s1.den * s2.den, t)
 
 
@@ -511,7 +582,11 @@ def compose_shift(s: PuiseuxSeries, j: int) -> PuiseuxSeries:
     This is exactly how a series in n^(-1/2) transforms under n -> n - j,
     so it realises the index shift on the slowly varying factor of an
     expansion.  Valuation and truncation are preserved.  Laurent input is
-    rejected: negative powers would leave the power series ring."""
+    rejected: negative powers would leave the power series ring.
+
+    The integer weights multiply each run of s (_runs) divided by its own
+    content, and the run's contribution is rescaled by that content once
+    per output order."""
     if not isinstance(j, int) or isinstance(j, bool) or j < 1:
         raise ValueError(f"shift must be a positive integer, got {j!r}")
     if s.valuation < 0:
@@ -526,14 +601,20 @@ def compose_shift(s: PuiseuxSeries, j: int) -> PuiseuxSeries:
     # w_{i+1} = w_i * j*(k + 2i) / (2*(i + 1)), so w_i * 2^i * i! is an
     # integer: over the one denominator 2^I * I!, I the most steps any term
     # takes, every weight is an integer (the step past the last is unused).
+    # A step multiplies the weight by the one small integer j*(k + 2i).
     steps = (t - 1 - v) // 2
     base = 2**steps * factorial(steps)
-    out = [0] * (t - v)
-    for k, c in enumerate(s.nums, v):
-        if not c:
-            continue
-        w = base
-        for i, e in enumerate(range(k - v, t - v, 2)):
-            out[e] += c * w
-            w = w * j * (k + 2 * i) // (2 * (i + 1))
+    n = t - v
+    out = [0] * n
+    for p, g, run in _runs(s.nums, s.den):
+        part = out if g == 1 else [0] * n
+        for k, c in enumerate(run, v + p):
+            if not c:
+                continue
+            w = base
+            for i, e in enumerate(range(k - v, n, 2)):
+                part[e] += c * w
+                w = w * (j * (k + 2 * i)) // (2 * (i + 1))
+        if g != 1:
+            out[p:] = [x + g * y for x, y in zip(out[p:], part[p:])]
     return _lowest_terms(v, out, s.den * base, t)

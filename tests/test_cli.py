@@ -251,6 +251,17 @@ def test_coeffs_preset_and_recurrence_conflict(tmp_path, capsys):
     assert "not allowed" in err
 
 
+@pytest.mark.parametrize(
+    "command, count", [("coeffs", "--K"), ("render", "--k")], ids=["coeffs", "render"]
+)
+def test_frame_beside_a_preset_is_usage_error(capsys, command, count):
+    code, out, err = run(
+        capsys, command, "--preset", "a85", "--frame", "/nonexistent.json", count, "2"
+    )
+    assert (code, out) == (1, "")
+    assert "--frame" in err and "--recurrence" in err
+
+
 def test_coeffs_missing_file(capsys):
     code, _, err = run(capsys, "coeffs", "--recurrence", "/no/such.json", "--K", "1")
     assert code == 1

@@ -8,16 +8,22 @@ lists, large-height rationals, and coefficients of a number type the
 kernels do not split into integers.  The storage is checked alongside:
 every result is well formed and equal by value to the series rebuilt from
 its coefficients, and the results whose denominator is a product are in
-lowest terms.
+lowest terms.  mul and compose_shift cut operands longer than
+series._BLOCK orders into runs; the drawn series are shorter than that, so
+each property also runs those two kernels in runs of 1 and 3 orders and
+requires the storage of the one-run result.
 """
 
+import contextlib
 from fractions import Fraction
 from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recasymp import PuiseuxSeries, Rational, add, compose_shift, exp_series, mul
+from recasymp import PuiseuxSeries, Rational, add, compose_shift, engine, exp_series, mul
+from recasymp import series as series_module
+from recasymp.presets import get_preset
 from recasymp.series import ResponseMarch
 
 # -- reference kernels on coefficient values ------------------------------------
@@ -147,6 +153,30 @@ def assert_well_formed(s):
     assert again == s and hash(again) == hash(s)
 
 
+@contextlib.contextmanager
+def runs_of(orders):
+    """series._BLOCK set to the given run length, restored on exit."""
+    saved = series_module._BLOCK
+    series_module._BLOCK = orders
+    try:
+        yield
+    finally:
+        series_module._BLOCK = saved
+
+
+def stored(s):
+    return (s.valuation, s.nums, s.den, s.truncation)
+
+
+def assert_runs_store_alike(kernel, *args):
+    """kernel(*args) in runs of 1 and of 3 orders stores what it stores
+    with the default run length."""
+    want = stored(kernel(*args))
+    for orders in (1, 3):
+        with runs_of(orders):
+            assert stored(kernel(*args)) == want
+
+
 def assert_lowest_terms(s):
     """The storage of the constructor's series and of the kernel results
     whose denominator is a product: no content, so equal series share it."""
@@ -167,6 +197,7 @@ def test_ring_kernels_match_reference(a, b, c, j, m, data):
     product = mul(a, b)
     assert product == ref_mul(a, b)
     assert_lowest_terms(product)
+    assert_runs_store_alike(mul, a, b)
     results = [
         (add(a, b), ref_add(a, b)),
         (a.scale(c), ref_scale(a, c)),
@@ -204,6 +235,23 @@ def test_compose_shift_matches_reference(s, j):
     got = compose_shift(s, j)
     assert got == ref_compose_shift(s, j)
     assert_lowest_terms(got)
+    assert_runs_store_alike(compose_shift, s, j)
+
+
+def test_runs_store_the_one_run_results_on_the_a85_certificate():
+    # The certificate of an a85 solve at K = 40 multiplies series of 46
+    # orders: cut into runs of 8, both kernels store what one run stores.
+    rec = get_preset("a85").recurrence
+    exp = engine.solve_expansion(rec, get_preset("a85").frame, 40)
+    t = exp.K + engine._reach(rec) + 2
+    s = PuiseuxSeries(0, (1,) + exp.a + (0,) * (t - exp.K - 1), t)
+    for j, w in engine._assemble(rec, exp.frame, t).items():
+        results = []
+        for orders in (t, 8):
+            with runs_of(orders):
+                shifted = compose_shift(s, j) if j else s
+                results.append((stored(shifted), stored(mul(w, shifted))))
+        assert results[0] == results[1]
 
 
 def test_shared_denominator_is_the_lcm():
@@ -269,6 +317,8 @@ def test_kernels_match_reference_over_ring_elements(a, b, p, j):
     assert a.scale(p) == ref_scale(a, p)
     assert march_divide(a, j) == ref_divide_one_minus_jx2(a, j).truncate(a.truncation - 1)
     assert compose_shift(b, j) == ref_compose_shift(b, j)
+    assert_runs_store_alike(mul, a, b)
+    assert_runs_store_alike(compose_shift, b, j)
 
 
 @settings(max_examples=30)
