@@ -8,7 +8,9 @@ alternating from pair to pair.  A run solves a85 through K coefficients with
 ``solve_expansion`` and certifies them with ``residual_check``, timing each
 by the thread time of its process, and hashes the coefficients.  The script
 prints one JSON object: every pair's times, each side's medians, the ratios
-HEAD / BASE of those medians, and whether the two sides' coefficients agree.
+HEAD / BASE of those medians, whether the two sides' coefficients agree, and
+whether the certificates hold: ``certified`` is true when every run verifies
+at least K orders and both sides verify the same number.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ def main(argv=None) -> int:
         for side in order:
             pair[side] = run_once(sides[side], args.k)
         pairs.append(pair)
+    orders = {p[s]["verified_order"] for p in pairs for s in sides}
     medians = {
         side: {t: median(p[side][t] for p in pairs) for t in _TIMES} for side in sides
     }
@@ -88,6 +91,7 @@ def main(argv=None) -> int:
             t: medians["head"][t] / medians["base"][t] for t in _TIMES
         },
         "same_coefficients": len({p[s]["a_sha256"] for p in pairs for s in sides}) == 1,
+        "certified": len(orders) == 1 and min(orders) >= args.k,
     }
     print(json.dumps(report, indent=1))
     return 0

@@ -20,7 +20,7 @@ stored over different denominators.
 Every kernel works on the numerators with integer arithmetic and keeps the
 denominator its arithmetic gives.  The content gcd(d, *nums) is divided
 out only where a denominator is formed as a product, so that it cannot
-build up: in mul (d1 * d2), in compose_shift (d * 2^I * I!) and in the
+build up: in mul (d1 * d2), in compose_shift (d * 4^I) and in the
 frame module's closed forms; and in truncate, whose cut drops numerators
 that may have needed part of the denominator.  The constructor's lcm and
 the running lcm of exp_series and log1p_series are in lowest terms by
@@ -29,12 +29,12 @@ numerators of the solver's march (ResponseMarch), which works on lists,
 not series.
 
 Because the numerators share one denominator, the low orders of a long
-series are padded to the width its highest order needs.  mul and
-compose_shift therefore also divide content out of their operands while
-they work: a numerator list longer than _BLOCK orders is cut into runs,
-each divided by gcd(d, *run), and each run's contribution is multiplied
-back by that gcd as it is added into the output.  The output numerators are
-the same integers either way; only the products are narrower.
+series are padded to the width its highest order needs.  mul therefore
+also divides content out of its factors while it works: a numerator list
+longer than _BLOCK orders is cut into runs, each divided by gcd(d, *run),
+and each run's contribution is multiplied back by that gcd as it is added
+into the output.  The output numerators are the same integers either way;
+only the products are narrower.
 
 Truncation orders obey the usual interval arithmetic of O-terms:
 
@@ -55,7 +55,7 @@ floating point input is rejected.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import comb, gcd, lcm
 
 from .errors import NegativeValuation, NonPositiveValuation
 from .rationals import Rational
@@ -66,8 +66,8 @@ from .rationals import Rational
 #: both backends, since input may mix them.
 _SPLIT = frozenset({int, bool, Fraction, Rational, type(Rational(0).numerator)})
 
-#: Orders per run in mul and compose_shift: a longer operand is split into
-#: runs of this many orders, each divided by its own content (_runs).
+#: Orders per run in mul: a longer factor is split into runs of this many
+#: orders, each divided by its own content (_runs).
 _BLOCK = 32
 
 
@@ -327,13 +327,7 @@ def _trimmed(nums):
 def _runs(nums, den: int) -> list:
     """Cut a numerator list into runs of _BLOCK orders, as (offset, g, run
     divided by g), g = gcd(den, *run) the part of the shared denominator that
-    the run does not need.  A list of at most _BLOCK orders, trailing zeros
-    aside, is one run over g = 1, with no gcd taken; a run holding a ring
-    element has g = 1."""
-    if len(nums) > _BLOCK:
-        nums = _trimmed(nums)
-    if len(nums) <= _BLOCK:
-        return [(0, 1, nums)]
+    the run does not need; a run holding a ring element has g = 1."""
     runs = []
     for at in range(0, len(nums), _BLOCK):
         run = nums[at : at + _BLOCK]
@@ -576,17 +570,32 @@ class ResponseMarch:
         self._lead = lo
 
 
+def _horner_u2(coeffs, j: int) -> list:
+    """sum_m coeffs[m] * (u^2)^m, u^2 = x^2 / (1 - j*x^2), in powers of x^2
+    through the (len(coeffs) - 1)-th, by Horner's rule from the last nonzero
+    coefficient.  A step shifts by one power of x^2 and divides by 1 - j*x^2
+    in place, as the march does: small integers times numerators."""
+    n, top = len(coeffs), _trimmed(coeffs)
+    y = top[-1:]
+    for m in range(len(top) - 2, -1, -1):
+        y = [coeffs[m], *y, *[0] * (n - m - 1 - len(y))]
+        for i in range(2, n - m):
+            y[i] += j * y[i - 1]
+    return y
+
+
 def compose_shift(s: PuiseuxSeries, j: int) -> PuiseuxSeries:
-    """Substitute x -> x * (1 - j*x^2)^(-1/2) into a power series s.
+    """Substitute x -> u = x * (1 - j*x^2)^(-1/2) into a power series s.
 
     This is exactly how a series in n^(-1/2) transforms under n -> n - j,
     so it realises the index shift on the slowly varying factor of an
     expansion.  Valuation and truncation are preserved.  Laurent input is
     rejected: negative powers would leave the power series ring.
 
-    The integer weights multiply each run of s (_runs) divided by its own
-    content, and the run's contribution is rescaled by that content once
-    per output order."""
+    With E and O the even and odd coefficients of s, s(u) = E(u^2) +
+    x * g * O(u^2), g = (1 - j*x^2)^(-1/2): Horner's rule on the numerators
+    over d gives E(u^2) and O(u^2) (_horner_u2), and the one product, O(u^2)
+    times g, is over d * 4^I, I = T // 2 the number of odd orders."""
     if not isinstance(j, int) or isinstance(j, bool) or j < 1:
         raise ValueError(f"shift must be a positive integer, got {j!r}")
     if s.valuation < 0:
@@ -596,25 +605,15 @@ def compose_shift(s: PuiseuxSeries, j: int) -> PuiseuxSeries:
     t = s.truncation
     if s.is_zero:
         return s
-    v = s.valuation
-    # x^k picks up (1 - j*x^2)^(-k/2) = sum_i w_i x^(2i) with w_0 = 1 and
-    # w_{i+1} = w_i * j*(k + 2i) / (2*(i + 1)), so w_i * 2^i * i! is an
-    # integer: over the one denominator 2^I * I!, I the most steps any term
-    # takes, every weight is an integer (the step past the last is unused).
-    # A step multiplies the weight by the one small integer j*(k + 2i).
-    steps = (t - 1 - v) // 2
-    base = 2**steps * factorial(steps)
-    n = t - v
-    out = [0] * n
-    for p, g, run in _runs(s.nums, s.den):
-        part = out if g == 1 else [0] * n
-        for k, c in enumerate(run, v + p):
-            if not c:
-                continue
-            w = base
-            for i, e in enumerate(range(k - v, n, 2)):
-                part[e] += c * w
-                w = w * (j * (k + 2 * i)) // (2 * (i + 1))
-        if g != 1:
-            out[p:] = [x + g * y for x, y in zip(out[p:], part[p:])]
-    return _lowest_terms(v, out, s.den * base, t)
+    c = [0] * s.valuation + list(s.nums)
+    even, odd = _horner_u2(c[0::2], j), _horner_u2(c[1::2], j)
+    # g's x^(2b) coefficient is h_b / 4^b, so over 4^I x^(2i+1) gets
+    # 4^(I-i) * sum_(a+b=i) 4^a * O_a * h_b: narrower integers than 4^I * g.
+    four = [4**i for i in range(t // 2 + 1)]
+    h = [comb(2 * b, b) * j**b for b in range(t // 2)]
+    odd_part = [0] * (t // 2)
+    _convolve(odd_part, 0, [f * a for f, a in zip(four, odd)], h)
+    out = [0] * t
+    out[0 : 2 * len(even) : 2] = [four[-1] * a for a in even]
+    out[1::2] = [f * a for f, a in zip(four[:0:-1], odd_part)]
+    return _lowest_terms(s.valuation, out[s.valuation :], s.den * four[-1], t)

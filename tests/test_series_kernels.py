@@ -8,16 +8,20 @@ lists, large-height rationals, and coefficients of a number type the
 kernels do not split into integers.  The storage is checked alongside:
 every result is well formed and equal by value to the series rebuilt from
 its coefficients, and the results whose denominator is a product are in
-lowest terms.  mul and compose_shift cut operands longer than
-series._BLOCK orders into runs; the drawn series are shorter than that, so
-each property also runs those two kernels in runs of 1 and 3 orders and
-requires the storage of the one-run result.
+lowest terms.  mul cuts factors longer than series._BLOCK orders into
+runs; the drawn series are shorter than that, so each property also runs
+mul in runs of 1 and 3 orders and requires the storage of the one-run
+result.  compose_shift, which works by Horner's rule in u^2, must store the
+integers of the weight-loop kernel it replaced (weight_loop_compose_shift),
+and equal it by value on coefficients kept as ring elements.
 """
 
 import contextlib
+import random
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,6 +82,24 @@ def ref_compose_shift(s, j):
             w = w * Rational(j * (k + 2 * i), 2 * (i + 1))
             i += 1
     return PuiseuxSeries(0, out, t)
+
+
+def weight_loop_compose_shift(s, j):
+    """The weight-loop kernel that Horner's rule replaced: the term x^k
+    picks up the weights w_i of (1 - j x^2)^(-k/2), integers over the one
+    denominator 2^I * I!, each rebuilt from the last by an exact division."""
+    if s.is_zero:
+        return s
+    t, v = s.truncation, s.valuation
+    steps = (t - 1 - v) // 2
+    base = 2**steps * factorial(steps)
+    out = [0] * (t - v)
+    for k, c in enumerate(s.nums, v):
+        w = base
+        for i, e in enumerate(range(k - v, t - v, 2)):
+            out[e] += c * w
+            w = w * (j * (k + 2 * i)) // (2 * (i + 1))
+    return series_module._lowest_terms(v, out, s.den * base, t)
 
 
 def ref_divide_one_minus_jx2(s, j):
@@ -235,23 +257,64 @@ def test_compose_shift_matches_reference(s, j):
     got = compose_shift(s, j)
     assert got == ref_compose_shift(s, j)
     assert_lowest_terms(got)
-    assert_runs_store_alike(compose_shift, s, j)
+    assert stored(got) == stored(weight_loop_compose_shift(s, j))
+
+
+def a85_certificate(K):
+    """The operands of the a85 certificate at K: the solved series S through
+    the residual's window, and the weights of the shifts."""
+    rec = get_preset("a85").recurrence
+    exp = engine.solve_expansion(rec, get_preset("a85").frame, K)
+    t = exp.K + engine._reach(rec) + 2
+    s = PuiseuxSeries(0, (1,) + exp.a + (0,) * (t - exp.K - 1), t)
+    return s, engine._assemble(rec, exp.frame, t)
 
 
 def test_runs_store_the_one_run_results_on_the_a85_certificate():
     # The certificate of an a85 solve at K = 40 multiplies series of 46
-    # orders: cut into runs of 8, both kernels store what one run stores.
-    rec = get_preset("a85").recurrence
-    exp = engine.solve_expansion(rec, get_preset("a85").frame, 40)
-    t = exp.K + engine._reach(rec) + 2
-    s = PuiseuxSeries(0, (1,) + exp.a + (0,) * (t - exp.K - 1), t)
-    for j, w in engine._assemble(rec, exp.frame, t).items():
+    # orders: cut into runs of 8, mul stores what one run stores.
+    s, weights = a85_certificate(40)
+    for j, w in weights.items():
+        shifted = compose_shift(s, j) if j else s
         results = []
-        for orders in (t, 8):
+        for orders in (s.truncation, 8):
             with runs_of(orders):
-                shifted = compose_shift(s, j) if j else s
-                results.append((stored(shifted), stored(mul(w, shifted))))
+                results.append(stored(mul(w, shifted)))
         assert results[0] == results[1]
+
+
+def shift_operands():
+    """Series at the edges of the Horner split: one and two orders (an empty
+    or one-term odd part), valuations 0..3, trailing zeros, and series
+    longer than series._BLOCK orders with large-height coefficients."""
+    rng = random.Random(7)
+
+    def tall():
+        return Rational(rng.randint(-(10**30), 10**30), rng.randint(1, 10**30))
+
+    yield PuiseuxSeries(0, [Rational(3, 7)], 1)
+    yield PuiseuxSeries(0, [Rational(-2, 5), Rational(9, 4)], 2)
+    yield PuiseuxSeries(0, [5, 0], 2)
+    yield PuiseuxSeries(1, [Rational(1, 3)], 2)
+    for v in range(4):
+        yield PuiseuxSeries(v, [tall(), 0, tall()] + [0] * (v + 2), 2 * v + 5)
+        yield PuiseuxSeries(v, [tall(), tall()] + [0] * 3, v + 5)
+    for t in (series_module._BLOCK + 7, 3 * series_module._BLOCK):
+        coeffs = [tall() if rng.random() < 0.7 else 0 for _ in range(t - 4)] + [0] * 3
+        yield PuiseuxSeries(1, coeffs, t)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_compose_shift_stores_the_weight_loop_integers(j):
+    for s in shift_operands():
+        assert stored(compose_shift(s, j)) == stored(weight_loop_compose_shift(s, j))
+
+
+def test_compose_shift_stores_the_weight_loop_integers_on_the_a85_certificate():
+    s, weights = a85_certificate(40)
+    for j in weights:
+        if j:
+            assert stored(compose_shift(s, j)) == stored(weight_loop_compose_shift(s, j))
 
 
 def test_shared_denominator_is_the_lcm():
@@ -317,8 +380,8 @@ def test_kernels_match_reference_over_ring_elements(a, b, p, j):
     assert a.scale(p) == ref_scale(a, p)
     assert march_divide(a, j) == ref_divide_one_minus_jx2(a, j).truncate(a.truncation - 1)
     assert compose_shift(b, j) == ref_compose_shift(b, j)
+    assert compose_shift(b, j) == weight_loop_compose_shift(b, j)
     assert_runs_store_alike(mul, a, b)
-    assert_runs_store_alike(compose_shift, b, j)
 
 
 @settings(max_examples=30)
