@@ -38,8 +38,12 @@ so a_k is a free parameter).
 With g_j = u_j/x = (1 - j x^2)^(-1/2), W_j and W_j * g_j are the only
 products: from then on g_j^(k+1) = g_j^(k-1) / (1 - j x^2), an exact
 division with integer coefficients, steps each shift's response (a product
-per step would make the march O(K*T^2)).  series.ResponseMarch runs the
-march on integer numerators:
+per step would make the march O(K*T^2)).  The seed g_j is written down
+from its closed form, binomial(2b, b) j^b / 4^b at x^(2b)
+(series.shift_unit), and depends on the shift and the window alone, so it
+is memoized per (j, T) and recurrences with the same shifts share it, as
+they share the frame's universal series (frame.frame_ratio_parts).
+series.ResponseMarch runs the march on integer numerators:
 
   - one denominator: W_0 and every pair (W_j, W_j * g_j) are brought over
     one common denominator D once, so a division is the in-place
@@ -50,7 +54,9 @@ march on integer numerators:
     is cut to them;
   - the residual: r is a numerator list over a denominator of its own,
     rescaled once when absorbing a_k * B_k makes that denominator grow; an
-    index past its leading zeros walks forward and gives its valuation.
+    index past its leading zeros walks forward and gives its valuation;
+  - the read: a_k = -r_o / B_k[o] comes out as one integer pair (p, q) in
+    lowest terms, absorbed as it is, so one rational is built per a_k.
 
 The march so costs sum_k (T - k) integer steps per shift, plus one pass
 over r's window per step to absorb a_k * B_k.
@@ -82,7 +88,7 @@ from .errors import FrameMismatch, ResonantOrder
 from .frame import Frame, frame_ratio
 from .rationals import Rational, format_rational, parse_rational
 from .recurrence import Recurrence, poly_to_laurent
-from .series import PuiseuxSeries, ResponseMarch, add, compose_shift, mul
+from .series import PuiseuxSeries, ResponseMarch, add, compose_shift, mul, shift_unit
 
 
 class Expansion:
@@ -195,15 +201,10 @@ def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
     indicial = _indicial_order(terms)
     # The seeds of each shift's responses: W_j and W_j * g_j, with the unit
     # g_j = u_j/x; the march steps them on from there.
-    x = PuiseuxSeries.monomial(1, 1, unit_orders + 1)
     march = ResponseMarch(
         reduce(add, terms.values()),
         terms[0],
-        {
-            j: (w, mul(w, compose_shift(x, j).x_shift(-1)))
-            for j, w in terms.items()
-            if j
-        },
+        {j: (w, mul(w, shift_unit(j, unit_orders))) for j, w in terms.items() if j},
     )
     coefficients = []
     for k in range(1, K + 1):
@@ -211,14 +212,12 @@ def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
         o = indicial + k
         if march.valuation < o:
             raise FrameMismatch(k, march.valuation)
-        q = march.response(o)
-        r_o = march.residual(o)
-        if q == 0:
-            raise FrameMismatch(k, o) if r_o else ResonantOrder(k, o)
-        a_k = -r_o / q
-        coefficients.append(a_k)
-        if a_k != 0:
-            march.absorb(a_k)
+        p, q = march.read(o)
+        if not q:
+            raise FrameMismatch(k, o) if p else ResonantOrder(k, o)
+        coefficients.append(Rational(p, q))
+        if p:
+            march.absorb(p, q)
     return Expansion(frame, K, coefficients)
 
 

@@ -30,6 +30,7 @@ lattice when 2*beta*j is an integer; anything else raises.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial, lcm
 
 from .errors import RamificationError
@@ -113,12 +114,21 @@ def frame_ratio_parts(j: int, T: int):
     2m divide.  These denominators are products that share factors with
     the numerators, so each part is then put in lowest terms.  They depend
     only on the shift j, so the frame finder expands exp(c*B + alpha*C)
-    from them in powers of c and alpha.
+    from them in powers of c and alpha.  For the same reason they are
+    memoized per (j, T), in a memo of fixed size (_ratio_parts), once the
+    arguments are checked: recurrences that share a shift and a window
+    share the three series.
     """
     if not isinstance(j, int) or isinstance(j, bool) or j < 1:
         raise ValueError(f"shift must be a positive integer, got {j!r}")
     if T < 1:
         raise ValueError("need truncation >= 1")
+    return _ratio_parts(j, T)
+
+
+@lru_cache(maxsize=32)
+def _ratio_parts(j: int, T: int) -> tuple:
+    """frame_ratio_parts(j, T) for a checked shift and truncation."""
     top = (T + 1) // 2
     den = lcm(*range(1, top + 1))
     a = [0] * T

@@ -53,9 +53,11 @@ def format_rational(q) -> str:
     """Render a rational as "p" or "p/q" in lowest terms, q > 0.
 
     Both backends keep values canonical, so str() already has this shape;
-    the integer case is normalised to drop the "/1".
+    the integer case is normalised to drop the "/1".  Only a value of
+    another type (an int, say) is coerced first.
     """
-    q = Rational(q)
+    if type(q) is not Rational:
+        q = Rational(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

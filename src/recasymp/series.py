@@ -55,7 +55,9 @@ floating point input is rejected.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, reduce
 from math import comb, gcd, lcm
+from operator import or_
 
 from .errors import NegativeValuation, NonPositiveValuation
 from .rationals import Rational
@@ -478,7 +480,9 @@ class ResponseMarch:
     plain sum of integers over D.  r stays a dense numerator list over a
     denominator of its own, which grows to lcm(r_den, D * q) when a_k = p/q
     is absorbed, rescaling r once, and whose leading-zero index walks
-    forward as the solve cancels its low orders.
+    forward as the solve cancels its low orders.  Each a_k is read as one
+    integer pair (p, q) = -r_o / b_o (read) and absorbed as that pair, so
+    the march builds no rational of its own.
 
     Every response must be known through O(x^(T - 1)), the window of the
     first step; the solver's weights are."""
@@ -549,9 +553,28 @@ class ResponseMarch:
         i = order - self._low - self.k
         return _value(self._b[i], self._den) if i >= 0 else Rational(0)
 
-    def absorb(self, a) -> None:
-        """r += a * x^k * b_k, through r's truncation."""
-        p, q = _split(a)
+    def read(self, order: int) -> tuple:
+        """a_k = -r_o / b_o, r_o and b_o the coefficients of x^order in r and
+        in x^k * b_k, as integers (p, q) in lowest terms with q > 0; (-R, 0)
+        when b_o is zero, R the numerator of r_o, so that p is nonzero
+        exactly when r_o is.  Cancelled the way a rational division does it:
+        r_o and b_o are each put in lowest terms, then their cross factors
+        are removed, so no gcd runs over the full products."""
+        self._beyond(order)
+        i = order - self._rlow
+        r = self._r[i] if i >= self._lead else 0
+        i = order - self._low - self.k
+        b = self._b[i] if i >= 0 else 0
+        if not b:
+            return -r, 0
+        g, h = gcd(r, self._rden), gcd(b, self._den)
+        r, rden, b, den = r // g, self._rden // g, b // h, self._den // h
+        g, h = gcd(r, b), gcd(den, rden)
+        p, q = -(r // g) * (den // h), (b // g) * (rden // h)
+        return (-p, -q) if q < 0 else (p, q)
+
+    def absorb(self, p: int, q: int) -> None:
+        """r += (p / q) * x^k * b_k, through r's truncation; q > 0."""
         r, den = self._r, self._den * q
         grown = lcm(self._rden, den)
         c = p * (grown // den)
@@ -584,6 +607,38 @@ def _horner_u2(coeffs, j: int) -> list:
     return y
 
 
+def _central_binomials(j: int, n: int) -> list:
+    """h_b = binomial(2b, b) * j^b for b < n: (1 - j*x^2)^(-1/2) has
+    h_b / 4^b at x^(2b)."""
+    return [comb(2 * b, b) * j**b for b in range(n)]
+
+
+def _strip_twos(nums, den: int):
+    """nums and den divided by the largest power of two that they share,
+    by shifts: the lowest set bit of their bitwise or.  A list holding a
+    ring element is returned as it is."""
+    try:
+        bits = reduce(or_, nums, den)
+    except TypeError:
+        return nums, den
+    z = (bits & -bits).bit_length() - 1
+    return ([a >> z for a in nums], den >> z) if z else (nums, den)
+
+
+@lru_cache(maxsize=32)
+def shift_unit(j: int, T: int) -> PuiseuxSeries:
+    """g_j = (1 - j*x^2)^(-1/2) = u_j/x through O(x^T), from its closed form
+    h_b / 4^b at x^(2b) (_central_binomials): the numerators 4^(I-b) * h_b
+    over 4^I, I = (T + 1) // 2, in lowest terms, which is what
+    compose_shift(x, j).x_shift(-1) stores for x known through O(x^(T+1)).
+    Memoized per (j, T) alone, so that recurrences with the same shift and
+    window share one series."""
+    half = (T + 1) // 2
+    nums = [0] * T
+    nums[::2] = [h << 2 * (half - b) for b, h in enumerate(_central_binomials(j, half))]
+    return _lowest_terms(0, nums, 4**half, T)
+
+
 def compose_shift(s: PuiseuxSeries, j: int) -> PuiseuxSeries:
     """Substitute x -> u = x * (1 - j*x^2)^(-1/2) into a power series s.
 
@@ -595,7 +650,9 @@ def compose_shift(s: PuiseuxSeries, j: int) -> PuiseuxSeries:
     With E and O the even and odd coefficients of s, s(u) = E(u^2) +
     x * g * O(u^2), g = (1 - j*x^2)^(-1/2): Horner's rule on the numerators
     over d gives E(u^2) and O(u^2) (_horner_u2), and the one product, O(u^2)
-    times g, is over d * 4^I, I = T // 2 the number of odd orders."""
+    times g, is over d * 4^I, I = T // 2 the number of odd orders.  The
+    power of two that the result shares with d * 4^I is shifted out before
+    the content gcd runs on what remains."""
     if not isinstance(j, int) or isinstance(j, bool) or j < 1:
         raise ValueError(f"shift must be a positive integer, got {j!r}")
     if s.valuation < 0:
@@ -610,10 +667,10 @@ def compose_shift(s: PuiseuxSeries, j: int) -> PuiseuxSeries:
     # g's x^(2b) coefficient is h_b / 4^b, so over 4^I x^(2i+1) gets
     # 4^(I-i) * sum_(a+b=i) 4^a * O_a * h_b: narrower integers than 4^I * g.
     four = [4**i for i in range(t // 2 + 1)]
-    h = [comb(2 * b, b) * j**b for b in range(t // 2)]
     odd_part = [0] * (t // 2)
-    _convolve(odd_part, 0, [f * a for f, a in zip(four, odd)], h)
+    _convolve(odd_part, 0, [f * a for f, a in zip(four, odd)], _central_binomials(j, t // 2))
     out = [0] * t
     out[0 : 2 * len(even) : 2] = [four[-1] * a for a in even]
     out[1::2] = [f * a for f, a in zip(four[:0:-1], odd_part)]
-    return _lowest_terms(s.valuation, out[s.valuation :], s.den * four[-1], t)
+    nums, den = _strip_twos(out[s.valuation :], s.den * four[-1])
+    return _lowest_terms(s.valuation, nums, den, t)

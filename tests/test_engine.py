@@ -28,7 +28,8 @@ from recasymp import (
     solve_expansion,
 )
 from recasymp import engine
-from recasymp.series import ResponseMarch
+from recasymp.frame import _ratio_parts
+from recasymp.series import ResponseMarch, shift_unit
 
 # First ten correction coefficients of the involution-number expansion;
 # a_1..a_5 are classical, the rest are pinned from the exact solver and
@@ -52,10 +53,17 @@ def as_rational(text):
     return Rational(int(num), int(den or 1))
 
 
+def _clear_memos():
+    engine._assemble.cache_clear()
+    _ratio_parts.cache_clear()
+    shift_unit.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def cold_weights():
-    # The weights are memoized across calls, and the memo outlives a test.
-    engine._assemble.cache_clear()
+    # The weights, the frame parts and the seeds are memoized across calls,
+    # and the memos outlive a test.
+    _clear_memos()
 
 
 def test_solve_matches_frozen_coefficients(a85_k10):
@@ -237,19 +245,15 @@ def test_factorial_expansion_against_bigfloat_factorial():
 # -- linear-response march ----------------------------------------------------
 
 
+small_rationals = st.builds(
+    Rational, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=9)
+)
+
+
 @st.composite
 def exact_series(draw):
     v = draw(st.integers(min_value=-4, max_value=4))
-    coeffs = draw(
-        st.lists(
-            st.builds(
-                Rational,
-                st.integers(min_value=-9, max_value=9),
-                st.integers(min_value=1, max_value=9),
-            ),
-            max_size=12,
-        )
-    )
+    coeffs = draw(st.lists(small_rationals, max_size=12))
     return PuiseuxSeries(v, coeffs, v + len(coeffs))
 
 
@@ -297,6 +301,71 @@ def test_march_steps_invert_their_divisor(s, j):
         responses.append(_response(march, s, t))
     for low, high in zip(responses, responses[2:]):
         assert mul(high, divisor) == low.x_shift(2).truncate(t)
+
+
+def _as_pair(value):
+    return value.numerator, value.denominator
+
+
+@settings(max_examples=30)
+@given(exact_series(), st.integers(min_value=1, max_value=4), st.data())
+def test_march_reads_minus_residual_over_response(s, j, data):
+    # At every order of a step, read gives -r_o / b_o as an integer pair in
+    # lowest terms with q > 0, or q = 0 with p nonzero exactly when r_o is;
+    # absorbing a pair it read cancels r at that order.
+    _, u, t = _single_shift_march(s, j)
+    v = data.draw(st.integers(min_value=s.valuation - 2, max_value=t))
+    coeffs = data.draw(st.lists(small_rationals, min_size=t - v, max_size=t - v))
+    residual = PuiseuxSeries(v, coeffs, t)
+    march = ResponseMarch(residual, PuiseuxSeries.zero(t), {j: (s, mul(s, u.x_shift(-1)))})
+    orders = range(min(s.valuation, v) - 1, t)
+    for _ in range(4):
+        march.advance()
+        pairs = {o: march.read(o) for o in orders}
+        for o, (p, q) in pairs.items():
+            b, r = march.response(o), march.residual(o)
+            if b:
+                assert q > 0 and (p, q) == _as_pair(-r / b)
+            else:
+                assert q == 0 and bool(p) == bool(r)
+        o = next((o for o, (p, q) in pairs.items() if p and q), None)
+        if o is not None:
+            march.absorb(*pairs[o])
+            assert march.residual(o) == 0
+
+
+def test_a85_march_reads_minus_residual_over_response(a85, a85_fr, monkeypatch):
+    read, pairs = ResponseMarch.read, []
+
+    def checked_read(march, order):
+        p, q = read(march, order)
+        assert q > 0 and (p, q) == _as_pair(-march.residual(order) / march.response(order))
+        pairs.append((p, q))
+        return p, q
+
+    monkeypatch.setattr(ResponseMarch, "read", checked_read)
+    exp = solve_expansion(a85, a85_fr, 40)
+    assert exp.a == tuple(Rational(p, q) for p, q in pairs)
+
+
+@pytest.mark.parametrize(
+    "coeffs, error",
+    [
+        # Solutions 1/n and 1 + H_n/n: in the frame alpha = 0, a_2 meets the
+        # other root alpha - 1 and its residual needs log(n)/n.
+        ([[0, 0, 0, 1], [-1, 1, 2, -2], [2, -1, -2, 1]], FrameMismatch),
+        # The resonance of the march cases below: a_2 is free.
+        ([[0, -1, 1], [-2, 4, -2], [2, -3, 1]], ResonantOrder),
+    ],
+    ids=["log", "resonant"],
+)
+def test_vanishing_response_raises_by_the_residual(coeffs, error):
+    # b_o = 0 at the order of a_2, so the residual there decides the error.
+    rec, frame = Recurrence(coeffs), Frame(0, 0, 0)
+    read = engine._indicial_order(engine._assemble(rec, frame, 8)) + 2
+    with pytest.raises(error) as err:
+        solve_expansion(rec, frame, 4)
+    assert (err.value.k, err.value.order) == (2, read)
 
 
 def test_march_products_do_not_grow_with_K(a85, a85_fr, monkeypatch):
@@ -481,6 +550,21 @@ def test_cut_weights_store_what_the_solve_window_stores(rec, frame, K):
             narrow[j].den,
             narrow[j].truncation,
         )
+
+
+def test_memos_shared_across_recurrences_change_no_outcome(a85, a85_fr):
+    # a85, a two-term recurrence sharing its shifts 1 and 2, then a85 again:
+    # the frame parts and the seeds, keyed on (j, T) alone, serve both, and
+    # every outcome is that of a solve with every memo cleared.
+    other = _family("two-term", 1)
+    cases = [(a85, a85_fr), (other, frame_solve(other)), (a85, a85_fr)]
+    cold = []
+    for rec, frame in cases:
+        _clear_memos()
+        cold.append(_solve_and_certify(rec, frame, 12))
+    _clear_memos()
+    assert [_solve_and_certify(rec, frame, 12) for rec, frame in cases] == cold
+    assert _ratio_parts.cache_info().hits and shift_unit.cache_info().hits
 
 
 def test_memoized_weights_are_read_only(a85, a85_fr):

@@ -1,5 +1,7 @@
 """The exact rational backend: parsing, formatting, float and bool rejection."""
 
+from fractions import Fraction
+
 import pytest
 
 from recasymp import Rational, format_rational, parse_rational, rat
@@ -51,6 +53,11 @@ def test_parse_rational_rejects_garbage():
         (Rational(4, 2), "2"),
         (Rational(0), "0"),
         (Rational(-3), "-3"),
+        # Values of another type are coerced first, with the same strings.
+        (-4, "-4"),
+        (True, "1"),
+        (False, "0"),
+        (Fraction(-3, 6), "-1/2"),
     ],
 )
 def test_format_rational(value, text):

@@ -317,6 +317,15 @@ def test_compose_shift_stores_the_weight_loop_integers_on_the_a85_certificate():
             assert stored(compose_shift(s, j)) == stored(weight_loop_compose_shift(s, j))
 
 
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_shift_unit_stores_the_compose_shift_seed(j):
+    # The closed-form g_j = (1 - j x^2)^(-1/2) stores what the substitution
+    # x -> x (1 - j x^2)^(-1/2) gives for x, divided by x.
+    for T in range(1, 41):
+        seed = compose_shift(PuiseuxSeries.monomial(1, 1, T + 1), j).x_shift(-1)
+        assert stored(series_module.shift_unit.__wrapped__(j, T)) == stored(seed)
+
+
 def test_shared_denominator_is_the_lcm():
     s = PuiseuxSeries(0, [Rational(1, 6), Rational(-1, 4), 3], 3)
     assert (s.nums, s.den) == ((2, -3, 36), 12)
