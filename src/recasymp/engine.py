@@ -27,13 +27,14 @@ residual (S = 1) at alpha + delta is sum_l binom(delta, l) x^(2l) M_l with
 M_l = sum_j (-j)^l W_j, and B_k is x^k times it at delta = -k/2.  Let
 leading + d be the lowest order of x^(2l) M_l over 1 <= l <= t - 1, with
 leading = -sigma the leading balance (M_1 .. M_(t-1) fix every W_j, a
-Vandermonde system, so no larger l reaches lower).  Below leading + d the
-bare residual M_0 must vanish for the frame to fit; at leading + d its
-coefficient is the alpha-equation P(alpha + delta).  So B_k vanishes below
-o = leading + k + d and is P(alpha - k/2) there, and the equation at o
-determines a_k, or proves the frame wrong (r is nonzero below o, or at o
-while P(alpha - k/2) = 0), or exposes a resonance (both sides vanish at o,
-so a_k is a free parameter).
+Vandermonde system: no larger l reaches lower, and one reaches the lowest
+valuation of the W_j, j >= 1).  Below leading + d the bare residual M_0
+must vanish for the frame to fit; at leading + d its coefficient is the
+alpha-equation P(alpha + delta).  So B_k vanishes below o = leading + k + d
+and is P(alpha - k/2) there, and the equation at o determines a_k, or
+proves the frame wrong (r is nonzero below o, or at o while
+P(alpha - k/2) = 0), or exposes a resonance (both sides vanish at o, so
+a_k is a free parameter).
 
 With g_j = u_j/x = (1 - j x^2)^(-1/2), W_j and W_j * g_j are the only
 products: from then on g_j^(k+1) = g_j^(k-1) / (1 - j x^2), an exact
@@ -62,21 +63,12 @@ The march so costs sum_k (T - k) integer steps per shift, plus one pass
 over r's window per step to absorb a_k * B_k.
 
 All series arithmetic is exact, and every truncation is sized once, before
-any arithmetic.  W_j has valuation -(2 deg p_j - 2 beta j), so the leading
-balance sits at order -sigma, sigma = max_j (2 deg p_j - 2 beta j).  Its
-polynomial chi(z) = sum lc(p_j) z^j, over the shifts that reach it, has at
-most t nonzero terms for t active shifts, so by Descartes' rule of signs
-its root z = 1 has multiplicity m <= t - 1: the frame's c-equation sits at
-most m orders above the leading balance and its alpha-equation at most 2m.
-Once r vanishes at the leading balance a shift j >= 1 reaches it, so
-d <= 2(t - 1).  With the unit factor of every Phi_j known through O(x^T),
-W_j is known through T orders past its valuation, so sigma cancels from
-every budget: the solve takes T = K + 2(t - 1) + 1.  The certificate
-reads one order more, so the weights are assembled once, through T + 1,
-and memoized: the solve cuts each W_j by that one order, which stores the
-same numerators, denominator and truncation as an assembly through T
-(a cut is in lowest terms), and residual_check on its expansion finds
-them built.
+any arithmetic, from the budget reach of recurrence.local_analysis: the
+solve takes T = K + reach + 1.  The certificate reads one order more, so
+the weights are assembled once, through T + 1, and memoized: the solve
+cuts each W_j by that one order, which stores the same numerators,
+denominator and truncation as an assembly through T (a cut is in lowest
+terms), and residual_check on its expansion finds them built.
 """
 
 from __future__ import annotations
@@ -87,7 +79,7 @@ from types import MappingProxyType
 from .errors import FrameMismatch, ResonantOrder
 from .frame import Frame, frame_ratio
 from .rationals import Rational, format_rational, parse_rational
-from .recurrence import Recurrence, poly_to_laurent
+from .recurrence import Recurrence, local_analysis, poly_to_laurent
 from .series import PuiseuxSeries, ResponseMarch, add, compose_shift, mul, shift_unit
 
 
@@ -146,13 +138,6 @@ class Expansion:
         )
 
 
-def _reach(rec: Recurrence) -> int:
-    """2(t - 1) for t active shifts: how many orders above the leading
-    balance the frame equations and the offset d can sit; see the module
-    docstring."""
-    return 2 * (sum(1 for _ in rec.active_shifts()) - 1)
-
-
 @lru_cache(maxsize=1)
 def _assemble(rec: Recurrence, frame: Frame, unit_orders: int) -> MappingProxyType:
     """Build the weights W_j = L_j * Phi_j, with the unit factor of every
@@ -174,11 +159,12 @@ def _assemble(rec: Recurrence, frame: Frame, unit_orders: int) -> MappingProxyTy
     return MappingProxyType(terms)
 
 
-def _indicial_order(terms: dict) -> int:
+def _indicial_order(terms: dict, reach: int) -> int:
     """leading + d, the lowest order of x^(2l) M_l over l = 1 .. t - 1 with
-    M_l = sum_j (-j)^l W_j: a_k is read at this order plus k (see the
-    module docstring)."""
-    weights = [(-j, w) for j, w in terms.items() if j]
+    M_l = sum_j (-j)^l W_j, at most reach past the lowest valuation of the
+    W_j, j >= 1, where they are cut: a_k is read at this order plus k."""
+    cut = min(w.valuation for j, w in terms.items() if j) + reach
+    weights = [(-j, w.truncate(cut)) for j, w in terms.items() if j]
     return min(
         2 * l + reduce(add, (w.scale(s**l) for s, w in weights)).valuation
         for l in range(1, len(terms))
@@ -191,14 +177,14 @@ def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
     order equations say so."""
     if K < 0:
         raise ValueError("K must be >= 0")
-    unit_orders = K + _reach(rec) + 1
-    # The certificate's weights, each cut by the one order it reads past
-    # the solve's window.
+    reach = local_analysis(rec).reach
+    unit_orders = K + reach + 1
+    # The certificate's weights, each cut by the one order it reads more.
     terms = {
         j: w.truncate(w.truncation - 1)
         for j, w in _assemble(rec, frame, unit_orders + 1).items()
     }
-    indicial = _indicial_order(terms)
+    indicial = _indicial_order(terms, reach)
     # The seeds of each shift's responses: W_j and W_j * g_j, with the unit
     # g_j = u_j/x; the march steps them on from there.
     march = ResponseMarch(
@@ -228,11 +214,12 @@ def residual_check(rec: Recurrence, exp: Expansion) -> int:
     A return of m means E(S) = O(x^(v0 + m)), where v0 is the order at
     which a_1 is read (or the residual's valuation, if lower); m >= exp.K
     certifies that every solved coefficient does its job.  The residual is
-    known through order K + 1 + 2(t - 1) - sigma, one past the solve's
+    known through order K + 1 + reach - sigma, one past the solve's
     window, so it sees the order at which a_(K+1) would be read.  When it
     vanishes through all of that, as for an exact solution, the value is
     the window's limit: a lower bound, still >= exp.K."""
-    unit_orders = exp.K + _reach(rec) + 2
+    reach = local_analysis(rec).reach
+    unit_orders = exp.K + reach + 2
     terms = _assemble(rec, exp.frame, unit_orders)
     # The certificate treats the solved correction as an exact polynomial:
     # residual orders beyond K measure its quality, so S carries zeros,
@@ -245,5 +232,5 @@ def residual_check(rec: Recurrence, exp: Expansion) -> int:
     residual = reduce(
         add, (mul(w, compose_shift(s, j) if j else s) for j, w in terms.items())
     )
-    v0 = min(residual.valuation, _indicial_order(terms) + 1)
+    v0 = min(residual.valuation, _indicial_order(terms, reach) + 1)
     return residual.valuation - v0

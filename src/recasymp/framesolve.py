@@ -1,12 +1,9 @@
 """Determining a growth frame directly from a recurrence.
 
-The superexponential exponent comes first:
-
-    beta = max over j >= 1 of (deg p_j - deg p_0) / j,
-
-the slope of the dominant balance between coefficient growth and shift
-depth (a Newton polygon in disguise).  It must keep every shift ratio on
-the ramification-2 lattice, i.e. 2*beta*j integral for every active j.
+The exponent beta and the budget reach come first, from
+recurrence.local_analysis: both frame equations sit at most reach orders
+above the leading balance, so the window T = reach + 1 is fixed in advance.
+beta must keep every 2*beta*j integral (the ramification-2 lattice).
 
 With beta fixed, c and alpha enter the residual E(x) of the bare frame
 (correction series S = 1) only through the factor exp(c*B_j + alpha*C_j)
@@ -23,10 +20,6 @@ not vanish identically must vanish, which yields one univariate polynomial
 equation over Q, and the next such order pins the other parameter.  Exact
 rational root finding reports a missing or non-unique root as such.
 
-The window is fixed in advance: for t active shifts both equations sit at
-most 2(t - 1) orders above the leading balance (see the engine module), so
-T = 2(t - 1) + 1 and nothing is retried.
-
 kappa is normalised to 0: it multiplies every term by the same constant,
 so it is indistinguishable from the connection constant the exact algebra
 cannot see anyway.
@@ -36,11 +29,10 @@ from __future__ import annotations
 
 from math import lcm
 
-from .engine import _reach
 from .errors import AmbiguousRoot, NoRationalRoot
 from .frame import Frame, frame_ratio_parts, shift_exponent
 from .rationals import Rational, format_rational
-from .recurrence import Recurrence, poly_degree, poly_eval, poly_to_laurent
+from .recurrence import Recurrence, local_analysis, poly_eval, poly_to_laurent
 from .series import add, exp_series, mul
 
 
@@ -115,18 +107,13 @@ def _integer_roots(q) -> list:
     return found
 
 
-def _frame_equations(rec: Recurrence, T: int):
-    """beta, and the bare-frame residual E with T unit orders of every
-    shift ratio as {order: {(i, l): coefficient of c^i alpha^l}}, for the
-    orders below its truncation and nonzero coefficients only."""
-    deg0 = poly_degree(rec.coeffs[0])
-    beta = max(Rational(poly_degree(p) - deg0, j) for j, p in rec.active_shifts() if j)
-    parts = {}
-    for j, p in rec.active_shifts():
+def _frame_equations(rec: Recurrence, beta, T: int):
+    """The bare-frame residual E at exponent beta with T unit orders of
+    every shift ratio as {order: {(i, l): coefficient of c^i alpha^l}}, for
+    the orders below its truncation and nonzero coefficients only."""
+    parts = {(0, 0): poly_to_laurent(rec.coeffs[0], T)}
+    for j, p in list(rec.active_shifts())[1:]:
         lj = poly_to_laurent(p, T)
-        if j == 0:
-            parts[0, 0] = lj
-            continue
         s = shift_exponent(beta, j)
         a, b, c = frame_ratio_parts(j, T)
         row = mul(lj, exp_series(a.scale(beta)).x_shift(s))  # times B^i/i!
@@ -142,7 +129,7 @@ def _frame_equations(rec: Recurrence, T: int):
         for o, v in part.terms():
             if o < truncation:
                 orders.setdefault(o, {})[key] = v
-    return beta, orders
+    return orders
 
 
 def frame_solve(rec: Recurrence) -> Frame:
@@ -150,8 +137,8 @@ def frame_solve(rec: Recurrence) -> Frame:
     RamificationError when beta leaves the half-integer-exponent world,
     NoRationalRoot / AmbiguousRoot when the frame equations do not have a
     unique rational solution."""
-    beta, orders = _frame_equations(rec, _reach(rec) + 1)
-    solved = _solve_low_orders(orders)
+    beta, reach = local_analysis(rec)
+    solved = _solve_low_orders(_frame_equations(rec, beta, reach + 1))
     if len(solved) < 2:
         raise NoRationalRoot(
             "the low-order frame equations do not determine both c and alpha"

@@ -11,6 +11,8 @@ interior polynomials may vanish.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .rationals import Rational
 from .series import PuiseuxSeries
 
@@ -91,6 +93,30 @@ class Recurrence:
         if type(order) is not int or order != rec.order:  # not a bool, float, str
             raise ValueError(f"declared order {order!r} is not the int {rec.order}")
         return rec
+
+
+LocalAnalysis = namedtuple("LocalAnalysis", "beta reach")
+
+
+def local_analysis(rec: Recurrence) -> LocalAnalysis:
+    """beta and the budget reach = 2(t - 1) of rec at n = infinity, for t
+    active shifts.  beta = max over j >= 1 of (deg p_j - deg p_0) / j is the
+    slope of the first edge of the Newton polygon of the points
+    (j, deg p_j) (Birkhoff & Trjitzinsky, Acta Math. 60, 1933).
+
+    In any frame the leading balance sits at order -sigma, sigma = max_j
+    (2 deg p_j - 2 beta j).  Its polynomial chi(z) = sum lc(p_j) z^j has at
+    most t terms, so by Descartes' rule of signs its root z = 1 has
+    multiplicity m <= t - 1: the frame's c-equation sits at most m orders
+    above the balance, its alpha-equation at most 2m.  Once the residual
+    vanishes there a shift j >= 1, and so one of the engine's moments
+    M_1 .. M_(t-1), reaches it: the offset d of the a_k is at most 2(t - 1)
+    too.  W_j is known through T orders past its valuation when its unit
+    factor is, so sigma cancels: frame_solve takes T = reach + 1, and a
+    solve for K coefficients T = K + reach + 1."""
+    (_, p0), *shifts = rec.active_shifts()
+    beta = max(Rational(poly_degree(p) - poly_degree(p0), j) for j, p in shifts)
+    return LocalAnalysis(beta, 2 * len(shifts))
 
 
 def poly_to_laurent(p, truncation: int) -> PuiseuxSeries:

@@ -29,6 +29,7 @@ from recasymp import (
 )
 from recasymp import engine
 from recasymp.frame import _ratio_parts
+from recasymp.recurrence import local_analysis
 from recasymp.series import ResponseMarch, shift_unit
 
 # First ten correction coefficients of the involution-number expansion;
@@ -362,7 +363,8 @@ def test_a85_march_reads_minus_residual_over_response(a85, a85_fr, monkeypatch):
 def test_vanishing_response_raises_by_the_residual(coeffs, error):
     # b_o = 0 at the order of a_2, so the residual there decides the error.
     rec, frame = Recurrence(coeffs), Frame(0, 0, 0)
-    read = engine._indicial_order(engine._assemble(rec, frame, 8)) + 2
+    terms = engine._assemble(rec, frame, 8)
+    read = engine._indicial_order(terms, local_analysis(rec).reach) + 2
     with pytest.raises(error) as err:
         solve_expansion(rec, frame, 4)
     assert (err.value.k, err.value.order) == (2, read)
@@ -389,9 +391,10 @@ def test_march_products_do_not_grow_with_K(a85, a85_fr, monkeypatch):
 def _reference_march(rec, frame, K):
     """The march as it ran on PuiseuxSeries before the integer kernel: every
     response through all T orders, every sum over a fresh lcm."""
-    unit_orders = K + engine._reach(rec) + 1
+    reach = local_analysis(rec).reach
+    unit_orders = K + reach + 1
     terms = engine._assemble(rec, frame, unit_orders)
-    indicial = engine._indicial_order(terms)
+    indicial = engine._indicial_order(terms, reach)
     r = reduce(add, terms.values())
     x = PuiseuxSeries.monomial(1, 1, unit_orders + 1)
     responses = {
@@ -538,7 +541,7 @@ def test_cut_weights_store_what_the_solve_window_stores(rec, frame, K):
     # The cut drops the content the certificate's extra order brought, so
     # the march sees the denominators of an assembly through its own window.
     frame = frame or frame_solve(rec)
-    T = K + engine._reach(rec) + 1
+    T = K + local_analysis(rec).reach + 1
     wide = engine._assemble(rec, frame, T + 1)
     narrow = engine._assemble.__wrapped__(rec, frame, T)
     assert wide.keys() == narrow.keys()

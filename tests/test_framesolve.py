@@ -19,8 +19,9 @@ from recasymp import (
     residual_check,
     solve_expansion,
 )
-from recasymp import add, framesolve
-from recasymp.engine import _assemble, _reach
+from recasymp import add, engine, framesolve
+from recasymp.engine import _assemble
+from recasymp.recurrence import local_analysis
 
 
 def test_involution_frame(a85, a85_fr):
@@ -244,9 +245,10 @@ def recurrences(draw):
 def test_frame_equations_match_the_assembled_residual(rec, c, alpha):
     # Each order's {(i, l): e} dict, evaluated at (c, alpha), is the
     # coefficient of the bare-frame residual the solver assembles.
-    T = _reach(rec) + 1
+    beta, reach = local_analysis(rec)
+    T = reach + 1
     try:
-        beta, orders = framesolve._frame_equations(rec, T)
+        orders = framesolve._frame_equations(rec, beta, T)
     except RamificationError:
         assume(False)
     terms = _assemble(rec, Frame(beta, c, alpha), T)
@@ -258,3 +260,37 @@ def test_frame_equations_match_the_assembled_residual(rec, c, alpha):
             e * c**i * alpha**l for (i, l), e in orders.get(o, {}).items()
         )
         assert value == residual.coefficient(o)
+
+
+# -- the local analysis: beta and the short window of the indicial order ---------
+
+
+def _full_window_indicial_order(terms):
+    """leading + d as the engine found it before its short window: the
+    moments M_l = sum_j (-j)^l W_j over each W_j's whole window."""
+    weights = [(-j, w) for j, w in terms.items() if j]
+    return min(
+        2 * l + reduce(add, (w.scale(s**l) for s, w in weights)).valuation
+        for l in range(1, len(terms))
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(recurrences(), st.integers(0, 8), st.integers(-1, 1), small_rationals, small_rationals)
+def test_short_window_finds_the_full_window_indicial_order(rec, K, shift, c, alpha):
+    # Under the solved frame and under a wrong one (beta moved by an
+    # integer, which keeps 2*beta*j integral), the W_j cut reach orders past
+    # their lowest valuation give the order the whole window gives.
+    beta, reach = local_analysis(rec)
+    frames = [Frame(beta + shift, c, alpha)]
+    try:
+        solved = frame_solve(rec)
+        assert solved.beta == beta
+        frames.append(solved)
+    except RamificationError:
+        assume(False)
+    except (NoRationalRoot, AmbiguousRoot):
+        pass
+    for frame in frames:
+        terms = _assemble(rec, frame, K + reach + 1)
+        assert engine._indicial_order(terms, reach) == _full_window_indicial_order(terms)

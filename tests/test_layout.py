@@ -1,6 +1,7 @@
-"""Package structure: every import statement sits at module level, the
-storage of a series stays behind the series module, and raw mpf tuples and
-the conversion of exact values to mpf stay in the evaluate module."""
+"""Package structure: every import statement sits at module level, a
+private name crosses modules only where listed, the storage of a series
+stays behind the series module, and raw mpf tuples and the conversion of
+exact values to mpf stay in the evaluate module."""
 
 import ast
 from pathlib import Path
@@ -29,36 +30,54 @@ def test_no_import_inside_a_function():
     assert nested == []
 
 
-def test_series_storage_stays_in_the_series_module():
-    # How a series stores its coefficients (numerators over one
-    # denominator, in lowest terms or not) is decided in series.py alone:
-    # no other module reads .nums or .den, and only frame.py, which writes
-    # its closed forms straight as numerators, imports a private name.
-    leaks = []
+# The private names one module still takes from another, as
+# (importer, module, name).  frame.py writes its closed forms straight as
+# numerators, so it puts them in lowest terms as series.py does; cli.py
+# prints a summary digest with evaluate's contexts and rounding.
+PRIVATE_IMPORTS = {
+    ("frame", "series", "_lowest_terms"),
+    ("cli", "evaluate", "_context"),
+    ("cli", "evaluate", "_to_mpf"),
+}
+
+
+def test_private_names_cross_modules_only_where_listed():
+    # A private name imported from a sibling, or read off it as an
+    # attribute, is a dependency its owner cannot see; the list above is
+    # all that remains, so none is added back unnoticed.
+    siblings = {path.stem for path in MODULES}
+    found = set()
     for path in MODULES:
-        if path.name == "series.py":
-            continue
         for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.Attribute) and node.attr in ("nums", "den"):
-                leaks.append(f"{path.name}:{node.lineno} reads .{node.attr}")
-            if path.name == "frame.py":
-                continue
-            if isinstance(node, ast.ImportFrom) and node.module in (
-                "series",
-                "recasymp.series",
-            ):
-                leaks += [
-                    f"{path.name}:{node.lineno} imports {alias.name}"
-                    for alias in node.names
-                    if alias.name.startswith("_")
-                ]
+            if isinstance(node, ast.ImportFrom) and node.module:
+                module = node.module.removeprefix("recasymp.")
+                if node.level or node.module.startswith("recasymp."):
+                    found |= {
+                        (path.stem, module, alias.name)
+                        for alias in node.names
+                        if alias.name.startswith("_")
+                    }
             if (
                 isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name)
-                and node.value.id == "series"
+                and node.value.id in siblings
                 and node.attr.startswith("_")
             ):
-                leaks.append(f"{path.name}:{node.lineno} reads series.{node.attr}")
+                found.add((path.stem, node.value.id, node.attr))
+    assert found == PRIVATE_IMPORTS
+
+
+def test_series_storage_stays_in_the_series_module():
+    # How a series stores its coefficients (numerators over one
+    # denominator, in lowest terms or not) is decided in series.py alone:
+    # no other module reads .nums or .den.
+    leaks = [
+        f"{path.name}:{node.lineno} reads .{node.attr}"
+        for path in MODULES
+        if path.name != "series.py"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and node.attr in ("nums", "den")
+    ]
     assert leaks == []
 
 

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from recasymp import PuiseuxSeries, Rational, add, compose_shift, engine, exp_series, mul
 from recasymp import series as series_module
 from recasymp.presets import get_preset
+from recasymp.recurrence import local_analysis
 from recasymp.series import ResponseMarch
 
 # -- reference kernels on coefficient values ------------------------------------
@@ -265,7 +266,7 @@ def a85_certificate(K):
     the residual's window, and the weights of the shifts."""
     rec = get_preset("a85").recurrence
     exp = engine.solve_expansion(rec, get_preset("a85").frame, K)
-    t = exp.K + engine._reach(rec) + 2
+    t = exp.K + local_analysis(rec).reach + 2
     s = PuiseuxSeries(0, (1,) + exp.a + (0,) * (t - exp.K - 1), t)
     return s, engine._assemble(rec, exp.frame, t)
 
