@@ -92,7 +92,11 @@ def _at_least(name: str, low: int):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"need an integer, got {text!r}") from None
+            # Past Python's int-string digit limit, int() fails as on junk.
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            need = f" of at most {limit} digits" if 0 < limit < len(text) else ""
+            got = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+            raise argparse.ArgumentTypeError(f"need an integer{need}, got {got}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"need {name} >= {low}, got {value}")
         return value

@@ -6,13 +6,11 @@ those into decimal digits of t_n means evaluating
     C * exp(beta*(n log n - n) + c*sqrt(n) + alpha*log n + kappa)
       * (1 + a_1 n^(-1/2) + ... + a_k n^(-k/2))
 
-in big-float arithmetic.  The correction sum runs Horner's rule on
-mpmath's raw mpf tuples (mpmath.libmp, used in this module alone) over the
-integer numerators L*a_i, L the lcm of the denominators of a_0 = 1, ...,
-a_k: each scaled numerator is rounded once, and there is one division by L
-at the end, so no a_i becomes an mpf object of its own.  Other exact
-rationals (frame parameters, a rational C, the exact t_n) become mpf
-values through _to_mpf, correctly rounded once each.
+in big-float arithmetic.  The correction sum runs Horner's rule in fixed
+point on plain ints and is rounded once (see _correction_sum for its
+bound).  Exact rationals (beta*n + alpha and kappa - beta*n in the
+exponent, c, a rational C, the exact t_n) become mpf values through
+_to_mpf, correctly rounded once each; mpmath.libmp is used here alone.
 
 Each working precision has one mpmath context, built on first use and
 shared by every evaluation at that precision.  No code sets a context's
@@ -39,14 +37,7 @@ from functools import lru_cache
 
 import mpmath
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import (
-    from_int,
-    from_rational,
-    mpf_add,
-    mpf_div,
-    mpf_mul,
-    round_nearest,
-)
+from mpmath.libmp import from_int, from_man_exp, from_rational, round_nearest
 
 from .engine import Expansion, solve_expansion
 from .errors import PrecisionUnachievable, TruncationDominates
@@ -126,6 +117,24 @@ def _to_mpf(ctx, q):
     return ctx.make_mpf(from_rational(p, d, ctx.prec, round_nearest))
 
 
+def _correction_sum(coefficients, n: int, prec: int) -> tuple[int, int]:
+    """a_0 + a_1 x + ... + a_k x^k at x = n^(-1/2), as acc / 2^W: Horner's
+    rule on ints with X = isqrt(2^(2W) // n) = floor(2^W x).  Each of the k
+    floored products and k floored a_i (a_0 = 1 is exact) loses under a
+    unit of 2^-W, and X's loss of under a unit costs at most |h_(i+1)| x^i
+    at step i, h_i = a_i + a_(i+1) x + ... + a_k x^(k-i): acc / 2^W is
+    within k (2 + M) units of the sum, M the largest |h_i| x^(i-1).  The
+    guard bits past prec grow with k, so the bound stays under the last
+    of the prec bits while M is small.
+    """
+    W = prec + len(coefficients).bit_length() + 4
+    X = math.isqrt((1 << 2 * W) // n)
+    acc = 0
+    for a in reversed(coefficients):
+        acc = (acc * X >> W) + (int(a.numerator) << W) // int(a.denominator)
+    return acc, W
+
+
 def eval_expansion(exp: Expansion, C, n: int, k: int, digits: int):
     """C * F(n) * (1 + a_1 n^(-1/2) + ... + a_k n^(-k/2)) as a big float,
     where F is the frame of exp and C is a rational, an int, a 'p/q'
@@ -140,27 +149,14 @@ def eval_expansion(exp: Expansion, C, n: int, k: int, digits: int):
         raise ValueError(f"k must be between 0 and K = {exp.K}, got {k}")
     ctx = _context(working_dps(exp.frame, n, digits))
     fr = exp.frame
-    log_n = ctx.log(n)
-    sqrt_n = ctx.sqrt(n)
-    argument = (
-        _to_mpf(ctx, fr.beta) * (n * log_n - n)
-        + _to_mpf(ctx, fr.c) * sqrt_n
-        + _to_mpf(ctx, fr.alpha) * log_n
-        + _to_mpf(ctx, fr.kappa)
+    frame_value = ctx.exp(
+        _to_mpf(ctx, fr.beta * n + fr.alpha) * ctx.log(n)
+        + _to_mpf(ctx, fr.c) * ctx.sqrt(n)
+        + _to_mpf(ctx, fr.kappa - fr.beta * n)
     )
-    frame_value = ctx.exp(argument)
-    # Horner in n^(-1/2) on raw mpf tuples over the integer numerators
-    # L*a_i, L the lcm of the denominators: each numerator is rounded
-    # once, and the sum is divided by L once at the end.
-    coefficients = [exp.coefficient(i) for i in range(k + 1)]
-    L = math.lcm(*(int(a.denominator) for a in coefficients))
-    prec, rnd = ctx.prec, round_nearest
-    rx = (1 / sqrt_n)._mpf_
-    s = from_int(0)
-    for a in reversed(coefficients):
-        term = from_int(int(a.numerator) * (L // int(a.denominator)), prec, rnd)
-        s = mpf_add(mpf_mul(s, rx, prec, rnd), term, prec, rnd)
-    s = ctx.make_mpf(mpf_div(s, from_int(L), prec, rnd))
+    # The fixed-point sum, rounded once to the working precision.
+    acc, W = _correction_sum([exp.coefficient(i) for i in range(k + 1)], n, ctx.prec)
+    s = ctx.make_mpf(from_man_exp(acc, -W, ctx.prec, round_nearest))
     constant = 1 / ctx.sqrt(2) if C is INV_SQRT2 else _to_mpf(ctx, C)
     return constant * frame_value * s
 

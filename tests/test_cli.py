@@ -551,19 +551,25 @@ def test_constant_beyond_floor_is_precision_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv, flag, says",
     [
         (("eval", "--preset", "a85", "--n", "4", "--k", "0", "--digits", "5",
-          "--constant", "abc"), "--constant"),
-        (("eval", "--preset", "a85", "--n", "4", "--k", "-1", "--digits", "5"), "--k"),
-        (("seq", "--preset", "a85", "--n", "-1"), "--n"),
+          "--constant", "abc"), "--constant", "got 'abc'"),
+        (("eval", "--preset", "a85", "--n", "4", "--k", "-1", "--digits", "5"), "--k",
+         "need k >= 0"),
+        (("seq", "--preset", "a85", "--n", "-1"), "--n", "need n >= 0"),
+        # More digits than Python's int-string limit (4300 by default): the
+        # message names the limit and echoes a prefix, not all 5001 digits.
+        (("eval", "--preset", "a85", "--n", "1" + "0" * 5000, "--k", "0", "--digits",
+          "5"), "--n", f"at most {sys.get_int_max_str_digits()} digits"),
     ],
-    ids=["eval-constant-abc", "eval-k-negative", "seq-n-negative"],
+    ids=["eval-constant-abc", "eval-k-negative", "seq-n-negative", "eval-n-past-int-limit"],
 )
-def test_usage_error_names_its_flag(capsys, argv, flag):
+def test_usage_error_names_its_flag(capsys, argv, flag, says):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: argument {flag}: ")
+    assert says in err and len(err) < 200
     assert "invalid literal" not in err
 
 

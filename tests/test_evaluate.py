@@ -1,5 +1,6 @@
 """Big-float evaluation, ratio checks, connection constant, formatting."""
 
+import math
 import random
 import sys
 import threading
@@ -16,6 +17,7 @@ from recasymp import (
     Frame,
     PrecisionUnachievable,
     Rational,
+    Recurrence,
     TruncationDominates,
     a85_recurrence,
     connection_constant,
@@ -26,13 +28,24 @@ from recasymp import (
     truncation_floor_digits,
     working_dps,
 )
-from recasymp.evaluate import _GUARD_DIGITS, _context, _to_mpf
+from recasymp.evaluate import _GUARD_DIGITS, _context, _correction_sum, _to_mpf
 from recasymp.involutions import involution_number
 
 
 @pytest.fixture(scope="module")
 def a85_k25(a85, a85_fr):
     return solve_expansion(a85, a85_fr, 25)
+
+
+@pytest.fixture(scope="module")
+def k25_expansions(a85_k25):
+    """a85 and two frames with alpha != 0: the factorial t(n) = n t(n-1)
+    and Catalan gauged by hand to t = 4^n u."""
+    return {
+        "a85": a85_k25,
+        "factorial": solve_expansion(Recurrence([[1], [0, -1]]), Frame(1, 0, "1/2"), 25),
+        "catalan": solve_expansion(Recurrence([[4, 4], [2, -4]]), Frame(0, 0, "-3/2"), 25),
+    }
 
 
 # -- formatting -----------------------------------------------------------------
@@ -248,15 +261,24 @@ def _reference(exp, n, k, dps):
     return ref, frame_value, total
 
 
-@pytest.mark.parametrize("n", [4, 1000, 10**4, 10**50])
-@pytest.mark.parametrize("k", [0, 1, 2, 17, 25])
-def test_eval_matches_an_independent_reference(a85_k25, n, k):
+@pytest.mark.parametrize(
+    "name, n, k",
+    [
+        # The a85 cases keep their bare k-n ids.
+        pytest.param(name, n, k, id=f"{k}-{n}" + ("" if name == "a85" else f"-{name}"))
+        for name in ("a85", "factorial", "catalan")
+        for n in (4, 1000, 10**4, 10**50)
+        for k in (0, 1, 2, 17, 25)
+    ],
+)
+def test_eval_matches_an_independent_reference(k25_expansions, name, n, k):
+    exp = k25_expansions[name]
     digits = 20
-    dps = working_dps(a85_k25.frame, n, digits)
-    value = eval_expansion(a85_k25, 1, n, k, digits)
-    bare = eval_expansion(a85_k25, 1, n, 0, digits)
+    dps = working_dps(exp.frame, n, digits)
+    value = eval_expansion(exp, 1, n, k, digits)
+    bare = eval_expansion(exp, 1, n, 0, digits)
     assert value.context is bare.context is _context(dps)
-    ref, frame_value, total = _reference(a85_k25, n, k, 2 * dps)
+    ref, frame_value, total = _reference(exp, n, k, 2 * dps)
     # The correction sum is good to the working precision.  Dividing by
     # the bare frame, computed by the same steps, isolates it.
     assert abs(ref.mpf(value / bare) / total - 1) < ref.mpf(10) ** -(dps - 3)
@@ -264,6 +286,35 @@ def test_eval_matches_an_independent_reference(a85_k25, n, k):
     # the working precision beyond them pays for the exponent's magnitude.
     whole = frame_value * total
     assert abs(ref.mpf(value) / whole - 1) < ref.mpf(10) ** -(digits + _GUARD_DIGITS - 2)
+
+
+@pytest.mark.parametrize(
+    "m", [1, 2, 3, 100, 10**25, 10**2000], ids=["1", "2", "3", "100", "10^25", "10^2000"]
+)
+@pytest.mark.parametrize("k", [0, 1, 2, 17, 25])
+def test_correction_sum_stays_within_its_bound(a85_k25, m, k):
+    # At n = m^2, x = 1/m is exact: with D the lcm of the denominators of
+    # a_0 .. a_k, the partial sums are h_i = N_i / (D m^(k-i)) for integers
+    # N_i, so the sum is N_0 / scale, scale = D m^k, and the bound of
+    # k (2 + M) units of 2^-W, M = max |h_i| x^(i-1), is `units` / scale.
+    n = m * m
+    a = [a85_k25.coefficient(i) for i in range(k + 1)]
+    D = math.lcm(*(int(c.denominator) for c in a))
+    N = [0] * (k + 2)
+    for i in range(k, -1, -1):
+        N[i] = int(a[i].numerator) * (D // int(a[i].denominator)) * m ** (k - i) + N[i + 1]
+    scale = D * m**k
+    units = k * (2 * scale + m * max((abs(v) for v in N[1 : k + 1]), default=0))
+    digits = 20
+    prec = _context(working_dps(Frame(0, 0, 0), n, digits)).prec
+    acc, W = _correction_sum(a, n, prec)
+    assert abs(acc * scale - (N[0] << W)) <= units
+    # Under the frame 1 and C = 1 the value is the sum, rounded once.
+    value = eval_expansion(Expansion(Frame(0, 0, 0), 25, a85_k25.a), 1, n, k, digits)
+    man, e = int(value.man), int(value.exp)  # value.man is |mantissa|
+    got = Fraction(-man if value < 0 else man) * Fraction(2) ** e
+    half_ulp = Fraction(2) ** (e + man.bit_length() - prec - 1)
+    assert abs(got * scale - N[0]) <= Fraction(units, 1 << W) + half_ulp * scale
 
 
 # -- ratio_check ----------------------------------------------------------------------
