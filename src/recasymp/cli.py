@@ -65,8 +65,15 @@ def _load(path: str, what: str, parse):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise _UsageError(f"cannot read {what} from {path}: {exc}") from None
+    except ValueError:
+        # json.load reads an integer with int(), which refuses one longer
+        # than the int-string digit limit of Python 3.11+; the limit stays.
+        raise _UsageError(
+            f"cannot read {what} from {path}: an integer has more than "
+            f"{sys.get_int_max_str_digits()} digits, Python's int-string limit"
+        ) from None
     try:
         return parse(payload)
     except (KeyError, TypeError, ValueError) as exc:
@@ -84,6 +91,12 @@ def _problem(args) -> tuple[Recurrence, Frame, object, str | None]:
     return rec, frame, None, None
 
 
+def _got(text: str) -> str:
+    """A rejected option value for its usage message: whole up to 40
+    characters, else its first 20 and its length."""
+    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
 def _at_least(name: str, low: int):
     """An argparse type: an integer >= low.  argparse prefixes each
     message with the flag, so a usage error always names it."""
@@ -95,8 +108,7 @@ def _at_least(name: str, low: int):
             # Past Python's int-string digit limit, int() fails as on junk.
             limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
             need = f" of at most {limit} digits" if 0 < limit < len(text) else ""
-            got = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
-            raise argparse.ArgumentTypeError(f"need an integer{need}, got {got}") from None
+            raise argparse.ArgumentTypeError(f"need an integer{need}, got {_got(text)}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"need {name} >= {low}, got {value}")
         return value
@@ -112,7 +124,7 @@ def _constant(text: str):
         return parse_rational(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"need 'p/q' or '1/sqrt2', got {text!r}"
+            f"need 'p/q' or '1/sqrt2', got {_got(text)}"
         ) from None
 
 

@@ -9,8 +9,17 @@ those into decimal digits of t_n means evaluating
 in big-float arithmetic.  The correction sum runs Horner's rule in fixed
 point on plain ints and is rounded once (see _correction_sum for its
 bound).  Exact rationals (beta*n + alpha and kappa - beta*n in the
-exponent, c, a rational C, the exact t_n) become mpf values through
-_to_mpf, correctly rounded once each; mpmath.libmp is used here alone.
+exponent, c, a rational C, the exact t_n) become raw mpf tuples through
+_raw, correctly rounded once each.
+
+One rounding path runs on mpmath.libmp's raw tuples (used here alone):
+each step is the libmp call that the context-level formula's method or
+operator makes, at the context's prec with round_nearest, so each value is
+that formula's bit for bit, less its conversions and dispatch: mpf_log,
+mpf_sqrt and mpf_exp of from_int(n) (exact, as ctx.convert makes it) for
+ctx.log, ctx.sqrt and ctx.exp of n; mpf_mul, mpf_add and mpf_div for *, +
+and /; mpf_rdiv_int for 1 / ctx.sqrt(2); to_str for mpmath.nstr;
+ctx.make_mpf once per value handed out.
 
 Each working precision has one mpmath context, built on first use and
 shared by every evaluation at that precision.  No code sets a context's
@@ -35,9 +44,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import from_int, from_man_exp, from_rational, round_nearest
+from mpmath.libmp import (
+    from_int, from_man_exp, from_rational, fzero, mpf_add, mpf_div, mpf_exp,
+    mpf_log, mpf_mul, mpf_rdiv_int, mpf_sqrt, round_nearest, to_str,
+)
 
 from .engine import Expansion, solve_expansion
 from .errors import PrecisionUnachievable, TruncationDominates
@@ -49,6 +60,8 @@ from .rationals import Rational, rat
 MAX_WORKING_DPS = 10**6
 
 _GUARD_DIGITS = 10
+
+_A85 = a85_recurrence()
 
 
 def _exponent_argument(frame, n: int) -> float:
@@ -104,17 +117,22 @@ def _context(dps: int) -> MPContext:
     return ctx
 
 
-def _to_mpf(ctx, q):
-    """Exact rational (or int, or 'p/q' string) to mpf, correctly rounded
-    at the context's precision.  An integer is rounded once, never first
-    made exact as ctx.mpf makes it (stripping trailing zero bits over the
-    whole integer); anything else is one division of exact integers."""
+def _raw(q, prec: int) -> tuple:
+    """Exact rational (or int, or 'p/q' string) to a raw mpf tuple,
+    correctly rounded to prec bits.  An integer is rounded once, never
+    first made exact as ctx.mpf makes it (stripping trailing zero bits over
+    the whole integer); anything else is one division of exact integers."""
     if not isinstance(q, Rational):
         q = rat(q)
     p, d = int(q.numerator), int(q.denominator)
     if d == 1:
-        return ctx.make_mpf(from_int(p, ctx.prec, round_nearest))
-    return ctx.make_mpf(from_rational(p, d, ctx.prec, round_nearest))
+        return from_int(p, prec, round_nearest)
+    return from_rational(p, d, prec, round_nearest)
+
+
+def _to_mpf(ctx, q):
+    """_raw(q) at the context's precision, as one of its mpf values."""
+    return ctx.make_mpf(_raw(q, ctx.prec))
 
 
 def _correction_sum(coefficients, n: int, prec: int) -> tuple[int, int]:
@@ -148,17 +166,18 @@ def eval_expansion(exp: Expansion, C, n: int, k: int, digits: int):
     if not 0 <= k <= exp.K:
         raise ValueError(f"k must be between 0 and K = {exp.K}, got {k}")
     ctx = _context(working_dps(exp.frame, n, digits))
-    fr = exp.frame
-    frame_value = ctx.exp(
-        _to_mpf(ctx, fr.beta * n + fr.alpha) * ctx.log(n)
-        + _to_mpf(ctx, fr.c) * ctx.sqrt(n)
-        + _to_mpf(ctx, fr.kappa - fr.beta * n)
-    )
+    p, r, fr, N = ctx.prec, round_nearest, exp.frame, from_int(n)
+    # ctx.exp(A * ctx.log(n) + c * ctx.sqrt(n) + B), call for call.
+    A_log = mpf_mul(_raw(fr.beta * n + fr.alpha, p), mpf_log(N, p, r), p, r)
+    c_sqrt = mpf_mul(_raw(fr.c, p), mpf_sqrt(N, p, r), p, r)
+    B = _raw(fr.kappa - fr.beta * n, p)
+    frame_value = mpf_exp(mpf_add(mpf_add(A_log, c_sqrt, p, r), B, p, r), p, r)
     # The fixed-point sum, rounded once to the working precision.
-    acc, W = _correction_sum([exp.coefficient(i) for i in range(k + 1)], n, ctx.prec)
-    s = ctx.make_mpf(from_man_exp(acc, -W, ctx.prec, round_nearest))
-    constant = 1 / ctx.sqrt(2) if C is INV_SQRT2 else _to_mpf(ctx, C)
-    return constant * frame_value * s
+    acc, W = _correction_sum((1,) + exp.a[:k], n, p)
+    s = from_man_exp(acc, -W, p, r)
+    constant = (mpf_rdiv_int(1, mpf_sqrt(from_int(2), p, r), p, r)
+                if C is INV_SQRT2 else _raw(C, p))
+    return ctx.make_mpf(mpf_mul(mpf_mul(constant, frame_value, p, r), s, p, r))
 
 
 def truncation_floor_digits(n: int, k: int) -> int:
@@ -202,16 +221,16 @@ def ratio_check(n: int, k: int, digits: int, *, expansion: Expansion | None = No
     n = 1000); no truncation gets the ratio closer to 1 than that floor.
     """
     if expansion is None:
-        expansion = solve_expansion(a85_recurrence(), a85_frame(), k)
+        expansion = solve_expansion(_A85, a85_frame(), k)
     asy = eval_expansion(expansion, INV_SQRT2, n, k, digits)
     ctx = asy.context
-    exact = _to_mpf(ctx, involution_number(n))
+    exact = _raw(involution_number(n), ctx.prec)
     return RatioReport(
         n=n,
         k=k,
         asy=asy,
-        exact=exact,
-        ratio=asy / exact,
+        exact=ctx.make_mpf(exact),
+        ratio=ctx.make_mpf(mpf_div(asy._mpf_, exact, ctx.prec, round_nearest)),
         digits=digits,
         working_dps=ctx.dps,
     )
@@ -226,7 +245,7 @@ def connection_constant(rec, exp: Expansion, n: int, k: int, digits: int):
     is too short to support the requested digits at this n, and
     InputTooLarge when n is above EXACT_INDEX_LIMIT.
     """
-    if rec != a85_recurrence():
+    if rec != _A85:
         raise ValueError(
             "exact sequence values are only available for the involution "
             "recurrence; cannot estimate a connection constant"
@@ -235,7 +254,9 @@ def connection_constant(rec, exp: Expansion, n: int, k: int, digits: int):
     if digits > floor:
         raise TruncationDominates(digits, floor)
     denominator = eval_expansion(exp, 1, n, k, digits)
-    return _to_mpf(denominator.context, involution_number(n)) / denominator
+    ctx = denominator.context
+    exact = _raw(involution_number(n), ctx.prec)
+    return ctx.make_mpf(mpf_div(exact, denominator._mpf_, ctx.prec, round_nearest))
 
 
 def format_significant(x, digits: int) -> str:
@@ -248,11 +269,9 @@ def format_significant(x, digits: int) -> str:
     """
     if digits < 1:
         raise ValueError("need at least one digit")
-    if x == 0:
+    if x._mpf_ == fzero:
         return "0"
-    rendered = mpmath.nstr(
-        x, digits, strip_zeros=False, min_fixed=1, max_fixed=0
-    )
+    rendered = to_str(x._mpf_, digits, strip_zeros=False, min_fixed=1, max_fixed=0)
     sign = ""
     if rendered.startswith("-"):
         sign, rendered = "-", rendered[1:]

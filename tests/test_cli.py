@@ -299,6 +299,18 @@ def test_coeffs_malformed_recurrence_file(tmp_path, capsys):
     assert "cannot read" in err
 
 
+def test_recurrence_file_past_the_int_digit_limit_is_usage_error(tmp_path, capsys):
+    # json.load refuses an integer past Python's int-string limit with a
+    # plain ValueError; the message names the file and the limit.
+    rec = tmp_path / "long.json"
+    rec.write_text('{"coeffs": [[1], [0, -1' + "0" * 5000 + "]]}", encoding="utf-8")
+    code, out, err = run(capsys, "coeffs", "--recurrence", str(rec), "--K", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read recurrence from {rec}: ")
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err and len(err) < 300
+    assert "set_int_max_str_digits" not in err
+
+
 # -- eval ------------------------------------------------------------------------
 
 
@@ -562,8 +574,13 @@ def test_constant_beyond_floor_is_precision_error(capsys):
         # message names the limit and echoes a prefix, not all 5001 digits.
         (("eval", "--preset", "a85", "--n", "1" + "0" * 5000, "--k", "0", "--digits",
           "5"), "--n", f"at most {sys.get_int_max_str_digits()} digits"),
+        (("eval", "--preset", "a85", "--n", "4", "--k", "0", "--digits", "5",
+          "--constant", "1" + "0" * 5000), "--constant", "(5001 characters)"),
+        (("eval", "--preset", "a85", "--n", "4", "--k", "0", "--digits", "5",
+          "--constant", "1/1" + "0" * 5000), "--constant", "(5003 characters)"),
     ],
-    ids=["eval-constant-abc", "eval-k-negative", "seq-n-negative", "eval-n-past-int-limit"],
+    ids=["eval-constant-abc", "eval-k-negative", "seq-n-negative", "eval-n-past-int-limit",
+         "eval-constant-past-int-limit", "eval-constant-denominator-past-int-limit"],
 )
 def test_usage_error_names_its_flag(capsys, argv, flag, says):
     code, out, err = run(capsys, *argv)

@@ -10,6 +10,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import from_man_exp, round_nearest
 
 from recasymp import (
     INV_SQRT2,
@@ -28,6 +29,7 @@ from recasymp import (
     truncation_floor_digits,
     working_dps,
 )
+from recasymp import evaluate
 from recasymp.evaluate import _GUARD_DIGITS, _context, _correction_sum, _to_mpf
 from recasymp.involutions import involution_number
 
@@ -75,6 +77,34 @@ def k25_expansions(a85_k25):
 )
 def test_format_significant(value, digits, expected):
     assert format_significant(value, digits) == expected
+
+
+def test_format_significant_renders_as_nstr(monkeypatch):
+    # format_significant hands the raw tuple to libmp's to_str, which is
+    # what mpmath.nstr does after its dispatch: seeded mpfs of both signs,
+    # binary exponents past the 3500 bits where to_digits_exp switches to
+    # high-precision powers of ten, and d + 1 nines rounded to d digits,
+    # which carry into the exponent.
+    rng = random.Random(23)
+    cases = []
+    for _ in range(150):
+        bits = rng.randint(1, 200)
+        man = rng.getrandbits(bits) | 1 << (bits - 1) | 1  # odd: normalized
+        x = mpmath.mp.make_mpf((rng.getrandbits(1), man, rng.randint(-9000, 9000), bits))
+        cases.append((x, rng.randint(1, 40)))
+    with mpmath.workdps(80):
+        for e in (-2000, -7, -1, 0, 3, 25, 2000):
+            d = rng.randint(1, 30)
+            nines = (1 - mpf(10) ** -(d + 1)) * mpf(10) ** e
+            cases += [(nines, d), (-nines, d)]
+    got = [format_significant(x, d) for x, d in cases]
+    assert any("e" in g and abs(int(g.partition("e")[2])) > 1100 for g in got)
+    assert all(set(g.partition("e")[0]) <= set("-0.1") for g in got[150:])  # carried
+    def nstr(raw, *args, **kwargs):
+        return mpmath.nstr(mpmath.mp.make_mpf(raw), *args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "to_str", nstr)
+    assert [format_significant(x, d) for x, d in cases] == got
 
 
 def test_format_significant_needs_a_digit():
@@ -315,6 +345,56 @@ def test_correction_sum_stays_within_its_bound(a85_k25, m, k):
     got = Fraction(-man if value < 0 else man) * Fraction(2) ** e
     half_ulp = Fraction(2) ** (e + man.bit_length() - prec - 1)
     assert abs(got * scale - N[0]) <= Fraction(units, 1 << W) + half_ulp * scale
+
+
+def _context_level(exp, C, n, k, digits):
+    """eval_expansion by the working context's methods and mpf operators:
+    the rounding steps that the raw-tuple evaluation mirrors bit for bit."""
+    ctx = _context(working_dps(exp.frame, n, digits))
+    fr = exp.frame
+    frame_value = ctx.exp(
+        _to_mpf(ctx, fr.beta * n + fr.alpha) * ctx.log(n)
+        + _to_mpf(ctx, fr.c) * ctx.sqrt(n)
+        + _to_mpf(ctx, fr.kappa - fr.beta * n)
+    )
+    acc, W = _correction_sum([exp.coefficient(i) for i in range(k + 1)], n, ctx.prec)
+    s = ctx.make_mpf(from_man_exp(acc, -W, ctx.prec, round_nearest))
+    constant = 1 / ctx.sqrt(2) if C is INV_SQRT2 else _to_mpf(ctx, C)
+    return constant * frame_value * s
+
+
+@pytest.mark.parametrize("name", ["a85", "factorial", "catalan"])
+def test_eval_is_bit_identical_to_the_context_level_formula(k25_expansions, name):
+    # Seeded digits vary the precision from case to case: at one precision
+    # a changed order of roundings can go unseen on the whole grid.
+    exp = k25_expansions[name]
+    rng = random.Random(name)
+    for n in (1, 2, 10**3, 10**4, 10**50, 10**400):
+        for k in (0, 1, 17, exp.K):
+            for C in (INV_SQRT2, 1, "3/7"):
+                digits = rng.randint(5, 40)
+                got = eval_expansion(exp, C, n, k, digits)
+                want = _context_level(exp, C, n, k, digits)
+                assert got.context is want.context
+                assert got._mpf_ == want._mpf_, (n, k, C, digits)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10**3, 10**4])
+def test_checks_are_bit_identical_to_the_context_level_formula(a85, a85_k25, n):
+    for k in (0, 1, 17, a85_k25.K):
+        report = ratio_check(n, k, 20, expansion=a85_k25)
+        asy = _context_level(a85_k25, INV_SQRT2, n, k, 20)
+        exact = _to_mpf(asy.context, involution_number(n))
+        assert [v._mpf_ for v in (report.asy, report.exact, report.ratio)] == [
+            v._mpf_ for v in (asy, exact, asy / exact)
+        ]
+        digits = min(20, truncation_floor_digits(n, k))
+        if digits >= 1:
+            got = connection_constant(a85, a85_k25, n, k, digits)
+            denominator = _context_level(a85_k25, 1, n, k, digits)
+            want = _to_mpf(denominator.context, involution_number(n)) / denominator
+            assert got.context is want.context
+            assert got._mpf_ == want._mpf_, (n, k)
 
 
 # -- ratio_check ----------------------------------------------------------------------
