@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
+from functools import lru_cache
 
 from .engine import residual_check, solve_expansion
 from .errors import EvaluationError, RecasympError
@@ -298,6 +299,8 @@ def _add_evaluation(p):
     )
 
 
+# One parser per process: a parse leaves it as it was, and it costs more than eval.
+@lru_cache(maxsize=1)
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="recasymp",
@@ -388,9 +391,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

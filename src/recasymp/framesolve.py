@@ -82,10 +82,13 @@ def _integer_roots(q) -> list:
             r.pop()
         if not r:
             break
-        chain.append([-a for a in r])
+        m = lcm(*(int(a.denominator) for a in r))  # m > 0 keeps every sign
+        chain.append([-int(a * m) for a in r])
+    # 2^deg(p) p(y / 2) on integers: its sign at y = 2k + 1 is p's at k + 1/2.
+    chain = [[a << (len(p) - 1 - i) for i, a in enumerate(p)] for p in chain]
 
     def changes(k):  # sign changes of the chain at k + 1/2, zeros skipped
-        values = [v for v in (poly_eval(p, Rational(2 * k + 1, 2)) for p in chain) if v]
+        values = [v for v in (poly_eval(p, 2 * k + 1) for p in chain) if v]
         return sum(s * t < 0 for s, t in zip(values, values[1:]))
 
     bound = 1 + max(abs(a) for a in q[:-1])

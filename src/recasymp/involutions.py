@@ -8,8 +8,8 @@ independent routes are provided so they can cross-check each other:
     matrices for t_n alone (the product's top-left entry), the fast route
     used everywhere else in the package (up to EXACT_INDEX_LIMIT);
   * the closed-form sum over the number of 2-cycles;
-  * the exponential generating function exp(z + z^2/2), built as the
-    product of two separately expanded factors (a binomial convolution);
+  * the exponential generating function exp(z + z^2/2), a binomial
+    convolution of its two separately expanded factors, summed by additions;
   * brute-force enumeration of all permutations, for tiny n.
 
 Everything here is exact integer arithmetic; there is nothing to round.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from operator import add, mul
+from operator import add
 
 from .errors import InputTooLarge
 
@@ -115,27 +115,22 @@ def involution_counts_by_egf(n_max: int) -> list[int]:
 
     The coefficients of a product of EGFs, times m!, are the binomial
     convolution of the factors' coefficients times their factorials:
-    t_m = sum_i C(m, i) * b_(m-i), with 1 for exp(z) and b_k = k! [z^k]
-    exp(z^2/2), which is (k - 1)!! for even k and 0 for odd k.  All of it
-    is integer arithmetic built from the two factors alone, so the route
-    stays independent of both the recurrence and the sum over 2-cycles.
-    Since C(m, i) = C(m, m - i), the sum runs over the even indices of the
-    row against the even-index b_k.
+    t_m = sum_i C(m, i) * b_i, with 1 for exp(z) and b_k = k! [z^k]
+    exp(z^2/2), which is (k - 1)!! for even k and 0 for odd k.  The sum is
+    row_m[0] of the difference table row_0 = b, row_(j+1)[i] = row_j[i] +
+    row_j[i + 1]: Pascal's rule on b, additions only, from the two factors
+    alone, so the route stays independent of both the recurrence and the
+    sum over 2-cycles.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    size = n_max + 1
-    b = [0] * size
-    b[0] = 1
-    for k in range(2, size, 2):
+    b = [1] + [0] * n_max
+    for k in range(2, n_max + 1, 2):
         b[k] = b[k - 2] * (k - 1)
-    even_b = b[::2]
-    out = []
-    row = [1]  # C(m, i) for i = 0..m
-    for m in range(size):
-        if m:
-            row = [1, *map(add, row, row[1:]), 1]
-        out.append(sum(map(mul, row[::2], even_b)))
+    row, out = b, [1]
+    for _ in range(n_max):
+        row = list(map(add, row, row[1:]))
+        out.append(row[0])
     return out
 
 
@@ -156,11 +151,11 @@ def involution_count_brute(n: int) -> int:
     count = 0
     for p in permutations(range(n)):
         # Index 0 first: most permutations fail there, before any loop.
-        if p[p[0]]:
-            continue
-        for i in rest:
-            if p[p[i]] != i:
-                break
-        else:
-            count += 1
+        if not p[p[0]]:
+            for i in rest:
+                if p[p[i]] != i:
+                    break
+            else:
+                count += 1
+        del p  # drop the last reference: permutations then refills one tuple in place
     return count

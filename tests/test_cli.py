@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recasymp import Expansion, presets
-from recasymp.cli import _DECIMAL_SPLIT_BITS, _decimal, main
+from recasymp.cli import _DECIMAL_SPLIT_BITS, _decimal, build_parser, main
 from recasymp.involutions import EXACT_INDEX_LIMIT, involution_count_by_sum
 
 FACT_REC = {"order": 1, "coeffs": [[1], [0, -1]]}
@@ -650,6 +650,23 @@ def test_traffic_stdout_is_pinned(tmp_path, capsys, argv, stdout):
     }
     code, out, err = run(capsys, *(files.get(a, a) for a in argv))
     assert (code, out, err) == (0, stdout, "")
+
+
+def test_parser_is_built_once_and_survives_usage_errors(capsys):
+    # As in a fresh process, the first parse is an error, and each later
+    # error fails at a different point of the one cached parser.
+    build_parser.cache_clear()
+    for argv in (
+        ("coeffs", "--preset", "a85", "--K", "0"),
+        ("coeffs", "--preset", "a85", "--recurrence", "r.json", "--K", "2"),
+        ("coeffs", "--preset", "a85", "--K", "2", "--bogus"),
+        ("coeffs", "--preset", "a85"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("error: ")
+    argv = ("coeffs", "--preset", "a85", "--K", "2")
+    assert run(capsys, *argv) == (0, dict(TRAFFIC)[argv], "")
+    assert build_parser() is build_parser()
 
 
 # -- fuzzing the file-reading commands -------------------------------------------

@@ -3,6 +3,9 @@
 OEIS A000085: 1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496, ...
 """
 
+from itertools import permutations
+from math import comb, factorial, prod
+
 import pytest
 
 from recasymp import (
@@ -14,6 +17,7 @@ from recasymp import (
     involution_counts_by_egf,
     involution_numbers,
 )
+from recasymp import involutions
 from recasymp.involutions import EXACT_INDEX_LIMIT, involution_number
 
 A000085_PREFIX = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496]
@@ -38,6 +42,36 @@ def test_egf_route_matches_recurrence_to_1000():
 
 def test_brute_force_prefix():
     assert [involution_count_brute(n) for n in range(11)] == A000085_PREFIX
+
+
+def test_brute_force_draws_all_n_factorial_permutations(monkeypatch):
+    # Every permutation is drawn and tested: nothing is pruned or skipped.
+    drawn = []
+
+    def counting_permutations(iterable):
+        for p in permutations(iterable):
+            drawn.append(tuple(list(p)))
+            yield drawn[-1]
+
+    monkeypatch.setattr(involutions, "permutations", counting_permutations)
+    for n in range(1, 8):
+        drawn.clear()
+        assert involution_count_brute(n) == A000085_PREFIX[n]
+        assert len(drawn) == len(set(drawn)) == factorial(n)
+
+
+def test_egf_route_uses_no_other_route(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the EGF route called another route")
+
+    for name in ("involution_numbers", "involution_number", "involution_count_by_sum"):
+        monkeypatch.setattr(involutions, name, refuse)
+    # t_m = sum_i C(m, 2i) (2i - 1)!!, written out here without the library.
+    expected = [
+        sum(comb(m, 2 * i) * prod(range(1, 2 * i, 2)) for i in range(m // 2 + 1))
+        for m in range(61)
+    ]
+    assert involution_counts_by_egf(60) == expected
 
 
 def test_single_value_matches_list():
