@@ -319,9 +319,11 @@ def add(s1: PuiseuxSeries, s2: PuiseuxSeries) -> PuiseuxSeries:
 
 
 def _trimmed(nums):
-    """nums without its trailing zeros."""
+    """nums without its trailing integer zeros.  A ring element is kept even
+    where it is zero: a product with it is a ring element, which gives its
+    result content 1, so dropping it would change what mul stores."""
     end = len(nums)
-    while end and not nums[end - 1]:
+    while end and type(nums[end - 1]) is int and not nums[end - 1]:
         end -= 1
     return nums[:end]
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recasymp import PuiseuxSeries, Rational, add, compose_shift, engine, exp_series, mul
@@ -383,6 +383,14 @@ ring_entries = st.one_of(rings, rationals, st.just(0))
     series(entries=ring_entries, min_valuation=0),
     rings,
     shifts,
+)
+# A trailing ring zero makes the default run's product a ring element, so
+# its content stays; runs of 1 order must not trim it away.
+@example(
+    a=PuiseuxSeries(0, [2, 0], 2),
+    b=PuiseuxSeries(0, [Rational(1, 2), Ring(0)], 2),
+    p=Ring(0),
+    j=1,
 )
 def test_kernels_match_reference_over_ring_elements(a, b, p, j):
     assert add(a, b) == ref_add(a, b)
