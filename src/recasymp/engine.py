@@ -73,6 +73,7 @@ terms), and residual_check on its expansion finds them built.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from types import MappingProxyType
 
@@ -83,33 +84,23 @@ from .recurrence import Recurrence, local_analysis, poly_to_laurent
 from .series import PuiseuxSeries, ResponseMarch, add, compose_shift, mul, shift_unit
 
 
+@dataclass(frozen=True)
 class Expansion:
     """A solved expansion: frame plus the first K correction coefficients,
     so t_n ~ C * F(n) * (1 + a_1 x + ... + a_K x^K), x = n^(-1/2), with C
     a connection constant the exact algebra cannot see."""
 
-    __slots__ = ("frame", "K", "a")
+    frame: Frame
+    K: int
+    a: tuple
 
-    def __init__(self, frame: Frame, K: int, a):
-        a = tuple(Rational(v) if isinstance(v, int) else v for v in a)
-        if K < 0:
+    def __post_init__(self):
+        a = tuple(Rational(v) if isinstance(v, int) else v for v in self.a)
+        if self.K < 0:
             raise ValueError("K must be >= 0")
-        if len(a) != K:
-            raise ValueError(f"need exactly K = {K} coefficients, got {len(a)}")
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "K", K)
+        if len(a) != self.K:
+            raise ValueError(f"need exactly K = {self.K} coefficients, got {len(a)}")
         object.__setattr__(self, "a", a)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Expansion is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Expansion):
-            return NotImplemented
-        return self.frame == other.frame and self.K == other.K and self.a == other.a
-
-    def __hash__(self):
-        return hash((self.frame, self.K, self.a))
 
     def __repr__(self):
         return f"Expansion(frame={self.frame!r}, K={self.K})"

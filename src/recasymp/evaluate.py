@@ -271,24 +271,17 @@ def format_significant(x, digits: int) -> str:
         raise ValueError("need at least one digit")
     if x._mpf_ == fzero:
         return "0"
-    rendered = to_str(x._mpf_, digits, strip_zeros=False, min_fixed=1, max_fixed=0)
+    # Scientific always: "d.ddd...e<exp>" with exactly `digits` digits,
+    # 9.99... carried into the exponent by to_str itself.
+    rendered = to_str(
+        x._mpf_, digits, strip_zeros=False, min_fixed=1, max_fixed=0, show_zero_exponent=True
+    )
     sign = ""
     if rendered.startswith("-"):
         sign, rendered = "-", rendered[1:]
     mantissa, _, exponent = rendered.partition("e")
-    if exponent:
-        e = int(exponent)
-    else:
-        # mpmath still prints magnitude-one values fixed; recover the
-        # decimal exponent from the dot position.
-        dot = mantissa.find(".")
-        e = (dot - 1) if dot >= 0 else (len(mantissa) - 1)
+    e = int(exponent)
     body = mantissa.replace(".", "")
-    # mpmath may round 9.99... up to a shorter mantissa like "10.0".
-    if len(body) > digits:
-        e += len(body) - digits
-        body = body[:digits]
-    body = body.ljust(digits, "0")
     if -4 <= e < 0:
         return sign + "0." + "0" * (-e - 1) + body
     if 0 <= e < digits:

@@ -30,54 +30,33 @@ lattice when 2*beta*j is an integer; anything else raises.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import factorial, lcm
 
 from .errors import RamificationError
-from .rationals import format_rational, rat
+from .rationals import Rational, format_rational, rat
 from .series import PuiseuxSeries, _lowest_terms, add, exp_series
 
 
+@dataclass(frozen=True)
 class Frame:
     """Immutable growth frame (beta, c, alpha, kappa), all exact rationals."""
 
-    __slots__ = ("beta", "c", "alpha", "kappa")
+    beta: Rational
+    c: Rational
+    alpha: Rational
+    kappa: Rational = 0
 
-    def __init__(self, beta, c, alpha, kappa=0):
-        object.__setattr__(self, "beta", rat(beta))
-        object.__setattr__(self, "c", rat(c))
-        object.__setattr__(self, "alpha", rat(alpha))
-        object.__setattr__(self, "kappa", rat(kappa))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Frame is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Frame):
-            return NotImplemented
-        return (self.beta, self.c, self.alpha, self.kappa) == (
-            other.beta,
-            other.c,
-            other.alpha,
-            other.kappa,
-        )
-
-    def __hash__(self):
-        return hash((self.beta, self.c, self.alpha, self.kappa))
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, rat(getattr(self, f.name)))
 
     def __repr__(self):
-        return (
-            f"Frame(beta={format_rational(self.beta)}, c={format_rational(self.c)}, "
-            f"alpha={format_rational(self.alpha)}, kappa={format_rational(self.kappa)})"
-        )
+        return "Frame(" + ", ".join(f"{k}={v}" for k, v in self.to_json_dict().items()) + ")"
 
     def to_json_dict(self) -> dict:
-        return {
-            "beta": format_rational(self.beta),
-            "c": format_rational(self.c),
-            "alpha": format_rational(self.alpha),
-            "kappa": format_rational(self.kappa),
-        }
+        return {f.name: format_rational(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Frame":

@@ -12,6 +12,7 @@ interior polynomials may vanish.
 from __future__ import annotations
 
 from collections import namedtuple
+from dataclasses import dataclass
 
 from .rationals import Rational
 from .series import PuiseuxSeries
@@ -40,35 +41,25 @@ def poly_eval(p: tuple[int, ...], n: int) -> int:
     return value
 
 
+@dataclass(frozen=True)
 class Recurrence:
     """Immutable recurrence p_0(n) t_n + ... + p_d(n) t_{n-d} = 0."""
 
-    __slots__ = ("order", "coeffs")
+    coeffs: tuple
 
-    def __init__(self, coeffs):
-        polys = tuple(_normalize_poly(p) for p in coeffs)
+    def __post_init__(self):
+        polys = tuple(_normalize_poly(p) for p in self.coeffs)
         if len(polys) < 2:
             raise ValueError("a recurrence needs order >= 1 (at least two polynomials)")
         if not polys[0]:
             raise ValueError("leading polynomial p_0 must not be identically zero")
         if not polys[-1]:
             raise ValueError("trailing polynomial p_d must not be identically zero")
-        object.__setattr__(self, "order", len(polys) - 1)
         object.__setattr__(self, "coeffs", polys)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Recurrence is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Recurrence):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"Recurrence(order={self.order}, coeffs={[list(p) for p in self.coeffs]})"
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
 
     def active_shifts(self):
         """Iterate (j, p_j) over the nonzero coefficient polynomials."""
@@ -122,8 +113,4 @@ def local_analysis(rec: Recurrence) -> LocalAnalysis:
 def poly_to_laurent(p, truncation: int) -> PuiseuxSeries:
     """The polynomial p(n) as a Laurent series in x = n^(-1/2): each n^i
     becomes x^(-2i).  Exact, so only the requested truncation bounds it."""
-    terms = {}
-    for i, c in enumerate(p):
-        if c:
-            terms[-2 * i] = Rational(c)
-    return PuiseuxSeries.from_terms(terms, truncation)
+    return PuiseuxSeries.from_terms({-2 * i: c for i, c in enumerate(p) if c}, truncation)

@@ -26,6 +26,7 @@ def test_frame_construction_and_equality():
     assert fr.kappa == Rational(-1, 4)
     assert fr == Frame(Rational(1, 2), 1, 0, Rational(-1, 4))
     assert fr != Frame("1/2", "1", "0", "0")
+    assert repr(fr) == "Frame(beta=1/2, c=1, alpha=0, kappa=-1/4)"
     with pytest.raises(AttributeError):
         fr.beta = 1
 

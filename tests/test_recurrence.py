@@ -2,7 +2,7 @@
 
 import pytest
 
-from recasymp import PuiseuxSeries, Recurrence, poly_to_laurent
+from recasymp import Expansion, Frame, PuiseuxSeries, Rational, Recurrence, poly_to_laurent
 from recasymp.recurrence import poly_degree, poly_eval
 
 
@@ -37,13 +37,32 @@ def test_int_coefficients_only():
         Recurrence([[True], [-1]])
 
 
-def test_immutability_and_equality():
-    a = Recurrence([[1], [-1], [1, -1]])
-    b = Recurrence([[1], [-1], [1, -1, 0]])
+@pytest.mark.parametrize(
+    "a, b, names",
+    [
+        (
+            Recurrence([[1], [-1], [1, -1]]),
+            Recurrence([[1], [-1], [1, -1, 0]]),
+            ("coeffs", "order"),
+        ),
+        (Frame("1/2", 1, 0), Frame(Rational(1, 2), 1, 0, 0), ("beta", "kappa")),
+        (
+            Expansion(Frame("1/2", 1, 0), 2, [1, Rational(-1, 3)]),
+            Expansion(Frame("1/2", 1, 0), 2, [Rational(1), Rational(-1, 3)]),
+            ("frame", "K", "a"),
+        ),
+    ],
+    ids=["Recurrence", "Frame", "Expansion"],
+)
+def test_immutability_and_equality(a, b, names):
+    # Values spelled differently are equal and hash alike; no attribute,
+    # declared or not, can be set.
     assert a == b
     assert hash(a) == hash(b)
-    with pytest.raises(AttributeError):
-        a.order = 3
+    for name in (*names, "undeclared"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 3)
+    assert a == b
 
 
 def test_sequence_residual():
