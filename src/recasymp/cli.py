@@ -25,14 +25,7 @@ from functools import lru_cache
 
 from .engine import residual_check, solve_expansion
 from .errors import EvaluationError, RecasympError
-from .evaluate import (
-    _context,
-    _to_mpf,
-    connection_constant,
-    eval_expansion,
-    format_significant,
-    ratio_check,
-)
+from .evaluate import connection_constant, eval_expansion, format_significant, ratio_check
 from .frame import Frame
 from .framesolve import frame_solve
 from .presets import INV_SQRT2, get_preset
@@ -169,9 +162,7 @@ def _decimal(value: int) -> Decimal:
 
 
 def _integer_summary(value: int) -> str:
-    digits = _digit_count(value)
-    ctx = _context(SUMMARY_DIGITS + 10)
-    return f"{digits} digits; {format_significant(_to_mpf(ctx, value), SUMMARY_DIGITS)}"
+    return f"{_digit_count(value)} digits; {format_significant(value, SUMMARY_DIGITS)}"
 
 
 # -- commands ---------------------------------------------------------------

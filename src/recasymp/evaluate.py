@@ -52,8 +52,7 @@ from mpmath.libmp import (
 
 from .engine import Expansion, solve_expansion
 from .errors import PrecisionUnachievable, TruncationDominates
-from .involutions import involution_number
-from .presets import INV_SQRT2, a85_frame, a85_recurrence
+from .presets import INV_SQRT2, get_preset
 from .rationals import Rational, rat
 
 #: Working precisions beyond this are refused rather than attempted.
@@ -61,7 +60,7 @@ MAX_WORKING_DPS = 10**6
 
 _GUARD_DIGITS = 10
 
-_A85 = a85_recurrence()
+_A85 = get_preset("a85")
 
 
 def _exponent_argument(frame, n: int) -> float:
@@ -221,10 +220,10 @@ def ratio_check(n: int, k: int, digits: int, *, expansion: Expansion | None = No
     n = 1000); no truncation gets the ratio closer to 1 than that floor.
     """
     if expansion is None:
-        expansion = solve_expansion(_A85, a85_frame(), k)
-    asy = eval_expansion(expansion, INV_SQRT2, n, k, digits)
+        expansion = solve_expansion(_A85.recurrence, _A85.frame, k)
+    asy = eval_expansion(expansion, _A85.constant, n, k, digits)
     ctx = asy.context
-    exact = _raw(involution_number(n), ctx.prec)
+    exact = _raw(_A85.term(n), ctx.prec)
     return RatioReport(
         n=n,
         k=k,
@@ -245,7 +244,7 @@ def connection_constant(rec, exp: Expansion, n: int, k: int, digits: int):
     is too short to support the requested digits at this n, and
     InputTooLarge when n is above EXACT_INDEX_LIMIT.
     """
-    if rec != _A85:
+    if rec != _A85.recurrence:
         raise ValueError(
             "exact sequence values are only available for the involution "
             "recurrence; cannot estimate a connection constant"
@@ -255,12 +254,14 @@ def connection_constant(rec, exp: Expansion, n: int, k: int, digits: int):
         raise TruncationDominates(digits, floor)
     denominator = eval_expansion(exp, 1, n, k, digits)
     ctx = denominator.context
-    exact = _raw(involution_number(n), ctx.prec)
+    exact = _raw(_A85.term(n), ctx.prec)
     return ctx.make_mpf(mpf_div(exact, denominator._mpf_, ctx.prec, round_nearest))
 
 
 def format_significant(x, digits: int) -> str:
-    """Render x to exactly `digits` significant decimal digits.
+    """Render x, an mpf or an exact int, to exactly `digits` significant
+    decimal digits.  An int is rounded once, at digits + _GUARD_DIGITS,
+    through _to_mpf.
 
     Small magnitudes print fixed ("1.0001...", "0.70710..."), large or tiny
     ones print normalized scientific with a bare integer exponent
@@ -269,6 +270,8 @@ def format_significant(x, digits: int) -> str:
     """
     if digits < 1:
         raise ValueError("need at least one digit")
+    if isinstance(x, int):
+        x = _to_mpf(_context(digits + _GUARD_DIGITS), x)
     if x._mpf_ == fzero:
         return "0"
     # Scientific always: "d.ddd...e<exp>" with exactly `digits` digits,

@@ -32,11 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from math import factorial, lcm
 
 from .errors import RamificationError
 from .rationals import Rational, format_rational, rat
-from .series import PuiseuxSeries, _lowest_terms, add, exp_series
+from .series import PuiseuxSeries, add, exp_series
 
 
 @dataclass(frozen=True)
@@ -87,16 +86,12 @@ def frame_ratio_parts(j: int, T: int):
 
     where l = log(1 - j x^2) and w_m are the binomial weights of
     (1 - j x^2)^(1/2), stepped as w_0 = 1, w_m = w_(m-1) * (2m - 3) * j / (2m).
-    Each part is built straight as integer numerators over one
-    denominator: A and C over lcm(1, ..., M + 1), M the last m below the
-    truncation, and B over 2^H * H!, H the last m of B, which the step's
-    2m divide.  These denominators are products that share factors with
-    the numerators, so each part is then put in lowest terms.  They depend
-    only on the shift j, so the frame finder expands exp(c*B + alpha*C)
-    from them in powers of c and alpha.  For the same reason they are
-    memoized per (j, T), in a memo of fixed size (_ratio_parts), once the
-    arguments are checked: recurrences that share a shift and a window
-    share the three series.
+    Each part is built from its exact coefficients by
+    PuiseuxSeries.from_terms.  They depend only on the shift j, so the
+    frame finder expands exp(c*B + alpha*C) from them in powers of c and
+    alpha.  For the same reason they are memoized per (j, T), in a memo of
+    fixed size (_ratio_parts), once the arguments are checked: recurrences
+    that share a shift and a window share the three series.
     """
     if not isinstance(j, int) or isinstance(j, bool) or j < 1:
         raise ValueError(f"shift must be a positive integer, got {j!r}")
@@ -108,27 +103,15 @@ def frame_ratio_parts(j: int, T: int):
 @lru_cache(maxsize=32)
 def _ratio_parts(j: int, T: int) -> tuple:
     """frame_ratio_parts(j, T) for a checked shift and truncation."""
-    top = (T + 1) // 2
-    den = lcm(*range(1, top + 1))
-    a = [0] * T
-    c = [0] * T
-    power = j  # j^m
-    for m in range(1, top):
-        c[2 * m] = -power * (den // m)
-        power *= j
-        a[2 * m] = power * (den // (m * (m + 1)))
-    half = T // 2
-    w_den = 2**half * factorial(half)
-    b = [0] * T
-    w = w_den  # w_m * w_den, an integer for every m <= half
-    for m in range(1, half + 1):
-        w = w * (2 * m - 3) * j // (2 * m)
+    a, b, c = {}, {}, {}
+    for m in range(1, (T + 1) // 2):
+        a[2 * m] = Rational(j ** (m + 1), m * (m + 1))
+        c[2 * m] = Rational(-(j**m), m)
+    w = Rational(1)
+    for m in range(1, T // 2 + 1):
+        w *= Rational((2 * m - 3) * j, 2 * m)
         b[2 * m - 1] = w
-    return (
-        _lowest_terms(0, a, den, T),
-        _lowest_terms(0, b, w_den, T),
-        _lowest_terms(0, c, den, T),
-    )
+    return tuple(PuiseuxSeries.from_terms(part, T) for part in (a, b, c))
 
 
 def frame_ratio(fr: Frame, j: int, T: int) -> PuiseuxSeries:

@@ -152,7 +152,8 @@ def frame_solve(rec: Recurrence) -> Frame:
 def _solve_low_orders(orders: dict) -> dict:
     """Walk the residual orders upwards, turning the first two that do not
     vanish identically, once the solved values are substituted, into
-    equations for c and alpha."""
+    equations for c and alpha.  A unique alpha that is a repeated root is
+    refused: it stands for log n terms (Birkhoff & Trjitzinsky)."""
     solved = {}
     for o in sorted(orders):
         poly = {}
@@ -178,7 +179,8 @@ def _solve_low_orders(orders: dict) -> dict:
             )
         var = variables.pop()
         powers = {i + l: v for (i, l), v in poly.items()}  # i or l is 0
-        roots = rational_roots([powers.get(d, 0) for d in range(max(powers) + 1)])
+        coeffs = [powers.get(d, 0) for d in range(max(powers) + 1)]
+        roots = rational_roots(coeffs)
         if not roots:
             raise NoRationalRoot(
                 f"the equation for {var} at order {o} has no rational root"
@@ -188,6 +190,14 @@ def _solve_low_orders(orders: dict) -> dict:
                 roots,
                 f"the equation for {var} at order {o} has multiple rational "
                 "roots: " + ", ".join(format_rational(r) for r in roots),
+            )
+        if var == "alpha" and poly_eval([d * a for d, a in enumerate(coeffs)][1:], roots[0]) == 0:
+            # Only alpha: a repeated c = 0, as the m-th difference has, leaves
+            # alpha's equation to decide.
+            raise NoRationalRoot(
+                f"the equation for alpha at order {o} has the repeated root "
+                f"{format_rational(roots[0])}; that means log n terms, which "
+                "are outside the stretched-exponential template"
             )
         solved[var] = roots[0]
         if len(solved) == 2:

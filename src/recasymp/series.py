@@ -20,9 +20,10 @@ stored over different denominators.
 Every kernel works on the numerators with integer arithmetic and keeps the
 denominator its arithmetic gives.  The content gcd(d, *nums) is divided
 out only where a denominator is formed as a product, so that it cannot
-build up: in mul (d1 * d2), in compose_shift (d * 4^I) and in the
-frame module's closed forms; and in truncate, whose cut drops numerators
-that may have needed part of the denominator.  The constructor's lcm and
+build up: in mul (d1 * d2) and in compose_shift (d * 4^I); and in
+truncate, whose cut drops numerators that may have needed part of the
+denominator.  The lcm that the constructor and from_terms bring exact
+values over (so the closed forms of shift_unit and the frame module) and
 the running lcm of exp_series and log1p_series are in lowest terms by
 construction; a sum or a scaling may carry content, and so may the
 numerators of the solver's march (ResponseMarch), which works on lists,
@@ -55,9 +56,8 @@ floating point input is rejected.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb, gcd, lcm
-from operator import or_
 
 from .errors import NegativeValuation, NonPositiveValuation
 from .rationals import Rational
@@ -615,30 +615,15 @@ def _central_binomials(j: int, n: int) -> list:
     return [comb(2 * b, b) * j**b for b in range(n)]
 
 
-def _strip_twos(nums, den: int):
-    """nums and den divided by the largest power of two that they share,
-    by shifts: the lowest set bit of their bitwise or.  A list holding a
-    ring element is returned as it is."""
-    try:
-        bits = reduce(or_, nums, den)
-    except TypeError:
-        return nums, den
-    z = (bits & -bits).bit_length() - 1
-    return ([a >> z for a in nums], den >> z) if z else (nums, den)
-
-
 @lru_cache(maxsize=32)
 def shift_unit(j: int, T: int) -> PuiseuxSeries:
-    """g_j = (1 - j*x^2)^(-1/2) = u_j/x through O(x^T), from its closed form
-    h_b / 4^b at x^(2b) (_central_binomials): the numerators 4^(I-b) * h_b
-    over 4^I, I = (T + 1) // 2, in lowest terms, which is what
-    compose_shift(x, j).x_shift(-1) stores for x known through O(x^(T+1)).
-    Memoized per (j, T) alone, so that recurrences with the same shift and
-    window share one series."""
-    half = (T + 1) // 2
-    nums = [0] * T
-    nums[::2] = [h << 2 * (half - b) for b, h in enumerate(_central_binomials(j, half))]
-    return _lowest_terms(0, nums, 4**half, T)
+    """g_j = (1 - j*x^2)^(-1/2) = u_j/x through O(x^T), built by from_terms
+    from its closed form h_b / 4^b at x^(2b) (_central_binomials), which is
+    what compose_shift(x, j).x_shift(-1) stores for x known through
+    O(x^(T+1)).  Memoized per (j, T) alone, so that recurrences with the
+    same shift and window share one series."""
+    hs = _central_binomials(j, (T + 1) // 2)
+    return PuiseuxSeries.from_terms({2 * b: Rational(h, 4**b) for b, h in enumerate(hs)}, T)
 
 
 def compose_shift(s: PuiseuxSeries, j: int) -> PuiseuxSeries:
@@ -652,9 +637,8 @@ def compose_shift(s: PuiseuxSeries, j: int) -> PuiseuxSeries:
     With E and O the even and odd coefficients of s, s(u) = E(u^2) +
     x * g * O(u^2), g = (1 - j*x^2)^(-1/2): Horner's rule on the numerators
     over d gives E(u^2) and O(u^2) (_horner_u2), and the one product, O(u^2)
-    times g, is over d * 4^I, I = T // 2 the number of odd orders.  The
-    power of two that the result shares with d * 4^I is shifted out before
-    the content gcd runs on what remains."""
+    times g, is over d * 4^I, I = T // 2 the number of odd orders, and the
+    result is put in lowest terms."""
     if not isinstance(j, int) or isinstance(j, bool) or j < 1:
         raise ValueError(f"shift must be a positive integer, got {j!r}")
     if s.valuation < 0:
@@ -674,5 +658,4 @@ def compose_shift(s: PuiseuxSeries, j: int) -> PuiseuxSeries:
     out = [0] * t
     out[0 : 2 * len(even) : 2] = [four[-1] * a for a in even]
     out[1::2] = [f * a for f, a in zip(four[:0:-1], odd_part)]
-    nums, den = _strip_twos(out[s.valuation :], s.den * four[-1])
-    return _lowest_terms(s.valuation, nums, den, t)
+    return _lowest_terms(s.valuation, out[s.valuation :], s.den * four[-1], t)

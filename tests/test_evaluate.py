@@ -73,6 +73,14 @@ def k25_expansions(a85_k25):
         (mpf("0.70710678"), 5, "0.70711"),
         (mpf("-0.5"), 2, "-0.50"),
         (mpf("-0.0099"), 2, "-0.0099"),
+        # Exact ints, rounded once: past 4300 digits, Python's int-to-str
+        # limit, too.
+        (0, 5, "0"),
+        (12345, 3, "1.23e4"),
+        (-987654321, 4, "-9.877e8"),
+        (123, 5, "123.00"),
+        pytest.param(10**5000 - 1, 3, "1.00e5000", id="int-carried-past-4300-digits"),
+        pytest.param(-(2**20000), 7, "-3.980277e6020", id="int-past-4300-digits"),
     ],
 )
 def test_format_significant(value, digits, expected):

@@ -1,5 +1,7 @@
 """Growth frames and the shift ratio F(n-j)/F(n) as an exact series."""
 
+from math import gcd
+
 import mpmath
 import pytest
 
@@ -93,6 +95,7 @@ def test_ratio_parts_closed_forms_match_series_algebra(j):
         parts = frame_ratio_parts(j, T)
         assert parts == _parts_by_series_algebra(j, T), T
         assert all(p.truncation == T for p in parts)
+        assert all(gcd(p.den, *p.nums) == 1 for p in parts)
 
 
 def test_ratio_leading_coefficient_is_one(a85_fr):

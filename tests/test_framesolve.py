@@ -126,6 +126,15 @@ def test_difference_operator_alpha_is_ambiguous(m):
     assert info.value.candidates == list(range(m))
 
 
+def test_repeated_alpha_root_is_refused():
+    # The harmonic numbers, n t(n) - (2n - 1) t(n-1) + (n - 1) t(n-2) = 0:
+    # the frame equations are c^2/4 = 0 and alpha^2 = 0.  The repeated
+    # alpha stands for the log n of H_n ~ log n + gamma + 1/(2n) + ...,
+    # which the template cannot hold, so no frame is printed for it.
+    with pytest.raises(NoRationalRoot, match="repeated root 0"):
+        frame_solve(Recurrence([[0, 1], [1, -2], [-1, 1]]))
+
+
 # -- round trip on recurrences with closed-form frames ---------------------------
 
 small = st.integers(min_value=-3, max_value=3)

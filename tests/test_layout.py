@@ -1,7 +1,7 @@
-"""Package structure: every import statement sits at module level, a
-private name crosses modules only where listed, the storage of a series
-stays behind the series module, and raw mpf tuples and the conversion of
-exact values to mpf stay in the evaluate module."""
+"""Package structure: every import statement sits at module level, no
+private name crosses modules, the storage of a series stays behind the
+series module, and raw mpf tuples and the conversion of exact values to
+mpf stay in the evaluate module."""
 
 import ast
 from pathlib import Path
@@ -30,21 +30,10 @@ def test_no_import_inside_a_function():
     assert nested == []
 
 
-# The private names one module still takes from another, as
-# (importer, module, name).  frame.py writes its closed forms straight as
-# numerators, so it puts them in lowest terms as series.py does; cli.py
-# prints a summary digest with evaluate's contexts and rounding.
-PRIVATE_IMPORTS = {
-    ("frame", "series", "_lowest_terms"),
-    ("cli", "evaluate", "_context"),
-    ("cli", "evaluate", "_to_mpf"),
-}
-
-
 def test_private_names_cross_modules_only_where_listed():
     # A private name imported from a sibling, or read off it as an
-    # attribute, is a dependency its owner cannot see; the list above is
-    # all that remains, so none is added back unnoticed.
+    # attribute, as (importer, module, name), is a dependency its owner
+    # cannot see; none is left.
     siblings = {path.stem for path in MODULES}
     found = set()
     for path in MODULES:
@@ -64,7 +53,7 @@ def test_private_names_cross_modules_only_where_listed():
                 and node.attr.startswith("_")
             ):
                 found.add((path.stem, node.value.id, node.attr))
-    assert found == PRIVATE_IMPORTS
+    assert found == set()
 
 
 def test_series_storage_stays_in_the_series_module():

@@ -324,7 +324,9 @@ def test_shift_unit_stores_the_compose_shift_seed(j):
     # x -> x (1 - j x^2)^(-1/2) gives for x, divided by x.
     for T in range(1, 41):
         seed = compose_shift(PuiseuxSeries.monomial(1, 1, T + 1), j).x_shift(-1)
-        assert stored(series_module.shift_unit.__wrapped__(j, T)) == stored(seed)
+        unit = series_module.shift_unit.__wrapped__(j, T)
+        assert stored(unit) == stored(seed)
+        assert gcd(unit.den, *unit.nums) == 1
 
 
 def test_shared_denominator_is_the_lcm():
