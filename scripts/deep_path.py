@@ -1,12 +1,16 @@
-"""Time the a85 deep path in two checkouts, in alternating fresh processes.
+"""Time the deep path in two checkouts, in alternating fresh processes.
 
     python scripts/deep_path.py BASE HEAD --K 300 --pairs 5
+    python scripts/deep_path.py BASE HEAD --K 300 --recurrence factorial.json
 
 BASE and HEAD are repository checkouts (each with a ``src/recasymp``).  Each
 pair runs one fresh interpreter per checkout, the side that goes first
-alternating from pair to pair.  A run solves a85 through K coefficients with
-``solve_expansion`` and certifies them with ``residual_check``, timing each
-by the thread time of its process, and hashes the coefficients.  The script
+alternating from pair to pair.  A run solves a recurrence through K
+coefficients with ``solve_expansion`` and certifies them with
+``residual_check``, timing each by the thread time of its process, and
+hashes the coefficients.  The recurrence is the a85 preset in its frame, or
+the one in the JSON file given by ``--recurrence``, in the frame that
+``frame_solve`` finds for it (not timed).  The script
 prints one JSON object: every pair's times, each side's medians, the ratios
 HEAD / BASE of those medians, whether the two sides' coefficients agree, and
 whether the certificates hold: ``certified`` is true when every run verifies
@@ -23,19 +27,28 @@ import sys
 from pathlib import Path
 from statistics import median
 
-#: What one fresh process runs; argv[1] is K.
+#: What one fresh process runs; argv[1] is K, argv[2] a recurrence file
+#: or empty for the a85 preset.
 _RUN = """
 import hashlib, json, sys
 from time import thread_time
 from recasymp.engine import residual_check, solve_expansion
+from recasymp.framesolve import frame_solve
 from recasymp.presets import get_preset
+from recasymp.recurrence import Recurrence
 
-preset = get_preset("a85")
-k = int(sys.argv[1])
+k, path = int(sys.argv[1]), sys.argv[2]
+if path:
+    with open(path, encoding="utf-8") as f:
+        rec = Recurrence.from_json_dict(json.load(f))
+    frame = frame_solve(rec)
+else:
+    preset = get_preset("a85")
+    rec, frame = preset.recurrence, preset.frame
 t0 = thread_time()
-exp = solve_expansion(preset.recurrence, preset.frame, k)
+exp = solve_expansion(rec, frame, k)
 t1 = thread_time()
-order = residual_check(preset.recurrence, exp)
+order = residual_check(rec, exp)
 t2 = thread_time()
 print(json.dumps({
     "solve_s": t1 - t0,
@@ -49,11 +62,11 @@ print(json.dumps({
 _TIMES = ("solve_s", "certify_s", "total_s")
 
 
-def run_once(checkout: Path, k: int) -> dict:
+def run_once(checkout: Path, k: int, recurrence: Path | None = None) -> dict:
     """One fresh interpreter on the checkout's library: its times and hash."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN, str(k)],
+        [sys.executable, "-c", _RUN, str(k), str(recurrence or "")],
         env=env,
         capture_output=True,
         text=True,
@@ -68,20 +81,25 @@ def main(argv=None) -> int:
     parser.add_argument("head", type=Path, help="checkout compared against it")
     parser.add_argument("--K", dest="k", type=int, default=300, help="coefficients (300)")
     parser.add_argument("--pairs", type=int, default=5, help="alternating pairs (5)")
+    parser.add_argument(
+        "--recurrence", type=Path, help="recurrence JSON file, solved in its frame (a85)"
+    )
     args = parser.parse_args(argv)
+    recurrence = args.recurrence.resolve() if args.recurrence else None
     sides = {"base": args.base.resolve(), "head": args.head.resolve()}
     pairs = []
     for i in range(args.pairs):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
         pair = {"first": order[0]}
         for side in order:
-            pair[side] = run_once(sides[side], args.k)
+            pair[side] = run_once(sides[side], args.k, recurrence)
         pairs.append(pair)
     orders = {p[s]["verified_order"] for p in pairs for s in sides}
     medians = {
         side: {t: median(p[side][t] for p in pairs) for t in _TIMES} for side in sides
     }
     report = {
+        "recurrence": str(args.recurrence or "a85"),
         "K": args.k,
         "clock": "thread_time of each fresh process",
         "checkouts": {side: str(path) for side, path in sides.items()},

@@ -62,6 +62,20 @@ series.ResponseMarch runs the march on integer numerators:
 The march so costs sum_k (T - k) integer steps per shift, plus one pass
 over r's window per step to absorb a_k * B_k.
 
+When c = 0 and every beta * j is an integer, every W_j, every g_j^2 and so
+r and every response x^k B_k with k even are even series: the problem
+lives in y = x^2 = 1/n (series.halve), where g_j^2 = 1 / (1 - j y).  The
+march then keeps one chain per shift, W_j itself, with no seed product,
+and divides it by 1 - j y, y_m += j * y_(m-1), once per even k, on lists
+half as long.  An odd k takes no step.  Its a_k is read at an odd order
+o, where r vanishes (a valuation of r below o is the same FrameMismatch as
+in x), and B_k is P(alpha - k/2) there, so a_k = 0 unless P(alpha - k/2)
+= 0, a resonance.  P is formed once, at k = 1, from the moments M_l as an
+integer polynomial in k, and evaluated in integers.  So the even march
+costs about a quarter of the steps and products of the march in x.  The
+assembly of the W_j and the certificate stay in x, so the certificate
+still checks the odd orders the even march skips.
+
 All series arithmetic is exact, and every truncation is sized once, before
 any arithmetic, from the budget reach of recurrence.local_analysis: the
 solve takes T = K + reach + 1.  The certificate reads one order more, so
@@ -75,13 +89,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from math import lcm
 from types import MappingProxyType
 
 from .errors import FrameMismatch, ResonantOrder
 from .frame import Frame, frame_ratio
 from .rationals import Rational, format_rational, parse_rational
-from .recurrence import Recurrence, local_analysis, poly_to_laurent
-from .series import PuiseuxSeries, ResponseMarch, add, compose_shift, mul, shift_unit
+from .recurrence import Recurrence, local_analysis, poly_eval, poly_to_laurent
+from .series import PuiseuxSeries, ResponseMarch, add, compose_shift, halve, mul, shift_unit
+
+
+_ZERO = Rational(0)
 
 
 @dataclass(frozen=True)
@@ -150,16 +168,40 @@ def _assemble(rec: Recurrence, frame: Frame, unit_orders: int) -> MappingProxyTy
     return MappingProxyType(terms)
 
 
-def _indicial_order(terms: dict, reach: int) -> int:
-    """leading + d, the lowest order of x^(2l) M_l over l = 1 .. t - 1 with
-    M_l = sum_j (-j)^l W_j, at most reach past the lowest valuation of the
-    W_j, j >= 1, where they are cut: a_k is read at this order plus k."""
+def _moments(terms: dict, reach: int) -> list:
+    """M_1 .. M_(t-1), M_l = sum_j (-j)^l W_j, each cut reach orders past
+    the lowest valuation of the W_j, j >= 1."""
     cut = min(w.valuation for j, w in terms.items() if j) + reach
     weights = [(-j, w.truncate(cut)) for j, w in terms.items() if j]
-    return min(
-        2 * l + reduce(add, (w.scale(s**l) for s, w in weights)).valuation
-        for l in range(1, len(terms))
-    )
+    return [reduce(add, (w.scale(s**l) for s, w in weights)) for l in range(1, len(terms))]
+
+
+def _indicial_order(moments: list) -> int:
+    """leading + d, the lowest order of x^(2l) M_l over l = 1 .. t - 1: a_k
+    is read at this order plus k."""
+    return min(2 * l + m.valuation for l, m in enumerate(moments, 1))
+
+
+def _indicial_polynomial(m0, moments: list, order: int) -> tuple:
+    """The integer polynomial Q in k, ascending, with Q(k) = N * P(alpha -
+    k/2) for one N > 0: the response B_k at the order where a_k is read.
+
+    P(alpha + delta) = sum_l binom(delta, l) m_l, with m_0 the coefficient
+    of x^order in M_0 = sum_j W_j and m_l that of x^(order - 2l) in M_l; no
+    l >= t contributes, as x^(2l) M_l starts 2l orders above the lowest
+    valuation of the W_j, j >= 1, and order at most 2(t - 1) above it.
+    binom(-k/2, l + 1) = binom(-k/2, l) * -(k + 2l) / (2(l + 1)), so with
+    the m_l over one denominator, Horner's rule from l = t - 1 down,
+    U_l = m_l * prod_(i = l + 1 .. t - 1) 2i - (k + 2l) U_(l+1), stays on
+    integer polynomials in k, and Q = U_0."""
+    m = [m0] + [v.coefficient(order - 2 * l) for l, v in enumerate(moments, 1)]
+    den = lcm(*(int(v.denominator) for v in m))
+    q, scale = [], 1
+    for l in range(len(m) - 1, -1, -1):
+        q = [-a - 2 * l * b for a, b in zip([0] + q, q + [0])]  # -(k + 2l) U_(l+1)
+        q[0] += int(m[l].numerator) * (den // int(m[l].denominator)) * scale
+        scale *= 2 * l
+    return tuple(q)
 
 
 def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
@@ -175,21 +217,36 @@ def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
         j: w.truncate(w.truncation - 1)
         for j, w in _assemble(rec, frame, unit_orders + 1).items()
     }
-    indicial = _indicial_order(terms, reach)
-    # The seeds of each shift's responses: W_j and W_j * g_j, with the unit
-    # g_j = u_j/x; the march steps them on from there.
-    march = ResponseMarch(
-        reduce(add, terms.values()),
-        terms[0],
-        {j: (w, mul(w, shift_unit(j, unit_orders))) for j, w in terms.items() if j},
-    )
+    moments = _moments(terms, reach)
+    indicial = _indicial_order(moments)
+    if frame.c or any((frame.beta * j).denominator != 1 for j in terms):
+        # The march in x, two chains per shift: W_j and W_j * g_j, with the
+        # unit g_j = u_j/x.
+        stride, weights = 1, terms
+        seeds = {j: (w, mul(w, shift_unit(j, unit_orders))) for j, w in terms.items() if j}
+    else:
+        # Every W_j is even: the march in y = x^2, one chain W_j per shift.
+        stride, weights = 2, {j: halve(w) for j, w in terms.items()}
+        seeds = {j: (w,) for j, w in weights.items() if j}
+    march = ResponseMarch(reduce(add, weights.values()), weights[0], seeds)
+    pk = None  # P(alpha - k/2) in k, formed at the first odd k on x^2
     coefficients = []
     for k in range(1, K + 1):
-        march.advance()
         o = indicial + k
-        if march.valuation < o:
-            raise FrameMismatch(k, march.valuation)
-        p, q = march.read(o)
+        odd = k % stride
+        if not odd:
+            march.advance()
+        if march.valuation * stride < o:
+            raise FrameMismatch(k, march.valuation * stride)
+        if odd:
+            # r is even, so r_o = 0, and B_k is P(alpha - k/2) at o.
+            if pk is None:
+                pk = _indicial_polynomial(march.residual(indicial // 2), moments, indicial)
+            if not poly_eval(pk, k):
+                raise ResonantOrder(k, o)
+            coefficients.append(_ZERO)
+            continue
+        p, q = march.read(o // stride)
         if not q:
             raise FrameMismatch(k, o) if p else ResonantOrder(k, o)
         coefficients.append(Rational(p, q))
@@ -223,5 +280,5 @@ def residual_check(rec: Recurrence, exp: Expansion) -> int:
     residual = reduce(
         add, (mul(w, compose_shift(s, j) if j else s) for j, w in terms.items())
     )
-    v0 = min(residual.valuation, _indicial_order(terms, reach) + 1)
+    v0 = min(residual.valuation, _indicial_order(_moments(terms, reach)) + 1)
     return residual.valuation - v0

@@ -43,6 +43,7 @@ Truncation orders obey the usual interval arithmetic of O-terms:
     mul:        T = min(T1 + v2, T2 + v1)
     exp, log1p: T preserved (arguments must have positive valuation)
     shift substitution x -> x*(1 - j*x^2)^(-1/2): v and T preserved
+    halve, an even series in y = x^2:  v/2, T = ceil(T/2)
 
 Coefficients are exact rationals.  Only ints and the backends' integer and
 rational types are split into integers; any other exact value (a subclass
@@ -469,32 +470,35 @@ def log1p_series(s: PuiseuxSeries) -> PuiseuxSeries:
 
 class ResponseMarch:
     """The solver's march on integer numerators: the residual r and the
-    linear responses b_k = W_0 + sum_j W_j * g_j^k, g_j = (1 - j x^2)^(-1/2),
-    for k = 1, 2, ... (see the engine module).
+    linear responses b_k = W_0 + sum_j W_j * h_j^k for k = 1, 2, ... (see the
+    engine module), in a variable z = n^(-1/e), where h_j = (1 - j z^e)^(-1/e)
+    realises n -> n - j: e = 2 in z = x, e = 1 in z = x^2 = 1/n.
 
-    Built from r, W_0 and the pair (W_j, W_j * g_j) of each shift j >= 1.
-    W_0 and the pairs are brought once over one common denominator D, as
-    dense numerator lists from their lowest valuation.  Step k reads b_k
-    only below x^(T - k), T the truncation of r, since x^k * b_k is
-    absorbed into r; so every list is cut to that window, each pair steps
-    by the exact division g_j^k = g_j^(k-2) / (1 - j x^2), which is the
-    in-place recurrence y_m += j * y_(m-2) on the numerators, and b_k is a
-    plain sum of integers over D.  r stays a dense numerator list over a
-    denominator of its own, which grows to lcm(r_den, D * q) when a_k = p/q
-    is absorbed, rescaling r once, and whose leading-zero index walks
-    forward as the solve cancels its low orders.  Each a_k is read as one
-    integer pair (p, q) = -r_o / b_o (read) and absorbed as that pair, so
-    the march builds no rational of its own.
+    Built from r, W_0 and, for each shift j >= 1, its e seeds W_j * h_j^i,
+    i = 0 .. e - 1: W_j and W_j * g_j in x, W_j alone in x^2.  W_0 and the
+    seeds are brought once over one common denominator D, as dense
+    numerator lists from their lowest valuation.  Step k reads b_k only
+    below z^(T - k), T the truncation of r, since z^k * b_k is absorbed into
+    r; so every list is cut to that window.  Each shift keeps e chains, its
+    last e powers of h_j times W_j, and a step divides the oldest by
+    1 - j z^e, h_j^k = h_j^(k-e) / (1 - j z^e), which is the in-place
+    recurrence y_m += j * y_(m-e) on the numerators; b_k is a plain sum of
+    integers over D.  r stays a dense numerator list over a denominator of
+    its own, which grows to lcm(r_den, D * q) when a_k = p/q is absorbed,
+    rescaling r once, and whose leading-zero index walks forward as the
+    solve cancels its low orders.  Each a_k is read as one integer pair
+    (p, q) = -r_o / b_o (read) and absorbed as that pair, so the march
+    builds no rational of its own.
 
-    Every response must be known through O(x^(T - 1)), the window of the
+    Every response must be known through O(z^(T - 1)), the window of the
     first step; the solver's weights are."""
 
     __slots__ = (
-        "k", "_t", "_low", "_den", "_base", "_pairs", "_b", "_r", "_rlow", "_rden", "_lead"
+        "k", "_t", "_low", "_den", "_base", "_chains", "_b", "_r", "_rlow", "_rden", "_lead"
     )
 
-    def __init__(self, residual: PuiseuxSeries, base: PuiseuxSeries, pairs: dict):
-        parts = [base] + [s for pair in pairs.values() for s in pair]
+    def __init__(self, residual: PuiseuxSeries, base: PuiseuxSeries, seeds: dict):
+        parts = [base] + [s for chain in seeds.values() for s in chain]
         t = residual.truncation
         if any(s.truncation < t - 1 for s in parts):
             raise ValueError("a response is not known through the residual's window")
@@ -512,7 +516,7 @@ class ResponseMarch:
         self.k = 0
         self._low, self._den, self._t = low, den, t
         self._base = dense(base)
-        self._pairs = [[j, dense(prev), dense(cur)] for j, (prev, cur) in pairs.items()]
+        self._chains = [(j, [dense(s) for s in chain]) for j, chain in seeds.items()]
         self._b = []
         # r is stored from an order no higher than any response reaches.
         self._rlow = rlow = min(residual.valuation, low + 1)
@@ -529,15 +533,16 @@ class ResponseMarch:
         """Step k to k + 1 and build b_k in the window of that step."""
         self.k = k = self.k + 1
         n = max(0, self._t - k - self._low)
-        if k > 1:
-            for pair in self._pairs:
-                j, y, cur = pair
+        for j, chains in self._chains:
+            e = len(chains)
+            if k >= e:
+                y = chains.pop(0)
                 del y[n:]
-                for m in range(2, n):
-                    y[m] += j * y[m - 2]
-                pair[1], pair[2] = cur, y
+                for m in range(e, n):
+                    y[m] += j * y[m - e]
+                chains.append(y)
         del self._base[n:]
-        self._b = list(map(sum, zip(self._base, *(cur for _, _, cur in self._pairs))))
+        self._b = list(map(sum, zip(self._base, *(chains[-1] for _, chains in self._chains))))
 
     def _beyond(self, order: int) -> None:
         if order >= self._t:
@@ -659,3 +664,14 @@ def compose_shift(s: PuiseuxSeries, j: int) -> PuiseuxSeries:
     out[0 : 2 * len(even) : 2] = [four[-1] * a for a in even]
     out[1::2] = [f * a for f, a in zip(four[:0:-1], odd_part)]
     return _lowest_terms(s.valuation, out[s.valuation :], s.den * four[-1], t)
+
+
+def halve(s: PuiseuxSeries) -> PuiseuxSeries:
+    """The even series s(x) as a series in y = x^2: the numerators of the
+    even orders over the same denominator, known through
+    O(y^ceil(T/2)).  Raises ValueError if an odd order is nonzero.  The
+    dropped numerators are zeros, so a series in lowest terms stays so."""
+    v, nums = s.valuation, s.nums
+    if nums and (v % 2 or any(nums[1::2])):
+        raise ValueError(f"{s!r} has a nonzero odd order")
+    return _from_numerators((v + 1) // 2, nums[::2], s.den, (s.truncation + 1) // 2)

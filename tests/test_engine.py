@@ -29,7 +29,7 @@ from recasymp import (
 )
 from recasymp import engine
 from recasymp.frame import _ratio_parts
-from recasymp.recurrence import local_analysis
+from recasymp.recurrence import local_analysis, poly_eval
 from recasymp.series import ResponseMarch, shift_unit
 
 # First ten correction coefficients of the involution-number expansion;
@@ -175,6 +175,51 @@ def test_resonance_at_a_chosen_second_indicial_root(r):
     assert info.value.k == r
 
 
+def _indicial_polynomial(rec, frame, K):
+    """The engine's P(alpha - k/2) as an integer polynomial in k, from the
+    weights of a K-coefficient solve, with M_0's coefficient read here."""
+    reach = local_analysis(rec).reach
+    terms = engine._assemble(rec, frame, K + reach + 1)
+    moments = engine._moments(terms, reach)
+    order = engine._indicial_order(moments)
+    m0 = sum(w.coefficient(order) for w in terms.values())
+    return engine._indicial_polynomial(m0, moments, order)
+
+
+@pytest.mark.parametrize("name", ["monic", "sparse", "two-term"])
+def test_indicial_polynomial_vanishes_at_the_solved_alpha_alone(name):
+    # P(alpha) = 0 at the frame_solve alpha, and no k <= K resonates.
+    for seed in range(1, 7):
+        rec = _family(name, seed)
+        pk = _indicial_polynomial(rec, frame_solve(rec), 12)
+        assert poly_eval(pk, 0) == 0
+        assert all(poly_eval(pk, k) for k in range(1, 13))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_march_in_x_reads_the_indicial_polynomial(seed, monkeypatch):
+    # B_k at the order of a_k is P(alpha - k/2) times one positive constant.
+    rec = a85_recurrence() if seed == 0 else _family("two-term", seed)
+    frame = frame_solve(rec)
+    pk = _indicial_polynomial(rec, frame, 12)
+    read, responses = ResponseMarch.read, []
+
+    def recording_read(march, o):
+        responses.append(march.response(o))
+        return read(march, o)
+
+    monkeypatch.setattr(ResponseMarch, "read", recording_read)
+    solve_expansion(rec, frame, 12)
+    ratios = {b / poly_eval(pk, k) for k, b in enumerate(responses, 1)}
+    assert len(responses) == 12 and len(ratios) == 1 and ratios.pop() > 0
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_resonant_family_has_its_indicial_root_at_r(r):
+    pk = _indicial_polynomial(Recurrence(_resonant_family(r)), Frame(0, 0, 0), 12)
+    assert [k for k in range(13) if not poly_eval(pk, k)] == [0, r]
+
+
 def test_solve_assembles_once(a85, a85_fr, monkeypatch):
     # The truncation is sized before any arithmetic, so no input makes the
     # solver ask for its weights twice, a resonant one included; it asks for
@@ -304,6 +349,21 @@ def test_march_steps_invert_their_divisor(s, j):
         assert mul(high, divisor) == low.x_shift(2).truncate(t)
 
 
+@settings(max_examples=20)
+@given(exact_series(), st.integers(min_value=1, max_value=4))
+def test_one_chain_march_divides_by_one_minus_jz(s, j):
+    # One seed per shift, as on x^2 = 1/n: step k gives z^k W_j / (1 - j z)^k.
+    t = s.truncation + 1
+    ample = t - s.valuation + 1
+    unit = PuiseuxSeries.from_terms({i + 1: j**i for i in range(ample - 1)}, ample)
+    march = ResponseMarch(PuiseuxSeries.zero(t), PuiseuxSeries.zero(t), {j: (s,)})
+    want = s
+    for _ in range(5):
+        march.advance()
+        want = mul(want, unit)
+        assert _response(march, s, t) == want.truncate(t)
+
+
 def _as_pair(value):
     return value.numerator, value.denominator
 
@@ -364,7 +424,7 @@ def test_vanishing_response_raises_by_the_residual(coeffs, error):
     # b_o = 0 at the order of a_2, so the residual there decides the error.
     rec, frame = Recurrence(coeffs), Frame(0, 0, 0)
     terms = engine._assemble(rec, frame, 8)
-    read = engine._indicial_order(terms, local_analysis(rec).reach) + 2
+    read = engine._indicial_order(engine._moments(terms, local_analysis(rec).reach)) + 2
     with pytest.raises(error) as err:
         solve_expansion(rec, frame, 4)
     assert (err.value.k, err.value.order) == (2, read)
@@ -388,13 +448,35 @@ def test_march_products_do_not_grow_with_K(a85, a85_fr, monkeypatch):
     assert counts[0] == counts[1]
 
 
+@pytest.mark.parametrize(
+    "coeffs, frame, seeds",
+    [([[1], [0, -1]], Frame(1, 0, "1/2"), 0), ([[1], [-1], [1, -1]], Frame("1/2", 0, 0), 2)],
+    ids=["factorial", "mismatch"],
+)
+def test_only_the_march_in_x_makes_seed_products(coeffs, frame, seeds, monkeypatch):
+    # With the weights memoized, the solve's products are the seeds W_j * g_j:
+    # one per shift in x, none on x^2, where c = 0 and every beta * j is an
+    # integer.  The a85 recurrence with c = 0 has 2 beta j = 1 at j = 1.
+    rec = Recurrence(coeffs)
+    _outcome(solve_expansion, rec, frame, 6)
+    calls = []
+
+    def counting_mul(s1, s2):
+        calls.append(1)
+        return mul(s1, s2)
+
+    monkeypatch.setattr(engine, "mul", counting_mul)
+    _outcome(solve_expansion, rec, frame, 6)
+    assert len(calls) == seeds
+
+
 def _reference_march(rec, frame, K):
     """The march as it ran on PuiseuxSeries before the integer kernel: every
     response through all T orders, every sum over a fresh lcm."""
     reach = local_analysis(rec).reach
     unit_orders = K + reach + 1
     terms = engine._assemble(rec, frame, unit_orders)
-    indicial = engine._indicial_order(terms, reach)
+    indicial = engine._indicial_order(engine._moments(terms, reach))
     r = reduce(add, terms.values())
     x = PuiseuxSeries.monomial(1, 1, unit_orders + 1)
     responses = {
@@ -433,6 +515,9 @@ def _outcome(solve, rec, frame, K):
         return type(err), err.k, err.order
 
 
+_FACTORIAL = Recurrence([[1], [0, -1]])
+
+
 def _family(name, seed):
     """A recurrence of the benchmark's frame-discovery families: t(n) =
     r(n) t(n-1) and r(n) t(n-j) with r monic, and t(n) = u t(n-1) + (n+v)
@@ -452,9 +537,18 @@ _MARCH_CASES = [
     for name in ("monic", "two-term", "sparse")
     for seed in (1, 2, 3)
 ] + [
+    # a85 with c = 0: 2 beta j is odd for j = 1, so the march stays in x.
     ("mismatch", Recurrence([[1], [-1], [1, -1]]), Frame("1/2", "0", "0"), 4),
     ("resonant", Recurrence([[0, -1, 1], [-2, 4, -2], [2, -3, 1]]), Frame(0, 0, 0), 3),
     ("a85", a85_recurrence(), a85_frame(), 40),
+    # On x^2 = 1/n: the Stirling series; the factorial in a wrong alpha,
+    # refused at k = 1 by the valuation of r; a resonance at an odd k; and
+    # a weight above the first window.
+    ("factorial", _FACTORIAL, Frame(1, 0, "1/2"), 24),
+    ("factorial-alpha", _FACTORIAL, Frame(1, 0, 0), 4),
+    ("resonant-k5", Recurrence([[1, 1], [3, -1], [-2, -1], [-2, 1]]), Frame(0, 0, 0), 8),
+    ("window-K0", Recurrence([[2], [0, 0, -2], [1]]), None, 0),
+    ("window-K1", Recurrence([[2], [0, 0, -2], [1]]), None, 1),
 ]
 
 

@@ -302,4 +302,6 @@ def test_short_window_finds_the_full_window_indicial_order(rec, K, shift, c, alp
         pass
     for frame in frames:
         terms = _assemble(rec, frame, K + reach + 1)
-        assert engine._indicial_order(terms, reach) == _full_window_indicial_order(terms)
+        assert engine._indicial_order(engine._moments(terms, reach)) == _full_window_indicial_order(
+            terms
+        )

@@ -20,6 +20,7 @@ from recasymp import (
     log1p_series,
     mul,
 )
+from recasymp.series import halve
 
 
 def S(valuation, coeffs, truncation):
@@ -236,6 +237,35 @@ def test_truncate_and_x_shift():
     assert shifted.valuation == -3
     assert shifted.truncation == 1
     assert shifted.coefficient(-3) == 1
+
+
+@pytest.mark.parametrize(
+    "s, want",
+    [
+        (
+            S(-2, [Rational(1, 6), 0, Rational(1, 4), 0, 3], 3),
+            S(-1, [Rational(1, 6), Rational(1, 4), 3], 2),
+        ),
+        (S(0, [1, 0, Rational(-1, 2), 0], 4), S(0, [1, Rational(-1, 2)], 2)),
+        (PuiseuxSeries.zero(5), PuiseuxSeries.zero(3)),
+        (PuiseuxSeries.zero(-3), PuiseuxSeries.zero(-1)),
+    ],
+    ids=["laurent-odd-T", "even-T", "zero", "zero-below-0"],
+)
+def test_halve_reads_an_even_series_in_x_squared(s, want):
+    # v/2 and ceil(T/2), the numerators of the even orders over the same
+    # denominator: so a series in lowest terms stays in lowest terms.
+    y = halve(s)
+    assert (y.valuation, y.truncation) == (want.valuation, want.truncation)
+    assert y == want and (y.nums, y.den) == (want.nums, want.den)
+
+
+@pytest.mark.parametrize(
+    "s", [S(1, [1], 2), S(0, [1, 0, 0, Rational(1, 3)], 4)], ids=["odd-valuation", "odd-order"]
+)
+def test_halve_rejects_an_odd_order(s):
+    with pytest.raises(ValueError, match="nonzero odd order"):
+        halve(s)
 
 
 # -- exp / log -------------------------------------------------------------------
