@@ -62,27 +62,41 @@ series.ResponseMarch runs the march on integer numerators:
 The march so costs sum_k (T - k) integer steps per shift, plus one pass
 over r's window per step to absorb a_k * B_k.
 
-When c = 0 and every beta * j is an integer, every W_j, every g_j^2 and so
-r and every response x^k B_k with k even are even series: the problem
-lives in y = x^2 = 1/n (series.halve), where g_j^2 = 1 / (1 - j y).  The
-march then keeps one chain per shift, W_j itself, with no seed product,
-and divides it by 1 - j y, y_m += j * y_(m-1), once per even k, on lists
-half as long.  An odd k takes no step.  Its a_k is read at an odd order
-o, where r vanishes (a valuation of r below o is the same FrameMismatch as
-in x), and B_k is P(alpha - k/2) there, so a_k = 0 unless P(alpha - k/2)
-= 0, a resonance.  P is formed once, at k = 1, from the moments M_l as an
-integer polynomial in k, and evaluated in integers.  So the even march
-costs about a quarter of the steps and products of the march in x.  The
-assembly of the W_j and the certificate stay in x, so the certificate
-still checks the odd orders the even march skips.
+When c = 0 and every beta * j is an integer, every W_j is a series in
+y = x^2 = 1/n: L_j is, Phi_j = y^(beta j) exp(beta A + alpha C) is by the
+closed forms of A and C (frame.frame_ratio_parts), and B, the one odd
+part, is scaled by c = 0.  So is g_j^2 = 1 / (1 - j y), and so r and every
+response x^k B_k with k even.  The problem then lives on the lattice of
+ramification r = 1 (_ramification): the weights are assembled in y
+(frame_ratio and poly_to_laurent with r = 1), and the moments, the
+indicial order and the march read them there, each order of y standing for
+two of x.  The march keeps one chain per shift, W_j itself, with no seed
+product, and divides it by 1 - j y, y_m += j * y_(m-1), once per even k, on
+lists half as long.  An odd k takes no step.  Its a_k is read at an odd
+order o, where r vanishes (a valuation of r below o is the same
+FrameMismatch as in x), and B_k is P(alpha - k/2) there, so a_k = 0 unless
+P(alpha - k/2) = 0, a resonance.  P is formed once, at k = 1, from the
+moments M_l as an integer polynomial in k, and evaluated in integers.  So
+the even march costs about a quarter of the steps and products of the
+march in x, and the assembly about a quarter of its products.
+
+The certificate runs in y too, by its own argument that the odd orders of
+x vanish.  Each W_j is even, as above.  S is even exactly when every odd
+a_k is zero, which residual_check checks on the expansion it is given; an
+expansion with a nonzero odd a_k is certified in x, against weights
+assembled in x.  And u_j^2 = x^2 / (1 - j x^2) = y / (1 - j y), so every
+S(u_j) is even, and so is every product and the residual: its valuation
+in x is twice its valuation in y, capped at the truncation the residual
+has in x, which the y residual passes by one order when the window is odd.
 
 All series arithmetic is exact, and every truncation is sized once, before
 any arithmetic, from the budget reach of recurrence.local_analysis: the
 solve takes T = K + reach + 1.  The certificate reads one order more, so
 the weights are assembled once, through T + 1, and memoized: the solve
-cuts each W_j by that one order, which stores the same numerators,
-denominator and truncation as an assembly through T (a cut is in lowest
-terms), and residual_check on its expansion finds them built.
+cuts each W_j to its own window (by one order in x, and in y by the one
+order of y that T + 1 adds when T is even), which stores the same
+numerators, denominator and truncation as an assembly through T (a cut is
+in lowest terms), and residual_check on its expansion finds them built.
 """
 
 from __future__ import annotations
@@ -96,7 +110,7 @@ from .errors import FrameMismatch, ResonantOrder
 from .frame import Frame, frame_ratio
 from .rationals import Rational, format_rational, parse_rational
 from .recurrence import Recurrence, local_analysis, poly_eval, poly_to_laurent
-from .series import PuiseuxSeries, ResponseMarch, add, compose_shift, halve, mul, shift_unit
+from .series import PuiseuxSeries, ResponseMarch, add, compose_shift, mul, shift_unit
 
 
 _ZERO = Rational(0)
@@ -147,24 +161,39 @@ class Expansion:
         )
 
 
+def _ramification(rec: Recurrence, frame: Frame) -> int:
+    """The r of the lattice z = n^(-1/r) that the weights live on: 1 when
+    c = 0 and every active beta * j is an integer, so that every W_j is a
+    series in y = x^2 = 1/n; 2 otherwise."""
+    q = frame.beta.denominator  # beta * j is an integer when q divides j
+    return 2 if frame.c or any(j % q for j, _ in rec.active_shifts()) else 1
+
+
+def _orders(x_orders: int, r: int) -> int:
+    """The orders of z = n^(-1/r) below x^x_orders: ceil(r * x_orders / 2)."""
+    return -(-r * x_orders // 2)
+
+
 @lru_cache(maxsize=1)
-def _assemble(rec: Recurrence, frame: Frame, unit_orders: int) -> MappingProxyType:
-    """Build the weights W_j = L_j * Phi_j, with the unit factor of every
-    Phi_j known through O(x^unit_orders).
+def _assemble(rec: Recurrence, frame: Frame, unit_orders: int, r: int) -> MappingProxyType:
+    """Build the weights W_j = L_j * Phi_j as series in z = n^(-1/r), with
+    the unit factor of every Phi_j known through O(x^unit_orders), that is
+    through O(z^_orders(unit_orders, r)).
 
     By the product rule T = min(T1 + v2, T2 + v1), W_j is then known through
-    unit_orders orders past its valuation -(2 deg p_j - 2 beta j), as long
-    as the exact L_j is carried through O(x^unit_orders) (its valuation is
+    that many orders past its valuation -(2 deg p_j - 2 beta j) (halved in
+    y), as long as the exact L_j is carried as far (its valuation is
     -2 deg p_j <= 0).
 
     Returns {j: W_j}, including j = 0 with W_0 = L_0, as a read-only
     mapping: the last assembly is memoized, so a solve and the certificate
     of its expansion share one object.
     """
+    orders = _orders(unit_orders, r)
     terms = {}
     for j, p in rec.active_shifts():
-        lj = poly_to_laurent(p, unit_orders)
-        terms[j] = mul(lj, frame_ratio(frame, j, unit_orders)) if j else lj
+        lj = poly_to_laurent(p, orders, r)
+        terms[j] = mul(lj, frame_ratio(frame, j, orders, r)) if j else lj
     return MappingProxyType(terms)
 
 
@@ -176,25 +205,26 @@ def _moments(terms: dict, reach: int) -> list:
     return [reduce(add, (w.scale(s**l) for s, w in weights)) for l in range(1, len(terms))]
 
 
-def _indicial_order(moments: list) -> int:
-    """leading + d, the lowest order of x^(2l) M_l over l = 1 .. t - 1: a_k
-    is read at this order plus k."""
-    return min(2 * l + m.valuation for l, m in enumerate(moments, 1))
+def _indicial_order(moments: list, r: int) -> int:
+    """leading + d, the lowest order of x^(2l) M_l over l = 1 .. t - 1, as an
+    order of x, for moments in z = n^(-1/r): a_k is read at this order plus
+    k."""
+    return min(2 * l + 2 // r * m.valuation for l, m in enumerate(moments, 1))
 
 
-def _indicial_polynomial(m0, moments: list, order: int) -> tuple:
+def _indicial_polynomial(m0, moments: list, order: int, r: int) -> tuple:
     """The integer polynomial Q in k, ascending, with Q(k) = N * P(alpha -
     k/2) for one N > 0: the response B_k at the order where a_k is read.
 
     P(alpha + delta) = sum_l binom(delta, l) m_l, with m_0 the coefficient
-    of x^order in M_0 = sum_j W_j and m_l that of x^(order - 2l) in M_l; no
-    l >= t contributes, as x^(2l) M_l starts 2l orders above the lowest
-    valuation of the W_j, j >= 1, and order at most 2(t - 1) above it.
-    binom(-k/2, l + 1) = binom(-k/2, l) * -(k + 2l) / (2(l + 1)), so with
-    the m_l over one denominator, Horner's rule from l = t - 1 down,
-    U_l = m_l * prod_(i = l + 1 .. t - 1) 2i - (k + 2l) U_(l+1), stays on
-    integer polynomials in k, and Q = U_0."""
-    m = [m0] + [v.coefficient(order - 2 * l) for l, v in enumerate(moments, 1)]
+    of x^order in M_0 = sum_j W_j and m_l that of x^(order - 2l) in M_l,
+    the moments in z = n^(-1/r); no l >= t contributes, as x^(2l) M_l
+    starts 2l orders above the lowest valuation of the W_j, j >= 1, and
+    order at most 2(t - 1) above it.  binom(-k/2, l + 1) = binom(-k/2, l) *
+    -(k + 2l) / (2(l + 1)), so with the m_l over one denominator, Horner's
+    rule from l = t - 1 down, U_l = m_l * prod_(i = l + 1 .. t - 1) 2i -
+    (k + 2l) U_(l+1), stays on integer polynomials in k, and Q = U_0."""
+    m = [m0] + [v.coefficient((order - 2 * l) * r // 2) for l, v in enumerate(moments, 1)]
     den = lcm(*(int(v.denominator) for v in m))
     q, scale = [], 1
     for l in range(len(m) - 1, -1, -1):
@@ -212,23 +242,24 @@ def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
         raise ValueError("K must be >= 0")
     reach = local_analysis(rec).reach
     unit_orders = K + reach + 1
-    # The certificate's weights, each cut by the one order it reads more.
+    r = _ramification(rec, frame)
+    # The certificate's weights, each cut by the orders it reads more.
+    extra = _orders(unit_orders + 1, r) - _orders(unit_orders, r)
     terms = {
-        j: w.truncate(w.truncation - 1)
-        for j, w in _assemble(rec, frame, unit_orders + 1).items()
+        j: w.truncate(w.truncation - extra)
+        for j, w in _assemble(rec, frame, unit_orders + 1, r).items()
     }
-    moments = _moments(terms, reach)
-    indicial = _indicial_order(moments)
-    if frame.c or any((frame.beta * j).denominator != 1 for j in terms):
+    moments = _moments(terms, _orders(reach, r))
+    indicial = _indicial_order(moments, r)
+    stride = 2 // r  # orders of x per order of the lattice
+    if r == 2:
         # The march in x, two chains per shift: W_j and W_j * g_j, with the
         # unit g_j = u_j/x.
-        stride, weights = 1, terms
         seeds = {j: (w, mul(w, shift_unit(j, unit_orders))) for j, w in terms.items() if j}
     else:
         # Every W_j is even: the march in y = x^2, one chain W_j per shift.
-        stride, weights = 2, {j: halve(w) for j, w in terms.items()}
-        seeds = {j: (w,) for j, w in weights.items() if j}
-    march = ResponseMarch(reduce(add, weights.values()), weights[0], seeds)
+        seeds = {j: (w,) for j, w in terms.items() if j}
+    march = ResponseMarch(reduce(add, terms.values()), terms[0], seeds)
     pk = None  # P(alpha - k/2) in k, formed at the first odd k on x^2
     coefficients = []
     for k in range(1, K + 1):
@@ -241,7 +272,7 @@ def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
         if odd:
             # r is even, so r_o = 0, and B_k is P(alpha - k/2) at o.
             if pk is None:
-                pk = _indicial_polynomial(march.residual(indicial // 2), moments, indicial)
+                pk = _indicial_polynomial(march.residual(indicial // stride), moments, indicial, r)
             if not poly_eval(pk, k):
                 raise ResonantOrder(k, o)
             coefficients.append(_ZERO)
@@ -265,20 +296,29 @@ def residual_check(rec: Recurrence, exp: Expansion) -> int:
     known through order K + 1 + reach - sigma, one past the solve's
     window, so it sees the order at which a_(K+1) would be read.  When it
     vanishes through all of that, as for an exact solution, the value is
-    the window's limit: a lower bound, still >= exp.K."""
+    the window's limit: a lower bound, still >= exp.K.
+
+    The residual is formed in y = x^2 = 1/n when the weights live there and
+    every odd a_k is zero (see the module docstring), in x otherwise."""
     reach = local_analysis(rec).reach
     unit_orders = exp.K + reach + 2
-    terms = _assemble(rec, exp.frame, unit_orders)
+    r = 2 if any(exp.a[::2]) else _ramification(rec, exp.frame)
     # The certificate treats the solved correction as an exact polynomial:
     # residual orders beyond K measure its quality, so S carries zeros,
-    # not its own O(x^(K+1)) term, through O(x^unit_orders).
-    s = PuiseuxSeries(
-        0,
-        (Rational(1),) + exp.a + (Rational(0),) * (unit_orders - exp.K - 1),
-        unit_orders,
-    )
+    # not its own O(x^(K+1)) term, through O(x^unit_orders); in y, its
+    # coefficients are the even a_k.
+    a = exp.a[1::2] if r == 1 else exp.a
+    orders = _orders(unit_orders, r)
+    s = PuiseuxSeries(0, (Rational(1),) + a + (Rational(0),) * (orders - len(a) - 1), orders)
+    terms = _assemble(rec, exp.frame, unit_orders, r)
     residual = reduce(
-        add, (mul(w, compose_shift(s, j) if j else s) for j, w in terms.items())
+        add, (mul(w, compose_shift(s, j, r) if j else s) for j, w in terms.items())
     )
-    v0 = min(residual.valuation, _indicial_order(_moments(terms, reach)) + 1)
-    return residual.valuation - v0
+    stride = 2 // r
+    # In x the residual is known through O(x^(unit_orders + leading)),
+    # leading the lowest valuation of the W_j; in y, one order further when
+    # unit_orders is odd, which x cannot see.
+    leading = min(w.valuation for w in terms.values()) * stride
+    valuation = min(residual.valuation * stride, unit_orders + leading)
+    v0 = min(valuation, _indicial_order(_moments(terms, _orders(reach, r)), r) + 1)
+    return valuation - v0

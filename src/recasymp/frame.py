@@ -26,6 +26,12 @@ Combinatorics, App. A), so each is written down in O(T) exact operations.
 
 The monomial prefactor x^(2*beta*j) only stays inside the ramification-2
 lattice when 2*beta*j is an integer; anything else raises.
+
+A and C are series in x^2 = 1/n, and B is odd.  So when c = 0 and beta*j
+is an integer the ratio is y^(beta*j) * exp(beta*A + alpha*C) in
+y = x^2 = 1/n, the lattice of ramification r = 1 (Birkhoff & Trjitzinsky,
+Acta Math. 60, 1933), and frame_ratio writes it there on request, with A
+and C read off the same closed forms at y^m instead of x^(2m).
 """
 
 from __future__ import annotations
@@ -62,21 +68,22 @@ class Frame:
         return cls(data["beta"], data["c"], data["alpha"], data.get("kappa", 0))
 
 
-def shift_exponent(beta, j: int) -> int:
-    """2*beta*j as an exact integer, the power of x carried by the shift
-    ratio; raises RamificationError when it is not an integer."""
-    s = rat(beta) * (2 * j)
+def shift_exponent(beta, j: int, r: int = 2) -> int:
+    """r*beta*j as an exact integer, the power of z = n^(-1/r) carried by
+    the shift ratio; raises RamificationError when it is not an integer."""
+    s = rat(beta) * (r * j)
     if s.denominator != 1:
         raise RamificationError(
-            f"shift ratio exponent 2*beta*j = {format_rational(s)} for j = {j} "
-            "is not an integer; the series lattice has ramification 2"
+            f"shift ratio exponent {r}*beta*j = {format_rational(s)} for j = {j} "
+            f"is not an integer; the series lattice has ramification {r}"
         )
     return int(s)
 
 
-def frame_ratio_parts(j: int, T: int):
+def frame_ratio_parts(j: int, T: int, r: int = 2):
     """The three universal series (A, B, C) with F(n-j)/F(n) equal to
-    x^(2*beta*j) * exp(beta*A + c*B + alpha*C), each known through O(x^T).
+    z^(r*beta*j) * exp(beta*A + c*B + alpha*C), each known through O(z^T),
+    in z = n^(-1/r): x for r = 2, y = x^2 = 1/n for r = 1.
 
     Each is written down from its closed form in O(T) exact operations:
 
@@ -86,27 +93,34 @@ def frame_ratio_parts(j: int, T: int):
 
     where l = log(1 - j x^2) and w_m are the binomial weights of
     (1 - j x^2)^(1/2), stepped as w_0 = 1, w_m = w_(m-1) * (2m - 3) * j / (2m).
+    In y, A and C carry the same coefficients at y^m, and B, which has only
+    the odd orders of x, is None: only a frame with c = 0 has a ratio there.
     Each part is built from its exact coefficients by
     PuiseuxSeries.from_terms.  They depend only on the shift j, so the
     frame finder expands exp(c*B + alpha*C) from them in powers of c and
-    alpha.  For the same reason they are memoized per (j, T), in a memo of
-    fixed size (_ratio_parts), once the arguments are checked: recurrences
-    that share a shift and a window share the three series.
+    alpha.  For the same reason they are memoized per (j, T, r), in a memo
+    of fixed size (_ratio_parts), once the arguments are checked:
+    recurrences that share a shift and a window share the three series.
     """
     if not isinstance(j, int) or isinstance(j, bool) or j < 1:
         raise ValueError(f"shift must be a positive integer, got {j!r}")
     if T < 1:
         raise ValueError("need truncation >= 1")
-    return _ratio_parts(j, T)
+    if r not in (1, 2):
+        raise ValueError(f"ramification must be 1 or 2, got {r!r}")
+    return _ratio_parts(j, T, r)
 
 
 @lru_cache(maxsize=32)
-def _ratio_parts(j: int, T: int) -> tuple:
-    """frame_ratio_parts(j, T) for a checked shift and truncation."""
+def _ratio_parts(j: int, T: int, r: int) -> tuple:
+    """frame_ratio_parts(j, T, r) for a checked shift, truncation and
+    ramification."""
     a, b, c = {}, {}, {}
-    for m in range(1, (T + 1) // 2):
-        a[2 * m] = Rational(j ** (m + 1), m * (m + 1))
-        c[2 * m] = Rational(-(j**m), m)
+    for m in range(1, (T + r - 1) // r):
+        a[r * m] = Rational(j ** (m + 1), m * (m + 1))
+        c[r * m] = Rational(-(j**m), m)
+    if r == 1:
+        return PuiseuxSeries.from_terms(a, T), None, PuiseuxSeries.from_terms(c, T)
     w = Rational(1)
     for m in range(1, T // 2 + 1):
         w *= Rational((2 * m - 3) * j, 2 * m)
@@ -114,18 +128,21 @@ def _ratio_parts(j: int, T: int) -> tuple:
     return tuple(PuiseuxSeries.from_terms(part, T) for part in (a, b, c))
 
 
-def frame_ratio(fr: Frame, j: int, T: int) -> PuiseuxSeries:
-    """The exact shift ratio F(n-j)/F(n) as a Puiseux series in x.
+def frame_ratio(fr: Frame, j: int, T: int, r: int = 2) -> PuiseuxSeries:
+    """The exact shift ratio F(n-j)/F(n) as a Puiseux series in
+    z = n^(-1/r): in x for r = 2, in y = x^2 = 1/n for r = 1, which needs
+    c = 0 (frame_ratio_parts).
 
-    The result has valuation 2*beta*j and is known through
-    O(x^(T + 2*beta*j)): T orders of the unit factor exp(g_j).  kappa drops
+    The result has valuation r*beta*j and is known through
+    O(z^(T + r*beta*j)): T orders of the unit factor exp(g_j).  kappa drops
     out of the ratio, so two frames differing only in kappa give identical
     results.
     """
-    s = shift_exponent(fr.beta, j)
-    a_part, b_part, c_part = frame_ratio_parts(j, T)
-    g = add(
-        add(a_part.scale(fr.beta), b_part.scale(fr.c)),
-        c_part.scale(fr.alpha),
-    )
+    s = shift_exponent(fr.beta, j, r)
+    a_part, b_part, c_part = frame_ratio_parts(j, T, r)
+    g = add(a_part.scale(fr.beta), c_part.scale(fr.alpha))
+    if fr.c:
+        if b_part is None:
+            raise ValueError("a frame with c != 0 has no shift ratio in y = 1/n")
+        g = add(g, b_part.scale(fr.c))
     return exp_series(g).x_shift(s)

@@ -110,7 +110,8 @@ def local_analysis(rec: Recurrence) -> LocalAnalysis:
     return LocalAnalysis(beta, 2 * len(shifts))
 
 
-def poly_to_laurent(p, truncation: int) -> PuiseuxSeries:
-    """The polynomial p(n) as a Laurent series in x = n^(-1/2): each n^i
-    becomes x^(-2i).  Exact, so only the requested truncation bounds it."""
-    return PuiseuxSeries.from_terms({-2 * i: c for i, c in enumerate(p) if c}, truncation)
+def poly_to_laurent(p, truncation: int, r: int = 2) -> PuiseuxSeries:
+    """The polynomial p(n) as a Laurent series in z = n^(-1/r), x for r = 2
+    and y = 1/n for r = 1: each n^i becomes z^(-r*i).  Exact, so only the
+    requested truncation bounds it."""
+    return PuiseuxSeries.from_terms({-r * i: c for i, c in enumerate(p) if c}, truncation)

@@ -1,8 +1,11 @@
 """Truncated Puiseux series with exact coefficients.
 
 The working variable is x = n^(-1/2), so a series in x with integer
-exponents is a Puiseux series in 1/n whose lattice is fixed at
-ramification 2.
+exponents is a Puiseux series in 1/n of ramification 2.  The kernels
+are blind to the variable, so the same series serve y = x^2 = 1/n, the
+lattice of ramification 1, where the solver puts frames with c = 0 and
+every beta*j an integer; only the shift substitution differs there
+(compose_shift with r = 1).
 
 A series is (valuation v, numerators, denominator d, truncation T) and
 represents
@@ -20,7 +23,7 @@ stored over different denominators.
 Every kernel works on the numerators with integer arithmetic and keeps the
 denominator its arithmetic gives.  The content gcd(d, *nums) is divided
 out only where a denominator is formed as a product, so that it cannot
-build up: in mul (d1 * d2) and in compose_shift (d * 4^I); and in
+build up: in mul (d1 * d2) and in compose_shift in x (d * 4^I); and in
 truncate, whose cut drops numerators that may have needed part of the
 denominator.  The lcm that the constructor and from_terms bring exact
 values over (so the closed forms of shift_unit and the frame module) and
@@ -43,7 +46,7 @@ Truncation orders obey the usual interval arithmetic of O-terms:
     mul:        T = min(T1 + v2, T2 + v1)
     exp, log1p: T preserved (arguments must have positive valuation)
     shift substitution x -> x*(1 - j*x^2)^(-1/2): v and T preserved
-    halve, an even series in y = x^2:  v/2, T = ceil(T/2)
+    shift substitution in y, y -> y/(1 - j*y): v and T preserved
 
 Coefficients are exact rationals.  Only ints and the backends' integer and
 rational types are split into integers; any other exact value (a subclass
@@ -631,21 +634,27 @@ def shift_unit(j: int, T: int) -> PuiseuxSeries:
     return PuiseuxSeries.from_terms({2 * b: Rational(h, 4**b) for b, h in enumerate(hs)}, T)
 
 
-def compose_shift(s: PuiseuxSeries, j: int) -> PuiseuxSeries:
-    """Substitute x -> u = x * (1 - j*x^2)^(-1/2) into a power series s.
+def compose_shift(s: PuiseuxSeries, j: int, r: int = 2) -> PuiseuxSeries:
+    """Substitute z -> z * (1 - j*z^r)^(-1/r) into a power series s in
+    z = n^(-1/r): x -> u = x * (1 - j*x^2)^(-1/2) in x (r = 2), and
+    y -> y / (1 - j*y) in y = x^2 = 1/n (r = 1).
 
-    This is exactly how a series in n^(-1/2) transforms under n -> n - j,
+    This is exactly how a series in n^(-1/r) transforms under n -> n - j,
     so it realises the index shift on the slowly varying factor of an
     expansion.  Valuation and truncation are preserved.  Laurent input is
     rejected: negative powers would leave the power series ring.
 
-    With E and O the even and odd coefficients of s, s(u) = E(u^2) +
-    x * g * O(u^2), g = (1 - j*x^2)^(-1/2): Horner's rule on the numerators
-    over d gives E(u^2) and O(u^2) (_horner_u2), and the one product, O(u^2)
-    times g, is over d * 4^I, I = T // 2 the number of odd orders, and the
-    result is put in lowest terms."""
+    In y the substitution is Horner's rule on the numerators over d
+    (_horner_u2, with y for x^2), an integer map with unit diagonal, so the
+    content of s, and the denominator, are kept.  In x, with E and O the
+    even and odd coefficients of s, s(u) = E(u^2) + x * g * O(u^2),
+    g = (1 - j*x^2)^(-1/2): Horner's rule gives E(u^2) and O(u^2), and the
+    one product, O(u^2) times g, is over d * 4^I, I = T // 2 the number of
+    odd orders, and the result is put in lowest terms."""
     if not isinstance(j, int) or isinstance(j, bool) or j < 1:
         raise ValueError(f"shift must be a positive integer, got {j!r}")
+    if r not in (1, 2):
+        raise ValueError(f"ramification must be 1 or 2, got {r!r}")
     if s.valuation < 0:
         raise NegativeValuation(
             f"shift substitution needs a power series, got valuation {s.valuation}"
@@ -654,6 +663,9 @@ def compose_shift(s: PuiseuxSeries, j: int) -> PuiseuxSeries:
     if s.is_zero:
         return s
     c = [0] * s.valuation + list(s.nums)
+    if r == 1:
+        out = _horner_u2(c, j)
+        return _from_numerators(0, out + [0] * (t - len(out)), s.den, t)
     even, odd = _horner_u2(c[0::2], j), _horner_u2(c[1::2], j)
     # g's x^(2b) coefficient is h_b / 4^b, so over 4^I x^(2i+1) gets
     # 4^(I-i) * sum_(a+b=i) 4^a * O_a * h_b: narrower integers than 4^I * g.
@@ -664,14 +676,3 @@ def compose_shift(s: PuiseuxSeries, j: int) -> PuiseuxSeries:
     out[0 : 2 * len(even) : 2] = [four[-1] * a for a in even]
     out[1::2] = [f * a for f, a in zip(four[:0:-1], odd_part)]
     return _lowest_terms(s.valuation, out[s.valuation :], s.den * four[-1], t)
-
-
-def halve(s: PuiseuxSeries) -> PuiseuxSeries:
-    """The even series s(x) as a series in y = x^2: the numerators of the
-    even orders over the same denominator, known through
-    O(y^ceil(T/2)).  Raises ValueError if an odd order is nonzero.  The
-    dropped numerators are zeros, so a series in lowest terms stays so."""
-    v, nums = s.valuation, s.nums
-    if nums and (v % 2 or any(nums[1::2])):
-        raise ValueError(f"{s!r} has a nonzero odd order")
-    return _from_numerators((v + 1) // 2, nums[::2], s.den, (s.truncation + 1) // 2)

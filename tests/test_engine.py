@@ -29,7 +29,7 @@ from recasymp import (
 )
 from recasymp import engine
 from recasymp.frame import _ratio_parts
-from recasymp.recurrence import local_analysis, poly_eval
+from recasymp.recurrence import local_analysis, poly_eval, poly_to_laurent
 from recasymp.series import ResponseMarch, shift_unit
 
 # First ten correction coefficients of the involution-number expansion;
@@ -175,25 +175,31 @@ def test_resonance_at_a_chosen_second_indicial_root(r):
     assert info.value.k == r
 
 
-def _indicial_polynomial(rec, frame, K):
+def _indicial_polynomial(rec, frame, K, r=None):
     """The engine's P(alpha - k/2) as an integer polynomial in k, from the
-    weights of a K-coefficient solve, with M_0's coefficient read here."""
+    weights of a K-coefficient solve on the lattice z = n^(-1/r) (by default
+    the solve's own), with M_0's coefficient read here."""
+    r = r or engine._ramification(rec, frame)
     reach = local_analysis(rec).reach
-    terms = engine._assemble(rec, frame, K + reach + 1)
-    moments = engine._moments(terms, reach)
-    order = engine._indicial_order(moments)
-    m0 = sum(w.coefficient(order) for w in terms.values())
-    return engine._indicial_polynomial(m0, moments, order)
+    terms = engine._assemble(rec, frame, K + reach + 1, r)
+    moments = engine._moments(terms, reach * r // 2)
+    order = engine._indicial_order(moments, r)
+    m0 = sum(w.coefficient(order * r // 2) for w in terms.values())
+    return engine._indicial_polynomial(m0, moments, order, r)
 
 
 @pytest.mark.parametrize("name", ["monic", "sparse", "two-term"])
 def test_indicial_polynomial_vanishes_at_the_solved_alpha_alone(name):
-    # P(alpha) = 0 at the frame_solve alpha, and no k <= K resonates.
+    # P(alpha) = 0 at the frame_solve alpha, and no k <= K resonates; the
+    # weights in y = 1/n give the polynomial that those in x give.
     for seed in range(1, 7):
         rec = _family(name, seed)
-        pk = _indicial_polynomial(rec, frame_solve(rec), 12)
+        frame = frame_solve(rec)
+        pk = _indicial_polynomial(rec, frame, 12)
         assert poly_eval(pk, 0) == 0
         assert all(poly_eval(pk, k) for k in range(1, 13))
+        assert pk == _indicial_polynomial(rec, frame, 12, 2)
+        assert engine._ramification(rec, frame) == (2 if name == "two-term" else 1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -423,8 +429,7 @@ def test_a85_march_reads_minus_residual_over_response(a85, a85_fr, monkeypatch):
 def test_vanishing_response_raises_by_the_residual(coeffs, error):
     # b_o = 0 at the order of a_2, so the residual there decides the error.
     rec, frame = Recurrence(coeffs), Frame(0, 0, 0)
-    terms = engine._assemble(rec, frame, 8)
-    read = engine._indicial_order(engine._moments(terms, local_analysis(rec).reach)) + 2
+    read = _x_indicial_order(_x_weights(rec, frame, 8), local_analysis(rec).reach) + 2
     with pytest.raises(error) as err:
         solve_expansion(rec, frame, 4)
     assert (err.value.k, err.value.order) == (2, read)
@@ -470,13 +475,46 @@ def test_only_the_march_in_x_makes_seed_products(coeffs, frame, seeds, monkeypat
     assert len(calls) == seeds
 
 
+def _x_weights(rec, frame, unit_orders):
+    """The weights W_j = L_j * Phi_j in x, from the public x kernels."""
+    return {
+        j: mul(poly_to_laurent(p, unit_orders), frame_ratio(frame, j, unit_orders))
+        if j
+        else poly_to_laurent(p, unit_orders)
+        for j, p in rec.active_shifts()
+    }
+
+
+def _x_indicial_order(terms, reach):
+    """The lowest order of x^(2l) M_l, M_l = sum_j (-j)^l W_j cut reach
+    orders past the lowest valuation of the W_j, j >= 1."""
+    cut = min(w.valuation for j, w in terms.items() if j) + reach
+    moments = [
+        reduce(add, (w.truncate(cut).scale((-j) ** l) for j, w in terms.items() if j))
+        for l in range(1, len(terms))
+    ]
+    return min(2 * l + m.valuation for l, m in enumerate(moments, 1))
+
+
+def _reference_certificate(rec, exp):
+    """residual_check as it ran in x alone: S and every W_j over all orders
+    of x, the residual read at its valuation in x."""
+    reach = local_analysis(rec).reach
+    unit_orders = exp.K + reach + 2
+    terms = _x_weights(rec, exp.frame, unit_orders)
+    s = PuiseuxSeries(0, (1,) + exp.a + (0,) * (unit_orders - exp.K - 1), unit_orders)
+    residual = reduce(add, (mul(w, compose_shift(s, j) if j else s) for j, w in terms.items()))
+    v0 = min(residual.valuation, _x_indicial_order(terms, reach) + 1)
+    return residual.valuation - v0
+
+
 def _reference_march(rec, frame, K):
     """The march as it ran on PuiseuxSeries before the integer kernel: every
-    response through all T orders, every sum over a fresh lcm."""
+    response through all T orders, every sum over a fresh lcm, in x."""
     reach = local_analysis(rec).reach
     unit_orders = K + reach + 1
-    terms = engine._assemble(rec, frame, unit_orders)
-    indicial = engine._indicial_order(engine._moments(terms, reach))
+    terms = _x_weights(rec, frame, unit_orders)
+    indicial = _x_indicial_order(terms, reach)
     r = reduce(add, terms.values())
     x = PuiseuxSeries.monomial(1, 1, unit_orders + 1)
     responses = {
@@ -549,6 +587,13 @@ _MARCH_CASES = [
     ("resonant-k5", Recurrence([[1, 1], [3, -1], [-2, -1], [-2, 1]]), Frame(0, 0, 0), 8),
     ("window-K0", Recurrence([[2], [0, 0, -2], [1]]), None, 0),
     ("window-K1", Recurrence([[2], [0, 0, -2], [1]]), None, 1),
+    # Wrong frames on x^2 = 1/n, each refused at k = 1 by the valuation of
+    # r: beta too large or too small, and alpha wrong on a sparse shift.
+    ("factorial-beta", _FACTORIAL, Frame(2, 0, "1/2"), 4),
+    ("factorial-zero", _FACTORIAL, Frame(0, 0, 0), 4),
+    ("monic-beta", _family("monic", 1), Frame(1, 0, 1), 4),
+    ("sparse2-alpha", _family("sparse", 1), Frame(1, 0, 0), 6),
+    ("sparse3-alpha", Recurrence([[1], [], [], [0, -1]]), Frame("1/3", 0, 0), 4),
 ]
 
 
@@ -603,9 +648,9 @@ def test_solve_and_certificate_build_the_weights_once(coeffs, K, monkeypatch):
     frame = frame_solve(rec)
     calls = []
 
-    def counting_frame_ratio(fr, j, T):
+    def counting_frame_ratio(fr, j, *args):
         calls.append(j)
-        return frame_ratio(fr, j, T)
+        return frame_ratio(fr, j, *args)
 
     monkeypatch.setattr(engine, "frame_ratio", counting_frame_ratio)
     exp = solve_expansion(rec, frame, K)
@@ -634,13 +679,16 @@ def test_memoized_weights_change_no_outcome(rec, frame, K):
 def test_cut_weights_store_what_the_solve_window_stores(rec, frame, K):
     # The cut drops the content the certificate's extra order brought, so
     # the march sees the denominators of an assembly through its own window.
+    # In y = 1/n, T + 1 orders of x add an order of y only when T is even.
     frame = frame or frame_solve(rec)
     T = K + local_analysis(rec).reach + 1
-    wide = engine._assemble(rec, frame, T + 1)
-    narrow = engine._assemble.__wrapped__(rec, frame, T)
+    r = engine._ramification(rec, frame)
+    wide = engine._assemble(rec, frame, T + 1, r)
+    narrow = engine._assemble.__wrapped__(rec, frame, T, r)
     assert wide.keys() == narrow.keys()
+    extra = 1 if r == 2 else 1 - T % 2
     for j, w in wide.items():
-        cut = w.truncate(w.truncation - 1)
+        cut = w.truncate(w.truncation - extra)
         assert (cut.valuation, cut.nums, cut.den, cut.truncation) == (
             narrow[j].valuation,
             narrow[j].nums,
@@ -665,13 +713,82 @@ def test_memos_shared_across_recurrences_change_no_outcome(a85, a85_fr):
 
 
 def test_memoized_weights_are_read_only(a85, a85_fr):
-    terms = engine._assemble(a85, a85_fr, 5)
+    terms = engine._assemble(a85, a85_fr, 5, 2)
     with pytest.raises(TypeError):
         terms[0] = PuiseuxSeries.zero(5)
-    assert engine._assemble(a85, a85_fr, 5) is terms
+    assert engine._assemble(a85, a85_fr, 5, 2) is terms
 
 
 # -- residual certificate -----------------------------------------------------
+
+
+_EVEN_CASES = {
+    **{f"monic-{seed}": _family("monic", seed) for seed in (1, 2, 3)},
+    # j = 2 and j = 3, each with d = 1 and d = 2.
+    **{f"sparse-{seed}": _family("sparse", seed) for seed in (1, 2, 3, 4)},
+    "factorial": _FACTORIAL,
+    "n-t(n-3)": Recurrence([[1], [], [], [0, -1]]),
+    # t(n) = n: S = 1 exactly, so the residual vanishes through its window.
+    "exact": Recurrence([[-1, 1], [0, -1]]),
+}
+
+
+def _recording_compose_shift(monkeypatch):
+    """Record the ramification of every compose_shift of the certificate."""
+    lattices = []
+
+    def recording(s, j, r=2):
+        lattices.append(r)
+        return compose_shift(s, j, r)
+
+    monkeypatch.setattr(engine, "compose_shift", recording)
+    return lattices
+
+
+@pytest.mark.parametrize("rec", _EVEN_CASES.values(), ids=_EVEN_CASES.keys())
+def test_certificate_in_y_matches_the_x_reference(rec, monkeypatch):
+    # Every W_j, S and u_j^2 = y / (1 - j y) are even, so the certificate in
+    # y = 1/n reads the order the certificate in x reads, at every K, odd K
+    # included, where the y residual is known one order of x further.
+    frame = frame_solve(rec)
+    assert engine._ramification(rec, frame) == 1
+    lattices = _recording_compose_shift(monkeypatch)
+    for K in (0, 1, 2, 5, 13, 24):
+        exp = solve_expansion(rec, frame, K)
+        assert residual_check(rec, exp) == _reference_certificate(rec, exp)
+    assert set(lattices) == {1}
+
+
+@pytest.mark.parametrize(
+    "a", [("1/5", "1/12"), ("0", "1/12", "1/7", "1/288"), ("0", "1/12", "0", "1/288", "1/9")],
+    ids=["a1", "a3", "a5"],
+)
+def test_certificate_with_an_odd_coefficient_runs_in_x(a, monkeypatch):
+    # A nonzero odd a_k makes S odd: the expansion is certified in x, as the
+    # reference certifies it, though its frame lives on y = 1/n.
+    exp = Expansion(Frame(1, 0, "1/2"), len(a), [as_rational(v) for v in a])
+    lattices = _recording_compose_shift(monkeypatch)
+    want = _reference_certificate(_FACTORIAL, exp)
+    assert residual_check(_FACTORIAL, exp) == want < exp.K
+    assert lattices == [2]
+
+
+@pytest.mark.parametrize("rec", _EVEN_CASES.values(), ids=_EVEN_CASES.keys())
+def test_weights_in_y_are_the_even_orders_of_the_weights_in_x(rec):
+    # W_j in y stores the numerators of the even orders of W_j in x, over
+    # the same denominator, from v/2 through ceil(T/2), and every odd order
+    # of W_j in x is zero.
+    frame = frame_solve(rec)
+    for T in (3, 8):
+        even, x = engine._assemble(rec, frame, T, 1), _x_weights(rec, frame, T)
+        assert even.keys() == x.keys()
+        for j, w in x.items():
+            assert w.valuation % 2 == 0 and not any(w.nums[1::2])
+            assert (even[j].valuation, even[j].truncation) == (
+                w.valuation // 2,
+                -(-w.truncation // 2),
+            )
+            assert (even[j].nums, even[j].den) == (w.nums[::2], w.den)
 
 
 def test_residual_check_certifies_solution(a85, a85_k10):

@@ -145,6 +145,34 @@ def test_ratio_off_lattice_rejected():
         frame_ratio(Frame("1/3", 0, 0), 1, 5)
 
 
+@pytest.mark.parametrize(
+    "fr, j", [(Frame(1, 0, "1/2"), 1), (Frame("1/3", 0, "1/2"), 3), (Frame(-2, 0, 5), 2)]
+)
+def test_ratio_in_y_is_the_even_part_of_the_ratio_in_x(fr, j):
+    # With c = 0 and beta*j an integer, the ratio in y = 1/n through T
+    # orders has the coefficients of the even orders of the ratio in x
+    # through 2T, whose odd orders vanish.
+    for T in (1, 6):
+        x, y = frame_ratio(fr, j, 2 * T), frame_ratio(fr, j, T, 1)
+        assert (y.valuation, y.truncation) == (x.valuation // 2, -(-x.truncation // 2))
+        assert x.coeffs[1::2] == (0,) * (len(x.coeffs) // 2)
+        assert y.coeffs == x.coeffs[::2]
+
+
+def test_ratio_in_y_needs_c_zero_and_an_integer_beta_j():
+    a, b, c = frame_ratio_parts(2, 5, 1)
+    assert b is None
+    orders = range(1, 5)
+    assert a == PuiseuxSeries.from_terms({m: Rational(2 ** (m + 1), m * (m + 1)) for m in orders}, 5)
+    assert c == PuiseuxSeries.from_terms({m: Rational(-(2**m), m) for m in orders}, 5)
+    with pytest.raises(ValueError, match="no shift ratio in y"):
+        frame_ratio(Frame(1, 1, 0), 1, 5, 1)
+    with pytest.raises(RamificationError, match="1\\*beta\\*j = 1/2"):
+        frame_ratio(Frame("1/2", 0, 0), 1, 5, 1)
+    with pytest.raises(ValueError):
+        frame_ratio_parts(1, 5, 3)
+
+
 def test_ratio_matches_bigfloat_frame_quotient(a85_fr):
     # Independent numeric oracle: evaluate the series at x = 1/sqrt(1000)
     # and compare with F(n-j)/F(n) computed directly in mpmath.

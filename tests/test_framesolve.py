@@ -260,7 +260,7 @@ def test_frame_equations_match_the_assembled_residual(rec, c, alpha):
         orders = framesolve._frame_equations(rec, beta, T)
     except RamificationError:
         assume(False)
-    terms = _assemble(rec, Frame(beta, c, alpha), T)
+    terms = _assemble(rec, Frame(beta, c, alpha), T, 2)
     residual = reduce(add, terms.values())
     assert all(o < residual.truncation for o in orders)
     low = min([residual.valuation, *orders])
@@ -289,7 +289,8 @@ def _full_window_indicial_order(terms):
 def test_short_window_finds_the_full_window_indicial_order(rec, K, shift, c, alpha):
     # Under the solved frame and under a wrong one (beta moved by an
     # integer, which keeps 2*beta*j integral), the W_j cut reach orders past
-    # their lowest valuation give the order the whole window gives.
+    # their lowest valuation give the order the whole window gives, in x and
+    # on the lattice the solve takes (y = 1/n for c = 0 and beta*j integral).
     beta, reach = local_analysis(rec)
     frames = [Frame(beta + shift, c, alpha)]
     try:
@@ -301,7 +302,7 @@ def test_short_window_finds_the_full_window_indicial_order(rec, K, shift, c, alp
     except (NoRationalRoot, AmbiguousRoot):
         pass
     for frame in frames:
-        terms = _assemble(rec, frame, K + reach + 1)
-        assert engine._indicial_order(engine._moments(terms, reach)) == _full_window_indicial_order(
-            terms
-        )
+        want = _full_window_indicial_order(_assemble(rec, frame, K + reach + 1, 2))
+        for r in {2, engine._ramification(rec, frame)}:
+            terms = _assemble(rec, frame, K + reach + 1, r)
+            assert engine._indicial_order(engine._moments(terms, reach * r // 2), r) == want

@@ -97,3 +97,6 @@ def test_poly_to_laurent():
     # n^2 -> x^-4.
     assert poly_to_laurent((0, 0, 1), 1) == PuiseuxSeries.monomial(1, -4, 1)
     assert poly_to_laurent((), 2).is_zero
+    # In y = 1/n: n - 1 -> y^-1 - 1, n^2 -> y^-2.
+    assert poly_to_laurent((-1, 1), 3, 1) == PuiseuxSeries.from_terms({-1: 1, 0: -1}, 3)
+    assert poly_to_laurent((0, 0, 1), 1, 1) == PuiseuxSeries.monomial(1, -2, 1)

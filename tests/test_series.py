@@ -20,7 +20,6 @@ from recasymp import (
     log1p_series,
     mul,
 )
-from recasymp.series import halve
 
 
 def S(valuation, coeffs, truncation):
@@ -239,35 +238,6 @@ def test_truncate_and_x_shift():
     assert shifted.coefficient(-3) == 1
 
 
-@pytest.mark.parametrize(
-    "s, want",
-    [
-        (
-            S(-2, [Rational(1, 6), 0, Rational(1, 4), 0, 3], 3),
-            S(-1, [Rational(1, 6), Rational(1, 4), 3], 2),
-        ),
-        (S(0, [1, 0, Rational(-1, 2), 0], 4), S(0, [1, Rational(-1, 2)], 2)),
-        (PuiseuxSeries.zero(5), PuiseuxSeries.zero(3)),
-        (PuiseuxSeries.zero(-3), PuiseuxSeries.zero(-1)),
-    ],
-    ids=["laurent-odd-T", "even-T", "zero", "zero-below-0"],
-)
-def test_halve_reads_an_even_series_in_x_squared(s, want):
-    # v/2 and ceil(T/2), the numerators of the even orders over the same
-    # denominator: so a series in lowest terms stays in lowest terms.
-    y = halve(s)
-    assert (y.valuation, y.truncation) == (want.valuation, want.truncation)
-    assert y == want and (y.nums, y.den) == (want.nums, want.den)
-
-
-@pytest.mark.parametrize(
-    "s", [S(1, [1], 2), S(0, [1, 0, 0, Rational(1, 3)], 4)], ids=["odd-valuation", "odd-order"]
-)
-def test_halve_rejects_an_odd_order(s):
-    with pytest.raises(ValueError, match="nonzero odd order"):
-        halve(s)
-
-
 # -- exp / log -------------------------------------------------------------------
 
 
@@ -372,6 +342,44 @@ def test_shift_rejects_laurent_and_bad_j():
         compose_shift(PuiseuxSeries.monomial(1, -1, 3), 1)
     with pytest.raises(ValueError):
         compose_shift(PuiseuxSeries.one(3), 0)
+    with pytest.raises(ValueError):
+        compose_shift(PuiseuxSeries.one(3), 1, 3)
+
+
+# -- shift substitution in y = x^2 = 1/n: y -> y / (1 - j y) -------------------
+
+
+def test_shift_in_y_of_y_is_the_geometric_series():
+    # y / (1 - 3y) = sum_m 3^(m-1) y^m; v, T and the denominator kept.
+    got = compose_shift(PuiseuxSeries.monomial(Rational(1, 2), 1, 6), 3, 1)
+    assert got == PuiseuxSeries.from_terms({m: Rational(3 ** (m - 1), 2) for m in range(1, 6)}, 6)
+    assert (got.valuation, got.truncation, got.den) == (1, 6, 2)
+    assert compose_shift(PuiseuxSeries.constant(5, 4), 2, 1) == PuiseuxSeries.constant(5, 4)
+
+
+def test_shift_in_y_semigroup_example():
+    s = S(1, [1, Rational(-2, 3), 3, 0, Rational(5, 7)], 6)
+    assert compose_shift(compose_shift(s, 1, 1), 2, 1) == compose_shift(s, 3, 1)
+
+
+def test_shift_in_y_is_the_shift_in_x_of_an_even_series():
+    # s(y) read as s(x^2): the shift in x has no odd order, and its even
+    # orders are the shift in y, from v/2 through ceil(T/2).
+    rng = random.Random(28)
+    for _ in range(30):
+        v, n, j = rng.randint(0, 3), rng.randint(0, 7), rng.randint(1, 4)
+        coeffs = [Rational(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+        y = S(v, coeffs, v + n)
+        x_even = [c for value in coeffs for c in (value, 0)][: max(0, 2 * n - 1)]
+        for t in (2 * (v + n) - 1, 2 * (v + n)):
+            if t < 2 * v:
+                continue
+            x = compose_shift(S(2 * v, (x_even + [0])[: t - 2 * v], t), j)
+            want = compose_shift(y.truncate(-(-t // 2)), j, 1)
+            assert [x.coefficient(o) for o in range(1, t, 2)] == [0] * (t // 2)
+            assert [x.coefficient(o) for o in range(0, t, 2)] == [
+                want.coefficient(o) for o in range(want.truncation)
+            ]
 
 
 # -- equality ------------------------------------------------------------------------
