@@ -97,10 +97,13 @@ cuts each W_j to its own window (by one order in x, and in y by the one
 order of y that T + 1 adds when T is even), which stores the same
 numerators, denominator and truncation as an assembly through T (a cut is
 in lowest terms), and residual_check on its expansion finds them built.
+The moments and the indicial order, which read no order the cut drops,
+are built once with the assembly and read by both.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import lcm
@@ -174,8 +177,14 @@ def _orders(x_orders: int, r: int) -> int:
     return -(-r * x_orders // 2)
 
 
+#: One assembly of the weights: terms, {j: W_j} as a read-only mapping, with
+#: what the solve and the certificate both read off them, the moments
+#: M_1 .. M_(t-1) (_moments) and the indicial order (_indicial_order).
+_Assembly = namedtuple("_Assembly", "terms moments indicial")
+
+
 @lru_cache(maxsize=1)
-def _assemble(rec: Recurrence, frame: Frame, unit_orders: int, r: int) -> MappingProxyType:
+def _assemble(rec: Recurrence, frame: Frame, unit_orders: int, r: int) -> _Assembly:
     """Build the weights W_j = L_j * Phi_j as series in z = n^(-1/r), with
     the unit factor of every Phi_j known through O(x^unit_orders), that is
     through O(z^_orders(unit_orders, r)).
@@ -185,16 +194,19 @@ def _assemble(rec: Recurrence, frame: Frame, unit_orders: int, r: int) -> Mappin
     y), as long as the exact L_j is carried as far (its valuation is
     -2 deg p_j <= 0).
 
-    Returns {j: W_j}, including j = 0 with W_0 = L_0, as a read-only
-    mapping: the last assembly is memoized, so a solve and the certificate
-    of its expansion share one object.
+    Returns {j: W_j}, including j = 0 with W_0 = L_0, with its moments and
+    indicial order: the last assembly is memoized, so a solve and the
+    certificate of its expansion share one object and build the moments
+    once.  The moments read each W_j only reach orders past the lowest
+    valuation, which the solve's cut of the weights keeps.
     """
     orders = _orders(unit_orders, r)
     terms = {}
     for j, p in rec.active_shifts():
         lj = poly_to_laurent(p, orders, r)
         terms[j] = mul(lj, frame_ratio(frame, j, orders, r)) if j else lj
-    return MappingProxyType(terms)
+    moments = tuple(_moments(terms, _orders(local_analysis(rec).reach, r)))
+    return _Assembly(MappingProxyType(terms), moments, _indicial_order(moments, r))
 
 
 def _moments(terms: dict, reach: int) -> list:
@@ -245,12 +257,8 @@ def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
     r = _ramification(rec, frame)
     # The certificate's weights, each cut by the orders it reads more.
     extra = _orders(unit_orders + 1, r) - _orders(unit_orders, r)
-    terms = {
-        j: w.truncate(w.truncation - extra)
-        for j, w in _assemble(rec, frame, unit_orders + 1, r).items()
-    }
-    moments = _moments(terms, _orders(reach, r))
-    indicial = _indicial_order(moments, r)
+    weights, moments, indicial = _assemble(rec, frame, unit_orders + 1, r)
+    terms = {j: w.truncate(w.truncation - extra) for j, w in weights.items()}
     stride = 2 // r  # orders of x per order of the lattice
     if r == 2:
         # The march in x, two chains per shift: W_j and W_j * g_j, with the
@@ -310,7 +318,7 @@ def residual_check(rec: Recurrence, exp: Expansion) -> int:
     a = exp.a[1::2] if r == 1 else exp.a
     orders = _orders(unit_orders, r)
     s = PuiseuxSeries(0, (Rational(1),) + a + (Rational(0),) * (orders - len(a) - 1), orders)
-    terms = _assemble(rec, exp.frame, unit_orders, r)
+    terms, _, indicial = _assemble(rec, exp.frame, unit_orders, r)
     residual = reduce(
         add, (mul(w, compose_shift(s, j, r) if j else s) for j, w in terms.items())
     )
@@ -320,5 +328,5 @@ def residual_check(rec: Recurrence, exp: Expansion) -> int:
     # unit_orders is odd, which x cannot see.
     leading = min(w.valuation for w in terms.values()) * stride
     valuation = min(residual.valuation * stride, unit_orders + leading)
-    v0 = min(valuation, _indicial_order(_moments(terms, _orders(reach, r)), r) + 1)
+    v0 = min(valuation, indicial + 1)
     return valuation - v0

@@ -32,6 +32,14 @@ is an integer the ratio is y^(beta*j) * exp(beta*A + alpha*C) in
 y = x^2 = 1/n, the lattice of ramification r = 1 (Birkhoff & Trjitzinsky,
 Acta Math. 60, 1933), and frame_ratio writes it there on request, with A
 and C read off the same closed forms at y^m instead of x^(2m).
+
+When c != 0, B makes g_j dense, so its exp_series visits every order of x.
+That unit is exp(beta*A + c*B) * exp(alpha*C): the first factor depends on
+(beta, c, j, T) alone and is memoized, so the recurrences that share a
+frame's beta and c build it once; the second is even, as C is, so its
+exp_series visits half the orders, and it is skipped when alpha = 0.  Both
+sides of the product are in lowest terms, so it stores what one exp_series
+of g_j stores.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from functools import lru_cache
 
 from .errors import RamificationError
 from .rationals import Rational, format_rational, rat
-from .series import PuiseuxSeries, add, exp_series
+from .series import PuiseuxSeries, add, exp_series, mul
 
 
 @dataclass(frozen=True)
@@ -136,13 +144,26 @@ def frame_ratio(fr: Frame, j: int, T: int, r: int = 2) -> PuiseuxSeries:
     The result has valuation r*beta*j and is known through
     O(z^(T + r*beta*j)): T orders of the unit factor exp(g_j).  kappa drops
     out of the ratio, so two frames differing only in kappa give identical
-    results.
+    results.  With c != 0 the unit is exp(beta*A + c*B) (_stretched_unit)
+    times exp(alpha*C), the second factor formed only when alpha != 0.
     """
     s = shift_exponent(fr.beta, j, r)
     a_part, b_part, c_part = frame_ratio_parts(j, T, r)
-    g = add(a_part.scale(fr.beta), c_part.scale(fr.alpha))
-    if fr.c:
-        if b_part is None:
-            raise ValueError("a frame with c != 0 has no shift ratio in y = 1/n")
-        g = add(g, b_part.scale(fr.c))
-    return exp_series(g).x_shift(s)
+    if not fr.c:
+        return exp_series(add(a_part.scale(fr.beta), c_part.scale(fr.alpha))).x_shift(s)
+    if b_part is None:
+        raise ValueError("a frame with c != 0 has no shift ratio in y = 1/n")
+    unit = _stretched_unit(fr.beta, fr.c, j, T)
+    if fr.alpha:
+        unit = mul(unit, exp_series(c_part.scale(fr.alpha)))
+    return unit.x_shift(s)
+
+
+@lru_cache(maxsize=32)
+def _stretched_unit(beta, c, j: int, T: int) -> PuiseuxSeries:
+    """exp(beta*A + c*B) in x through O(x^T), the factor of a c != 0 ratio's
+    unit that every alpha shares: memoized per (beta, c, j, T), so the
+    recurrences with that frame's beta and c and with shift j pay its dense
+    exp_series once."""
+    a_part, b_part, _ = _ratio_parts(j, T, 2)
+    return exp_series(add(a_part.scale(beta), b_part.scale(c)))

@@ -15,10 +15,13 @@ factor is a short Taylor expansion in c and alpha, and
               * sum_{i + 2l < T} c^i alpha^l B_j^i C_j^l / (i! l!)
 
 is a polynomial in c and alpha over plain rational series, kept per order
-as a dict {(i, l): coefficient of c^i alpha^l}.  The lowest order that does
-not vanish identically must vanish, which yields one univariate polynomial
-equation over Q, and the next such order pins the other parameter.  Exact
-rational root finding reports a missing or non-unique root as such.
+as a dict {(i, l): coefficient of c^i alpha^l}.  Each shift's table of
+x^(2 beta j) exp(beta A_j) B_j^i C_j^l / (i! l!) depends on (beta, j, T)
+alone and is memoized, so a recurrence only multiplies its entries by the
+exact L_j and adds.  The lowest order that does not vanish identically
+must vanish, which yields one univariate polynomial equation over Q, and
+the next such order pins the other parameter.  Exact rational root finding
+reports a missing or non-unique root as such.
 
 kappa is normalised to 0: it multiplies every term by the same constant,
 so it is indistinguishable from the connection constant the exact algebra
@@ -27,6 +30,7 @@ cannot see anyway.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import lcm
 
 from .errors import AmbiguousRoot, NoRationalRoot
@@ -117,15 +121,9 @@ def _frame_equations(rec: Recurrence, beta, T: int):
     parts = {(0, 0): poly_to_laurent(rec.coeffs[0], T)}
     for j, p in list(rec.active_shifts())[1:]:
         lj = poly_to_laurent(p, T)
-        s = shift_exponent(beta, j)
-        a, b, c = frame_ratio_parts(j, T)
-        row = mul(lj, exp_series(a.scale(beta)).x_shift(s))  # times B^i/i!
-        for i in range(T):
-            term = row  # times C^l/l!
-            for l in range((T + 1 - i) // 2):
-                parts[i, l] = add(parts[i, l], term) if (i, l) in parts else term
-                term = mul(term, c).scale(Rational(1, l + 1))
-            row = mul(row, b).scale(Rational(1, i + 1))
+        for key, entry in _shift_expansion(beta, j, T):
+            term = mul(lj, entry)
+            parts[key] = add(parts[key], term) if key in parts else term
     truncation = min(part.truncation for part in parts.values())
     orders = {}
     for key, part in parts.items():
@@ -133,6 +131,28 @@ def _frame_equations(rec: Recurrence, beta, T: int):
             if o < truncation:
                 orders.setdefault(o, {})[key] = v
     return orders
+
+
+@lru_cache(maxsize=32)
+def _shift_expansion(beta, j: int, T: int) -> tuple:
+    """((i, l), x^(2 beta j) exp(beta A_j) B_j^i C_j^l / (i! l!)) for
+    i + 2l < T, in the order _frame_equations first meets the keys: the
+    part of shift j's term in E that does not depend on the recurrence,
+    memoized per (beta, j, T).  Each entry is known through
+    O(x^(T + 2 beta j)), so its product with the exact L_j is known as far
+    as L_j times the whole chain (the product rule of series.mul)."""
+    s = shift_exponent(beta, j)
+    a, b, c = frame_ratio_parts(j, T)
+    rows = [exp_series(a.scale(beta)).x_shift(s)]  # times B^i/i!
+    for i in range(1, T):
+        rows.append(mul(rows[-1], b).scale(Rational(1, i)))
+    entries = []
+    for i, term in enumerate(rows):
+        for l in range((T + 1 - i) // 2):  # times C^l/l!
+            if l:
+                term = mul(term, c).scale(Rational(1, l))
+            entries.append(((i, l), term))
+    return tuple(entries)
 
 
 def frame_solve(rec: Recurrence) -> Frame:

@@ -28,7 +28,7 @@ from recasymp import (
     solve_expansion,
 )
 from recasymp import engine
-from recasymp.frame import _ratio_parts
+from recasymp.frame import _ratio_parts, _stretched_unit
 from recasymp.recurrence import local_analysis, poly_eval, poly_to_laurent
 from recasymp.series import ResponseMarch, shift_unit
 
@@ -57,13 +57,14 @@ def as_rational(text):
 def _clear_memos():
     engine._assemble.cache_clear()
     _ratio_parts.cache_clear()
+    _stretched_unit.cache_clear()
     shift_unit.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def cold_weights():
-    # The weights, the frame parts and the seeds are memoized across calls,
-    # and the memos outlive a test.
+    # The weights, the frame parts, the stretched units and the seeds are
+    # memoized across calls, and the memos outlive a test.
     _clear_memos()
 
 
@@ -181,7 +182,7 @@ def _indicial_polynomial(rec, frame, K, r=None):
     the solve's own), with M_0's coefficient read here."""
     r = r or engine._ramification(rec, frame)
     reach = local_analysis(rec).reach
-    terms = engine._assemble(rec, frame, K + reach + 1, r)
+    terms = engine._assemble(rec, frame, K + reach + 1, r).terms
     moments = engine._moments(terms, reach * r // 2)
     order = engine._indicial_order(moments, r)
     m0 = sum(w.coefficient(order * r // 2) for w in terms.values())
@@ -244,6 +245,24 @@ def test_solve_assembles_once(a85, a85_fr, monkeypatch):
     with pytest.raises(ResonantOrder):
         solve_expansion(Recurrence([[0, -1, 1], [-2, 4, -2], [2, -3, 1]]), Frame(0, 0, 0), 2)
     assert len(calls) == 1
+
+
+def test_solve_and_certificate_build_the_moments_once(a85, a85_fr, monkeypatch):
+    # The moments and the indicial order sit in the memoized assembly, so
+    # the certificate of a solved expansion finds them built.
+    calls = []
+    moments = engine._moments
+
+    def counting_moments(*args):
+        calls.append(1)
+        return moments(*args)
+
+    monkeypatch.setattr(engine, "_moments", counting_moments)
+    for rec, frame in ((a85, a85_fr), (_FACTORIAL, Frame(1, 0, "1/2"))):
+        calls.clear()
+        exp = solve_expansion(rec, frame, 10)
+        assert residual_check(rec, exp) >= 10
+        assert len(calls) == 1
 
 
 def test_factorial_recurrence_gives_stirling_series():
@@ -683,8 +702,13 @@ def test_cut_weights_store_what_the_solve_window_stores(rec, frame, K):
     frame = frame or frame_solve(rec)
     T = K + local_analysis(rec).reach + 1
     r = engine._ramification(rec, frame)
-    wide = engine._assemble(rec, frame, T + 1, r)
-    narrow = engine._assemble.__wrapped__(rec, frame, T, r)
+    wide_assembly = engine._assemble(rec, frame, T + 1, r)
+    narrow_assembly = engine._assemble.__wrapped__(rec, frame, T, r)
+    # The moments read no order the cut drops, so the solve takes the
+    # certificate's.
+    assert wide_assembly.moments == narrow_assembly.moments
+    assert wide_assembly.indicial == narrow_assembly.indicial
+    wide, narrow = wide_assembly.terms, narrow_assembly.terms
     assert wide.keys() == narrow.keys()
     extra = 1 if r == 2 else 1 - T % 2
     for j, w in wide.items():
@@ -699,8 +723,9 @@ def test_cut_weights_store_what_the_solve_window_stores(rec, frame, K):
 
 def test_memos_shared_across_recurrences_change_no_outcome(a85, a85_fr):
     # a85, a two-term recurrence sharing its shifts 1 and 2, then a85 again:
-    # the frame parts and the seeds, keyed on (j, T) alone, serve both, and
-    # every outcome is that of a solve with every memo cleared.
+    # the frame parts and the seeds, keyed on (j, T) alone, serve both, the
+    # stretched units, keyed on (beta, c, j, T), serve a85's second solve,
+    # and every outcome is that of a solve with every memo cleared.
     other = _family("two-term", 1)
     cases = [(a85, a85_fr), (other, frame_solve(other)), (a85, a85_fr)]
     cold = []
@@ -710,13 +735,17 @@ def test_memos_shared_across_recurrences_change_no_outcome(a85, a85_fr):
     _clear_memos()
     assert [_solve_and_certify(rec, frame, 12) for rec, frame in cases] == cold
     assert _ratio_parts.cache_info().hits and shift_unit.cache_info().hits
+    assert _stretched_unit.cache_info().hits
 
 
 def test_memoized_weights_are_read_only(a85, a85_fr):
-    terms = engine._assemble(a85, a85_fr, 5, 2)
+    weights = engine._assemble(a85, a85_fr, 5, 2)
     with pytest.raises(TypeError):
-        terms[0] = PuiseuxSeries.zero(5)
-    assert engine._assemble(a85, a85_fr, 5, 2) is terms
+        weights.terms[0] = PuiseuxSeries.zero(5)
+    with pytest.raises(AttributeError):
+        weights.indicial = 0
+    assert isinstance(weights.moments, tuple)
+    assert engine._assemble(a85, a85_fr, 5, 2) is weights
 
 
 # -- residual certificate -----------------------------------------------------
@@ -780,7 +809,7 @@ def test_weights_in_y_are_the_even_orders_of_the_weights_in_x(rec):
     # of W_j in x is zero.
     frame = frame_solve(rec)
     for T in (3, 8):
-        even, x = engine._assemble(rec, frame, T, 1), _x_weights(rec, frame, T)
+        even, x = engine._assemble(rec, frame, T, 1).terms, _x_weights(rec, frame, T)
         assert even.keys() == x.keys()
         for j, w in x.items():
             assert w.valuation % 2 == 0 and not any(w.nums[1::2])

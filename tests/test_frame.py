@@ -159,6 +159,34 @@ def test_ratio_in_y_is_the_even_part_of_the_ratio_in_x(fr, j):
         assert y.coeffs == x.coeffs[::2]
 
 
+def test_stretched_ratio_stores_the_exp_of_its_whole_exponent():
+    # With c != 0 the unit is exp(beta*A + c*B) (memoized) times exp(alpha*C),
+    # and both sides are in lowest terms: the product stores the numerators,
+    # denominator and truncation of one exp_series of the whole exponent.
+    # T > 32 takes mul's runs; at T = 70, c of either sign and the outer
+    # shifts keep the test short.
+    cases = [
+        (beta, c, j, T)
+        for beta in (Rational(1, 2), Rational(1))
+        for c in (1, -1, 3, Rational(5, 2))
+        for j in (1, 2, 3)
+        for T in (1, 2, 7, 33, 70)
+        if T < 70 or (c in (-1, Rational(5, 2)) and j != 2)
+    ]
+    for beta, c, j, T in cases:
+        a, b, cc = frame_ratio_parts(j, T)
+        for alpha in (0, -1, Rational(3, 2)):
+            g = add(add(a.scale(beta), b.scale(c)), cc.scale(alpha))
+            want = exp_series(g).x_shift(shift_exponent(beta, j))
+            got = frame_ratio(Frame(beta, c, alpha), j, T)
+            assert (got.valuation, got.nums, got.den, got.truncation) == (
+                want.valuation,
+                want.nums,
+                want.den,
+                want.truncation,
+            ), (beta, c, alpha, j, T)
+
+
 def test_ratio_in_y_needs_c_zero_and_an_integer_beta_j():
     a, b, c = frame_ratio_parts(2, 5, 1)
     assert b is None

@@ -19,9 +19,9 @@ from recasymp import (
     residual_check,
     solve_expansion,
 )
-from recasymp import add, engine, framesolve
+from recasymp import add, engine, exp_series, frame_ratio_parts, framesolve, mul, shift_exponent
 from recasymp.engine import _assemble
-from recasymp.recurrence import local_analysis
+from recasymp.recurrence import local_analysis, poly_to_laurent
 
 
 def test_involution_frame(a85, a85_fr):
@@ -260,7 +260,7 @@ def test_frame_equations_match_the_assembled_residual(rec, c, alpha):
         orders = framesolve._frame_equations(rec, beta, T)
     except RamificationError:
         assume(False)
-    terms = _assemble(rec, Frame(beta, c, alpha), T, 2)
+    terms = _assemble(rec, Frame(beta, c, alpha), T, 2).terms
     residual = reduce(add, terms.values())
     assert all(o < residual.truncation for o in orders)
     low = min([residual.valuation, *orders])
@@ -269,6 +269,62 @@ def test_frame_equations_match_the_assembled_residual(rec, c, alpha):
             e * c**i * alpha**l for (i, l), e in orders.get(o, {}).items()
         )
         assert value == residual.coefficient(o)
+
+
+def _chained_frame_equations(rec, beta, T):
+    """_frame_equations with nothing shared between recurrences, from the
+    public kernels: per shift, L_j x^(2 beta j) exp(beta A_j) times B_j^i/i!,
+    and each of those times C_j^l/l!, one product after another."""
+    parts = {(0, 0): poly_to_laurent(rec.coeffs[0], T)}
+    for j, p in list(rec.active_shifts())[1:]:
+        a, b, c = frame_ratio_parts(j, T)
+        unit = exp_series(a.scale(beta)).x_shift(shift_exponent(beta, j))
+        row = mul(poly_to_laurent(p, T), unit)
+        for i in range(T):
+            term = row
+            for l in range((T + 1 - i) // 2):
+                parts[i, l] = add(parts[i, l], term) if (i, l) in parts else term
+                term = mul(term, c).scale(Rational(1, l + 1))
+            row = mul(row, b).scale(Rational(1, i + 1))
+    truncation = min(part.truncation for part in parts.values())
+    orders = {}
+    for key, part in parts.items():
+        for o, v in part.terms():
+            if o < truncation:
+                orders.setdefault(o, {})[key] = v
+    return orders
+
+
+@settings(max_examples=15, deadline=None)
+@given(recurrences())
+def test_frame_equations_match_the_chained_products(rec):
+    # The memoized expansion of each shift, times the exact L_j, gives the
+    # orders, keys and coefficients of the chain, in the same order.
+    beta, reach = local_analysis(rec)
+    try:
+        want = _chained_frame_equations(rec, beta, reach + 1)
+    except RamificationError:
+        assume(False)
+    got = framesolve._frame_equations(rec, beta, reach + 1)
+    assert [(o, list(d.items())) for o, d in got.items()] == [
+        (o, list(d.items())) for o, d in want.items()
+    ]
+
+
+def test_shift_expansions_are_shared_and_immutable():
+    # a85 and t(n) = 2t(n-1) + n t(n-2) have beta = 1/2 and the same window:
+    # the second finds both of its shifts' expansions memoized.
+    framesolve._shift_expansion.cache_clear()
+    frame_solve(Recurrence([[1], [-1], [1, -1]]))
+    before = framesolve._shift_expansion.cache_info()
+    assert frame_solve(Recurrence([[1], [-2], [0, -1]])) == Frame("1/2", 2, "1/2")
+    after = framesolve._shift_expansion.cache_info()
+    assert after.hits - before.hits == 2
+    assert after.currsize == before.currsize == 2
+    entries = framesolve._shift_expansion(Rational(1, 2), 1, 5)
+    assert isinstance(entries, tuple) and all(isinstance(e, tuple) for e in entries)
+    with pytest.raises(AttributeError):
+        entries[0][1].truncation = 0
 
 
 # -- the local analysis: beta and the short window of the indicial order ---------
@@ -302,7 +358,7 @@ def test_short_window_finds_the_full_window_indicial_order(rec, K, shift, c, alp
     except (NoRationalRoot, AmbiguousRoot):
         pass
     for frame in frames:
-        want = _full_window_indicial_order(_assemble(rec, frame, K + reach + 1, 2))
+        want = _full_window_indicial_order(_assemble(rec, frame, K + reach + 1, 2).terms)
         for r in {2, engine._ramification(rec, frame)}:
-            terms = _assemble(rec, frame, K + reach + 1, r)
+            terms = _assemble(rec, frame, K + reach + 1, r).terms
             assert engine._indicial_order(engine._moments(terms, reach * r // 2), r) == want

@@ -268,7 +268,7 @@ def a85_certificate(K):
     exp = engine.solve_expansion(rec, get_preset("a85").frame, K)
     t = exp.K + local_analysis(rec).reach + 2
     s = PuiseuxSeries(0, (1,) + exp.a + (0,) * (t - exp.K - 1), t)
-    return s, engine._assemble(rec, exp.frame, t, 2)
+    return s, engine._assemble(rec, exp.frame, t, 2).terms
 
 
 def test_runs_store_the_one_run_results_on_the_a85_certificate():
