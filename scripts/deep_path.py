@@ -11,10 +11,11 @@ coefficients with ``solve_expansion`` and certifies them with
 hashes the coefficients.  The recurrence is the a85 preset in its frame, or
 the one in the JSON file given by ``--recurrence``, in the frame that
 ``frame_solve`` finds for it (not timed).  The script
-prints one JSON object: every pair's times, each side's medians, the ratios
-HEAD / BASE of those medians, whether the two sides' coefficients agree, and
-whether the certificates hold: ``certified`` is true when every run verifies
-at least K orders and both sides verify the same number.
+prints one JSON object: every pair's times, each side's medians and
+quartiles, the ratios HEAD / BASE of those medians, how many pairs HEAD won
+(took less time in), whether the two sides' coefficients agree, and whether
+the certificates hold: ``certified`` is true when every run verifies at
+least K orders and both sides verify the same number.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from statistics import median
+from statistics import median, quantiles
 
 #: What one fresh process runs; argv[1] is K, argv[2] a recurrence file
 #: or empty for the a85 preset.
@@ -75,6 +76,11 @@ def run_once(checkout: Path, k: int, recurrence: Path | None = None) -> dict:
     return json.loads(proc.stdout)
 
 
+def quartiles(times: list) -> list:
+    """[Q1, median, Q3] by the inclusive method; one time is all three."""
+    return quantiles(times, n=4, method="inclusive") if len(times) > 1 else times * 3
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path, help="checkout timed as the baseline")
@@ -105,8 +111,14 @@ def main(argv=None) -> int:
         "checkouts": {side: str(path) for side, path in sides.items()},
         "pairs": pairs,
         "median": medians,
+        "quartiles": {
+            side: {t: quartiles([p[side][t] for p in pairs]) for t in _TIMES} for side in sides
+        },
         "ratio_head_over_base": {
             t: medians["head"][t] / medians["base"][t] for t in _TIMES
+        },
+        "pairs_head_won": {
+            t: sum(p["head"][t] < p["base"][t] for p in pairs) for t in _TIMES
         },
         "same_coefficients": len({p[s]["a_sha256"] for p in pairs for s in sides}) == 1,
         "certified": len(orders) == 1 and min(orders) >= args.k,

@@ -1,0 +1,149 @@
+"""Check the outputs pinned past the tier-1 tests, in one process.
+
+    PYTHONPATH=src python scripts/pins.py
+
+Each row of PINS runs CLI argvs through ``cli.main`` (RECURRENCES are
+written as NAME.json to a temporary directory) or an in-process check, and
+compares the sha256 of the joined stdout, the stdout or the exit code with
+its expected value.  Prints ok or FAIL per row; exits 1 naming each FAIL.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import random
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from typing import Callable, NamedTuple
+
+from recasymp import Recurrence, cli, frame_solve, involutions as inv
+
+RECURRENCES = {
+    "a85": [[1], [-1], [1, -1]],
+    "factorial": [[1], [0, -1]],
+    "twoterm": [[1], [-2], [0, -1]],
+    "catalan": [[4, 4], [2, -4]],
+    "motzkin": [[18, 9], [-3, -6], [3, -3]],
+    "sparse": [[1], [], [], [0, -1]],
+    "harmonic": [[0, 1], [1, -2], [-1, 1]],
+}
+
+
+class Pin(NamedTuple):
+    name: str
+    reason: str
+    run: tuple | Callable[[], None]  # CLI argvs, or a check that prints its output
+    compare: str  # "sha256", "stdout" or "exit"
+    expected: str | int
+
+
+def frame_finder_outcomes() -> None:
+    """One line per seeded random recurrence: its frame's JSON or its error."""
+    rng = random.Random("frame finder outcomes")
+    for _ in range(6000):
+        coeffs = [[rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]
+                  for _ in range(rng.randint(1, 3) + 1)]
+        for end in (0, -1):
+            while not any(coeffs[end]):
+                coeffs[end] = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+        try:
+            print(json.dumps(frame_solve(Recurrence(coeffs)).to_json_dict()))
+        except Exception as err:
+            print(f"{type(err).__name__}: {err}")
+
+
+def oracles_at_2000() -> None:
+    print(f"EGF: {inv.involution_counts_by_egf(2000) == inv.involution_numbers(2000)}, "
+          f"2-cycle sum: {inv.involution_count_by_sum(2000) == inv.involution_number(2000)}")
+
+
+def _verify(name, k, reason, frame, orders):
+    """The row of solve-frame --verify k on NAME.json: frame "beta c alpha", orders."""
+    beta, c, alpha = frame.split()
+    argvs = (("solve-frame", "--recurrence", f"{name}.json", "--verify", str(k)),)
+    return Pin(f"{name} --verify {k}", reason, argvs, "stdout",
+               f'{{"beta":"{beta}","c":"{c}","alpha":"{alpha}","kappa":"0"}}\n'
+               f"verified: residual vanishes through {orders} orders\n")
+
+
+PINS = (
+    Pin("a85 coeffs --K 300", "the deep path past the K = 169 that tier-1 pins",
+        (("coeffs", "--preset", "a85", "--K", "300", "--format", "json"),),
+        "sha256", "d088198cc05c4be4d7496723e78e1d133920e1d6bae772f992098b525c2d2939"),
+    Pin("factorial coeffs --K 300", "c = 0, beta = 1: the march in x^2 = 1/n, odd a_k zero",
+        (("coeffs", "--recurrence", "factorial.json", "--K", "300", "--format", "json"),),
+        "sha256", "e9bf65ba2dc5a2861188f4786739520b123ed0d61382adc99fdfc599589554f1"),
+    Pin("twoterm coeffs --K 300", "frame (1/2, 2, 1/2): exp(beta A + c B) times exp(alpha C)",
+        (("coeffs", "--recurrence", "twoterm.json", "--K", "300", "--format", "json"),),
+        "sha256", "074f1844f087749eab6b6aa3a4890cbf7180d5b8ca7cce94490e5b1da58a6c1e"),
+    _verify("twoterm", 300, "its solve and certificate in one process", "1/2 2 1/2", 300),
+    Pin("frame finder outcomes", "6000 seeded recurrences of order 1 to 3 through frame_solve",
+        frame_finder_outcomes,
+        "sha256", "4fefbbbcc615e78ae91af84d1d4629ad095a8a9f0fad8148ec4006c81dbcbdc6"),
+    _verify("a85", 300, "solve and certify at the K of the a85 coeffs sha", "1/2 1 0", 300),
+    _verify("factorial", 25, "c = 0: weights, march and certificate in y = 1/n", "1 0 1/2", 25),
+    _verify("factorial", 300, "the same at the K of its coeffs sha", "1 0 1/2", 301),
+    Pin("harmonic --verify 30", "alpha^2 = 0 stands for a log n term: exit code 2",
+        (("solve-frame", "--recurrence", "harmonic.json", "--verify", "30"),), "exit", 2),
+    _verify("catalan", 30, "beta = 0, gauged by hand to t = rho^n u", "0 0 -3/2", 31),
+    _verify("motzkin", 30, "beta = 0, gauged by hand to t = rho^n u", "0 0 -3/2", 31),
+    _verify("sparse", 30, "t(n) = n t(n-3): beta = 1/3, j = 3 in y = 1/n", "1/3 0 1/2", 31),
+    Pin("numeric layer", "eval at n up to 10^400 and k up to 60, constant and check",
+        tuple(("eval", "--preset", "a85", "--n", str(10**e), "--k", str(k), "--digits", "30")
+              for e in (3, 5, 50, 400) for k in (0, 1, 17, 60)) + (
+            ("constant", "--preset", "a85", "--n", "100000", "--k", "30", "--digits", "30"),
+            ("check", "--preset", "a85", "--n", "2500", "--k", "20", "--digits", "25")),
+        "sha256", "201564861c8341b0fa59c8e5e8d47008cda7d6822464f1db3c9e54349ab8ef2b"),
+    Pin("numeric layer, constants and JSON", "rational and 1/sqrt2 --constant, check's JSON",
+        tuple(("eval", "--preset", "a85", "--n", str(10**e), "--k", str(k), "--digits", "30",
+               "--constant", c) for e in (3, 50) for c in ("3/7", "1/sqrt2") for k in (1, 17)) + (
+            ("check", "--preset", "a85", "--n", "10000", "--k", "20", "--digits", "30",
+             "--format", "json"),),
+        "sha256", "be3dcd99a21fd6a3ec89d7e1b5a42915c5ef3718ae712a5994246502edb97065"),
+    Pin("oracles at n = 2000", "EGF table and 2-cycle sum at twice the n tier-1 reaches",
+        oracles_at_2000, "stdout", "EGF: True, 2-cycle sum: True\n"),
+)
+
+
+def observe(pin: Pin, tmp: str):
+    """The exit code, or the stdout or its sha256; a nonzero exit code or an
+    exception stands in for the stdout.  NAME.json files are read in tmp."""
+    out, log = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(log):
+            codes = [pin.run()] if callable(pin.run) else [cli.main(
+                [str(Path(tmp, a)) if a.endswith(".json") else a for a in argv])
+                for argv in pin.run]
+    except Exception as err:
+        return f"{type(err).__name__}: {err}"
+    code = next(filter(None, codes), 0)
+    if pin.compare == "exit":
+        return code
+    if code:
+        return f"exit code {code}: " + log.getvalue().partition("\n")[0]
+    text = out.getvalue()
+    return hashlib.sha256(text.encode()).hexdigest() if pin.compare == "sha256" else text
+
+
+def main() -> int:
+    failed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, coeffs in RECURRENCES.items():
+            Path(tmp, f"{name}.json").write_text(json.dumps({"coeffs": coeffs}))
+        for pin in PINS:
+            got = observe(pin, tmp)
+            print("ok  " if got == pin.expected else "FAIL", f"{pin.name}: {pin.reason}")
+            if got != pin.expected:
+                failed.append(pin.name)
+                print(f"     expected {pin.expected!r}\n     got      {got!r}")
+    if failed:
+        print(f"{len(failed)} of {len(PINS)} pins failed: {'; '.join(failed)}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

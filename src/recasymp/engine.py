@@ -224,19 +224,20 @@ def _indicial_order(moments: list, r: int) -> int:
     return min(2 * l + 2 // r * m.valuation for l, m in enumerate(moments, 1))
 
 
-def _indicial_polynomial(m0, moments: list, order: int, r: int) -> tuple:
+def _indicial_polynomial(moments: list, order: int, r: int) -> tuple:
     """The integer polynomial Q in k, ascending, with Q(k) = N * P(alpha -
     k/2) for one N > 0: the response B_k at the order where a_k is read.
 
-    P(alpha + delta) = sum_l binom(delta, l) m_l, with m_0 the coefficient
-    of x^order in M_0 = sum_j W_j and m_l that of x^(order - 2l) in M_l,
-    the moments in z = n^(-1/r); no l >= t contributes, as x^(2l) M_l
-    starts 2l orders above the lowest valuation of the W_j, j >= 1, and
+    P(alpha + delta) = sum_l binom(delta, l) m_l, with m_l the coefficient
+    of x^(order - 2l) in M_l, the moments in z = n^(-1/r), and m_0 = 0:
+    the coefficient of x^order in M_0 = sum_j W_j, the bare residual, which
+    vanishes there once the frame fits.  No l >= t contributes, as x^(2l)
+    M_l starts 2l orders above the lowest valuation of the W_j, j >= 1, and
     order at most 2(t - 1) above it.  binom(-k/2, l + 1) = binom(-k/2, l) *
     -(k + 2l) / (2(l + 1)), so with the m_l over one denominator, Horner's
     rule from l = t - 1 down, U_l = m_l * prod_(i = l + 1 .. t - 1) 2i -
     (k + 2l) U_(l+1), stays on integer polynomials in k, and Q = U_0."""
-    m = [m0] + [v.coefficient((order - 2 * l) * r // 2) for l, v in enumerate(moments, 1)]
+    m = [_ZERO] + [v.coefficient((order - 2 * l) * r // 2) for l, v in enumerate(moments, 1)]
     den = lcm(*(int(v.denominator) for v in m))
     q, scale = [], 1
     for l in range(len(m) - 1, -1, -1):
@@ -278,9 +279,11 @@ def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
         if march.valuation * stride < o:
             raise FrameMismatch(k, march.valuation * stride)
         if odd:
-            # r is even, so r_o = 0, and B_k is P(alpha - k/2) at o.
+            # r is even, so r_o = 0, and B_k is P(alpha - k/2) at o.  P is
+            # formed at k = 1, whose valuation check above proved that r,
+            # the bare residual at that k, vanishes through x^indicial.
             if pk is None:
-                pk = _indicial_polynomial(march.residual(indicial // stride), moments, indicial, r)
+                pk = _indicial_polynomial(moments, indicial, r)
             if not poly_eval(pk, k):
                 raise ResonantOrder(k, o)
             coefficients.append(_ZERO)

@@ -179,14 +179,15 @@ def test_resonance_at_a_chosen_second_indicial_root(r):
 def _indicial_polynomial(rec, frame, K, r=None):
     """The engine's P(alpha - k/2) as an integer polynomial in k, from the
     weights of a K-coefficient solve on the lattice z = n^(-1/r) (by default
-    the solve's own), with M_0's coefficient read here."""
+    the solve's own).  The engine takes M_0's coefficient m_0 at the
+    indicial order to be 0, as it is once the frame fits: read here, it is."""
     r = r or engine._ramification(rec, frame)
     reach = local_analysis(rec).reach
     terms = engine._assemble(rec, frame, K + reach + 1, r).terms
     moments = engine._moments(terms, reach * r // 2)
     order = engine._indicial_order(moments, r)
-    m0 = sum(w.coefficient(order * r // 2) for w in terms.values())
-    return engine._indicial_polynomial(m0, moments, order, r)
+    assert sum(w.coefficient(order * r // 2) for w in terms.values()) == 0
+    return engine._indicial_polynomial(moments, order, r)
 
 
 @pytest.mark.parametrize("name", ["monic", "sparse", "two-term"])
