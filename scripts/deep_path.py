@@ -15,7 +15,8 @@ prints one JSON object: every pair's times, each side's medians and
 quartiles, the ratios HEAD / BASE of those medians, how many pairs HEAD won
 (took less time in), whether the two sides' coefficients agree, and whether
 the certificates hold: ``certified`` is true when every run verifies at
-least K orders and both sides verify the same number.
+least K orders and both sides verify the same number.  It exits 1, after
+the report, unless ``same_coefficients`` and ``certified`` are both true.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def main(argv=None) -> int:
         "certified": len(orders) == 1 and min(orders) >= args.k,
     }
     print(json.dumps(report, indent=1))
-    return 0
+    return 0 if report["same_coefficients"] and report["certified"] else 1
 
 
 if __name__ == "__main__":

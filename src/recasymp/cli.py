@@ -337,7 +337,8 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--constant",
         type=_constant,
-        help="connection constant: 'p/q' or '1/sqrt2' (default: the preset's)",
+        help="connection constant: 'p/q' or '1/sqrt2' (default: the preset's); "
+        "write a negative one as --constant=-p/q",
     )
     _add_format(p, "text", "json")
     p.set_defaults(func=_cmd_eval)

@@ -238,11 +238,11 @@ def _indicial_polynomial(moments: list, order: int, r: int) -> tuple:
     rule from l = t - 1 down, U_l = m_l * prod_(i = l + 1 .. t - 1) 2i -
     (k + 2l) U_(l+1), stays on integer polynomials in k, and Q = U_0."""
     m = [_ZERO] + [v.coefficient((order - 2 * l) * r // 2) for l, v in enumerate(moments, 1)]
-    den = lcm(*(int(v.denominator) for v in m))
+    den = lcm(*(v.denominator for v in m))
     q, scale = [], 1
     for l in range(len(m) - 1, -1, -1):
         q = [-a - 2 * l * b for a, b in zip([0] + q, q + [0])]  # -(k + 2l) U_(l+1)
-        q[0] += int(m[l].numerator) * (den // int(m[l].denominator)) * scale
+        q[0] += m[l].numerator * (den // m[l].denominator) * scale
         scale *= 2 * l
     return tuple(q)
 
@@ -284,14 +284,12 @@ def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
             # the bare residual at that k, vanishes through x^indicial.
             if pk is None:
                 pk = _indicial_polynomial(moments, indicial, r)
-            if not poly_eval(pk, k):
-                raise ResonantOrder(k, o)
-            coefficients.append(_ZERO)
-            continue
-        p, q = march.read(o // stride)
+            p, q = 0, poly_eval(pk, k)
+        else:
+            p, q = march.read(o // stride)
         if not q:
             raise FrameMismatch(k, o) if p else ResonantOrder(k, o)
-        coefficients.append(Rational(p, q))
+        coefficients.append(Rational(p, q) if p else _ZERO)
         if p:
             march.absorb(p, q)
     return Expansion(frame, K, coefficients)

@@ -123,7 +123,7 @@ def _raw(q, prec: int) -> tuple:
     the whole integer); anything else is one division of exact integers."""
     if not isinstance(q, Rational):
         q = rat(q)
-    p, d = int(q.numerator), int(q.denominator)
+    p, d = q.numerator, q.denominator
     if d == 1:
         return from_int(p, prec, round_nearest)
     return from_rational(p, d, prec, round_nearest)
@@ -148,7 +148,7 @@ def _correction_sum(coefficients, n: int, prec: int) -> tuple[int, int]:
     X = math.isqrt((1 << 2 * W) // n)
     acc = 0
     for a in reversed(coefficients):
-        acc = (acc * X >> W) + (int(a.numerator) << W) // int(a.denominator)
+        acc = (acc * X >> W) + (a.numerator << W) // a.denominator
     return acc, W
 
 

@@ -60,7 +60,7 @@ def rational_roots(coeffs) -> list:
     if len(coeffs) == 2:
         roots.add(-coeffs[0] / coeffs[1])
     elif len(coeffs) > 2:
-        scale = lcm(*(int(c.denominator) for c in coeffs))
+        scale = lcm(*(c.denominator for c in coeffs))
         ints = [int(c * scale) for c in coeffs]
         n, lead = len(ints) - 1, ints[-1]
         monic = [a * lead ** (n - 1 - k) for k, a in enumerate(ints[:-1])] + [1]
@@ -86,7 +86,7 @@ def _integer_roots(q) -> list:
             r.pop()
         if not r:
             break
-        m = lcm(*(int(a.denominator) for a in r))  # m > 0 keeps every sign
+        m = lcm(*(a.denominator for a in r))  # m > 0 keeps every sign
         chain.append([-int(a * m) for a in r])
     # 2^deg(p) p(y / 2) on integers: its sign at y = 2k + 1 is p's at k + 1/2.
     chain = [[a << (len(p) - 1 - i) for i, a in enumerate(p)] for p in chain]

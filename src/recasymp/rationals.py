@@ -1,13 +1,11 @@
-"""Exact rational arithmetic backend.
+"""Exact rational scalars: fractions.Fraction, under the name Rational.
 
 All series coefficients, frame parameters and expansion coefficients in this
 package are arbitrary-precision rationals, and every value handed out is in
 lowest terms with a positive denominator.  (Series store integer
 numerators over one shared denominator instead, see the series module;
-their coefficients come out as values of this type.)  gmpy2.mpq provides
-that contract with C-speed arithmetic; fractions.Fraction provides the
-identical contract in pure Python and is used as a fallback when gmpy2 is
-not installed.
+their coefficients come out as values of this type.)  The numerator and
+denominator of a Rational are Python ints.
 
 No floating point value is ever accepted or produced here: parsing takes
 integer or "p/q" strings, formatting emits them back.
@@ -15,10 +13,7 @@ integer or "p/q" strings, formatting emits them back.
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Rational
+from fractions import Fraction as Rational
 
 
 def rat(value) -> "Rational":
@@ -50,14 +45,7 @@ def parse_rational(text: str) -> "Rational":
 
 
 def format_rational(q) -> str:
-    """Render a rational as "p" or "p/q" in lowest terms, q > 0.
-
-    Both backends keep values canonical, so str() already has this shape;
-    the integer case is normalised to drop the "/1".  Only a value of
-    another type (an int, say) is coerced first.
-    """
-    if type(q) is not Rational:
-        q = Rational(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """Render a rational as "p" or "p/q" in lowest terms, q > 0: str() of
+    a Rational, which is kept canonical.  A value of another type (an int,
+    say) is coerced first."""
+    return str(q if type(q) is Rational else Rational(q))

@@ -19,8 +19,8 @@ def _frac(p: int, q: int) -> str:
 def _monomial(coeff, symbol: str) -> str:
     """|coeff| * symbol as LaTeX, e.g. (1/2, "n") -> \\frac{n}{2}; the sign
     is handled by the caller.  An empty symbol renders a bare rational."""
-    p = abs(int(coeff.numerator))
-    q = int(coeff.denominator)
+    p = abs(coeff.numerator)
+    q = coeff.denominator
     if not symbol:
         return str(p) if q == 1 else _frac(p, q)
     if q == 1:
@@ -77,8 +77,8 @@ def frame_to_latex(fr: Frame) -> str:
 def _series_term(a, k: int) -> tuple[str, str]:
     """(sign, body) for a_k n^(-k/2)."""
     sign = "-" if a < 0 else "+"
-    p = abs(int(a.numerator))
-    q = int(a.denominator)
+    p = abs(a.numerator)
+    q = a.denominator
     power = _power_of_n(k)
     denominator = power if q == 1 else f"{q} {power}"
     return sign, rf"\frac{{{p}}}{{{denominator}}}"

@@ -48,18 +48,16 @@ Truncation orders obey the usual interval arithmetic of O-terms:
     shift substitution x -> x*(1 - j*x^2)^(-1/2): v and T preserved
     shift substitution in y, y -> y/(1 - j*y): v and T preserved
 
-Coefficients are exact rationals.  Only ints and the backends' integer and
-rational types are split into integers; any other exact value (a subclass
-with arithmetic of its own, as an operation counter uses) is kept as a
-numerator over 1 and combined with its own operators, since every kernel
-needs only ring operations plus division by integers.  Such a numerator
-counts as content 1, so no content is divided out of its series.  All
-floating point input is rejected.
+Coefficients are exact rationals.  Only ints and Rationals are split into
+integers; any other exact value (a subclass with arithmetic of its own, as
+an operation counter uses) is kept as a numerator over 1 and combined with
+its own operators, since every kernel needs only ring operations plus
+division by integers.  Such a numerator counts as content 1, so no content
+is divided out of its series.  All floating point input is rejected.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
@@ -68,9 +66,8 @@ from .rationals import Rational
 
 
 #: The exact number types the constructor splits into a Python int
-#: numerator and denominator: int, and the integer and rational types of
-#: both backends, since input may mix them.
-_SPLIT = frozenset({int, bool, Fraction, Rational, type(Rational(0).numerator)})
+#: numerator and denominator.
+_SPLIT = frozenset({int, bool, Rational})
 
 #: Orders per run in mul: a longer factor is split into runs of this many
 #: orders, each divided by its own content (_runs).
@@ -84,7 +81,7 @@ def _split(c):
     if isinstance(c, float):
         raise TypeError("float coefficients are not allowed in exact series")
     if type(c) in _SPLIT:
-        return int(c.numerator), int(c.denominator)
+        return c.numerator, c.denominator
     return c, 1
 
 

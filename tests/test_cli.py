@@ -356,6 +356,17 @@ def test_eval_bad_constant(capsys):
     assert "error" in err
 
 
+def test_eval_negative_constant_takes_an_equals_sign(capsys):
+    argv = ("eval", "--preset", "a85", "--n", "1000", "--k", "1", "--digits", "20")
+    code, out, _ = run(capsys, *argv, "--constant=1/3")
+    assert code == 0
+    assert run(capsys, *argv, "--constant=-1/3") == (0, "-" + out, "")
+    # With a space, argparse reads -1/3 as a flag of its own.
+    code, _, err = run(capsys, *argv, "--constant", "-1/3")
+    assert code == 1
+    assert "argument --constant: expected one argument" in err
+
+
 def test_eval_invalid_n(capsys):
     code, _, err = run(
         capsys, "eval", "--preset", "a85", "--n", "0", "--k", "1", "--digits", "5"

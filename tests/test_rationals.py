@@ -1,10 +1,18 @@
-"""The exact rational backend: parsing, formatting, float and bool rejection."""
+"""The exact rational type: parsing, formatting, float and bool rejection."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from recasymp import Rational, format_rational, parse_rational, rat
+
+BOUND = 10**40
+
+
+def test_rational_is_fraction():
+    assert Rational is Fraction
 
 
 def test_lowest_terms_positive_denominator():
@@ -62,6 +70,24 @@ def test_parse_rational_rejects_garbage():
 )
 def test_format_rational(value, text):
     assert format_rational(value) == text
+
+
+@given(
+    st.one_of(
+        st.builds(
+            Rational,
+            st.integers(-BOUND, BOUND),
+            st.integers(-BOUND, BOUND).filter(bool),
+        ),
+        st.integers(-BOUND, BOUND),
+        st.booleans(),
+    )
+)
+def test_format_rational_is_numerator_over_denominator(value):
+    # str() of the coerced value, against the explicit rendering it replaced.
+    q = Rational(value)
+    want = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    assert format_rational(value) == want
 
 
 def test_format_parse_round_trip():
