@@ -5,7 +5,8 @@
 Each row of PINS runs CLI argvs through ``cli.main`` (RECURRENCES are
 written as NAME.json to a temporary directory) or an in-process check, and
 compares the sha256 of the joined stdout, the stdout or the exit code with
-its expected value.  Prints ok or FAIL per row; exits 1 naming each FAIL.
+its expected value.  Prints ok or FAIL per row with the row's elapsed time;
+exits 1 naming each FAIL.
 """
 
 from __future__ import annotations
@@ -17,10 +18,15 @@ import random
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
+from time import perf_counter
 from typing import Callable, NamedTuple
 
-from recasymp import Recurrence, cli, frame_solve, involutions as inv
+from recasymp import (
+    Frame, FrameMismatch, Recurrence, ResonantOrder, cli, format_rational, frame_solve,
+    involutions as inv, residual_check, solve_expansion,
+)
 
 RECURRENCES = {
     "a85": [[1], [-1], [1, -1]],
@@ -54,6 +60,48 @@ def frame_finder_outcomes() -> None:
             print(json.dumps(frame_solve(Recurrence(coeffs)).to_json_dict()))
         except Exception as err:
             print(f"{type(err).__name__}: {err}")
+
+
+def _family_draw(rng: random.Random, family: str, i: int) -> tuple:
+    """(coeffs, (beta, c, alpha)) of one draw of a small family in its
+    closed-form frame: t(n) = r(n) t(n-1) with r monic of degree d and n^(d-1)
+    coefficient b, frame (d, 0, b + d/2); t(n) = u t(n-1) + (n+v) t(n-2),
+    frame (1/2, u, (v+1)/2); t(n) = r(n) t(n-j), j in {2, 3}, frame
+    (d/j, 0, d/2 + b/j)."""
+    if family == "two_term":
+        u, v = rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(-3, 3)
+        return [[1], [-u], [-v, -1]], (Fraction(1, 2), u, Fraction(v + 1, 2))
+    d = 1 + i % (3 if family == "monic" else 2)
+    r = [rng.randint(-3, 3) for _ in range(d)] + [1]
+    if family == "monic":
+        return [[1], [-c for c in r]], (d, 0, r[d - 1] + Fraction(d, 2))
+    j = 2 + (i // 2) % 2
+    return [[1]] + [[]] * (j - 1) + [[-c for c in r]], (Fraction(d, j), 0, Fraction(d, 2) + Fraction(r[d - 1], j))
+
+
+def _outcome(rec: Recurrence, frame: Frame, K: int) -> str:
+    """Every a_k and the certificate's order, or the error's (type, k, order)."""
+    try:
+        exp = solve_expansion(rec, frame, K)
+    except (FrameMismatch, ResonantOrder) as err:
+        return f"{type(err).__name__} k={err.k} order={err.order}"
+    return f"{' '.join(map(format_rational, exp.a))} | order {residual_check(rec, exp)}"
+
+
+def engine_outcomes() -> None:
+    """One line per seeded draw, frame and K: the draw's own frame, then one
+    wrong frame, alpha (even draws) or c (odd draws) moved by 1/2; and the
+    factorial at K = 100."""
+    rng = random.Random("engine outcomes")
+    for family in ("monic", "two_term", "sparse"):
+        for i in range(20):
+            coeffs, (beta, c, alpha) = _family_draw(rng, family, i)
+            wrong = (beta, c, alpha + Fraction(1, 2)) if i % 2 == 0 else (beta, c + Fraction(1, 2), alpha)
+            rec = Recurrence(coeffs)
+            for frame in (Frame(beta, c, alpha), Frame(*wrong)):
+                for K in (0, 1, 5, 13, 24):
+                    print(coeffs, frame.to_json_dict(), f"K={K}:", _outcome(rec, frame, K))
+    print("factorial K=100:", _outcome(Recurrence(RECURRENCES["factorial"]), Frame(1, 0, Fraction(1, 2)), 100))
 
 
 def oracles_at_2000() -> None:
@@ -104,6 +152,8 @@ PINS = (
             ("check", "--preset", "a85", "--n", "10000", "--k", "20", "--digits", "30",
              "--format", "json"),),
         "sha256", "be3dcd99a21fd6a3ec89d7e1b5a42915c5ef3718ae712a5994246502edb97065"),
+    Pin("engine outcomes", "60 seeded family draws in their frames and a wrong one, K up to 24",
+        engine_outcomes, "sha256", "127f9bbfef338cab8e0262f8a78da23fa7b5e5b9528f4a84bd451f023a66ad15"),
     Pin("oracles at n = 2000", "EGF table and 2-cycle sum at twice the n tier-1 reaches",
         oracles_at_2000, "stdout", "EGF: True, 2-cycle sum: True\n"),
 )
@@ -135,8 +185,11 @@ def main() -> int:
         for name, coeffs in RECURRENCES.items():
             Path(tmp, f"{name}.json").write_text(json.dumps({"coeffs": coeffs}))
         for pin in PINS:
+            start = perf_counter()
             got = observe(pin, tmp)
-            print("ok  " if got == pin.expected else "FAIL", f"{pin.name}: {pin.reason}")
+            elapsed = perf_counter() - start
+            print("ok  " if got == pin.expected else "FAIL",
+                  f"{pin.name}: {pin.reason} ({elapsed:.2f} s)")
             if got != pin.expected:
                 failed.append(pin.name)
                 print(f"     expected {pin.expected!r}\n     got      {got!r}")
