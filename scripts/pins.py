@@ -76,7 +76,8 @@ def _family_draw(rng: random.Random, family: str, i: int) -> tuple:
     if family == "monic":
         return [[1], [-c for c in r]], (d, 0, r[d - 1] + Fraction(d, 2))
     j = 2 + (i // 2) % 2
-    return [[1]] + [[]] * (j - 1) + [[-c for c in r]], (Fraction(d, j), 0, Fraction(d, 2) + Fraction(r[d - 1], j))
+    frame = (Fraction(d, j), 0, Fraction(d, 2) + Fraction(r[d - 1], j))
+    return [[1]] + [[]] * (j - 1) + [[-c for c in r]], frame
 
 
 def _outcome(rec: Recurrence, frame: Frame, K: int) -> str:
@@ -96,12 +97,14 @@ def engine_outcomes() -> None:
     for family in ("monic", "two_term", "sparse"):
         for i in range(20):
             coeffs, (beta, c, alpha) = _family_draw(rng, family, i)
-            wrong = (beta, c, alpha + Fraction(1, 2)) if i % 2 == 0 else (beta, c + Fraction(1, 2), alpha)
+            half = Fraction(1, 2)
+            wrong = Frame(beta, c, alpha + half) if i % 2 == 0 else Frame(beta, c + half, alpha)
             rec = Recurrence(coeffs)
-            for frame in (Frame(beta, c, alpha), Frame(*wrong)):
+            for frame in (Frame(beta, c, alpha), wrong):
                 for K in (0, 1, 5, 13, 24):
                     print(coeffs, frame.to_json_dict(), f"K={K}:", _outcome(rec, frame, K))
-    print("factorial K=100:", _outcome(Recurrence(RECURRENCES["factorial"]), Frame(1, 0, Fraction(1, 2)), 100))
+    factorial = Recurrence(RECURRENCES["factorial"])
+    print("factorial K=100:", _outcome(factorial, Frame(1, 0, Fraction(1, 2)), 100))
 
 
 def oracles_at_2000() -> None:
@@ -153,7 +156,8 @@ PINS = (
              "--format", "json"),),
         "sha256", "be3dcd99a21fd6a3ec89d7e1b5a42915c5ef3718ae712a5994246502edb97065"),
     Pin("engine outcomes", "60 seeded family draws in their frames and a wrong one, K up to 24",
-        engine_outcomes, "sha256", "127f9bbfef338cab8e0262f8a78da23fa7b5e5b9528f4a84bd451f023a66ad15"),
+        engine_outcomes,
+        "sha256", "127f9bbfef338cab8e0262f8a78da23fa7b5e5b9528f4a84bd451f023a66ad15"),
     Pin("oracles at n = 2000", "EGF table and 2-cycle sum at twice the n tier-1 reaches",
         oracles_at_2000, "stdout", "EGF: True, 2-cycle sum: True\n"),
 )

@@ -60,6 +60,7 @@ from .series import (
     exp_series,
     log1p_series,
     mul,
+    mul_sum,
 )
 
 __version__ = "0.1.0"
@@ -108,6 +109,7 @@ __all__ = [
     "involution_numbers",
     "log1p_series",
     "mul",
+    "mul_sum",
     "parse_rational",
     "poly_to_laurent",
     "rat",

@@ -113,7 +113,7 @@ from .errors import FrameMismatch, ResonantOrder
 from .frame import Frame, frame_ratio
 from .rationals import Rational, format_rational, parse_rational
 from .recurrence import Recurrence, local_analysis, poly_eval, poly_to_laurent
-from .series import PuiseuxSeries, ResponseMarch, add, compose_shift, mul, shift_unit
+from .series import PuiseuxSeries, ResponseMarch, add, compose_shift, mul, mul_sum, shift_unit
 
 
 _ZERO = Rational(0)
@@ -308,7 +308,9 @@ def residual_check(rec: Recurrence, exp: Expansion) -> int:
     the window's limit: a lower bound, still >= exp.K.
 
     The residual is formed in y = x^2 = 1/n when the weights live there and
-    every odd a_k is zero (see the module docstring), in x otherwise."""
+    every odd a_k is zero (see the module docstring), in x otherwise, as one
+    sum of products sum_j W_j * S(u_j) (series.mul_sum), which divides its
+    content out once."""
     reach = local_analysis(rec).reach
     unit_orders = exp.K + reach + 2
     r = 2 if any(exp.a[::2]) else _ramification(rec, exp.frame)
@@ -320,9 +322,7 @@ def residual_check(rec: Recurrence, exp: Expansion) -> int:
     orders = _orders(unit_orders, r)
     s = PuiseuxSeries(0, (Rational(1),) + a + (Rational(0),) * (orders - len(a) - 1), orders)
     terms, _, indicial = _assemble(rec, exp.frame, unit_orders, r)
-    residual = reduce(
-        add, (mul(w, compose_shift(s, j, r) if j else s) for j, w in terms.items())
-    )
+    residual = mul_sum((w, compose_shift(s, j, r) if j else s) for j, w in terms.items())
     stride = 2 // r
     # In x the residual is known through O(x^(unit_orders + leading)),
     # leading the lowest valuation of the W_j; in y, one order further when

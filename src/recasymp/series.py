@@ -23,7 +23,8 @@ stored over different denominators.
 Every kernel works on the numerators with integer arithmetic and keeps the
 denominator its arithmetic gives.  The content gcd(d, *nums) is divided
 out only where a denominator is formed as a product, so that it cannot
-build up: in mul (d1 * d2) and in compose_shift in x (d * 4^I); and in
+build up: in mul_sum (the lcm of the d1 * d2 of its pairs, so in mul,
+which is mul_sum of one pair) and in compose_shift in x (d * 4^I); and in
 truncate, whose cut drops numerators that may have needed part of the
 denominator.  The lcm that the constructor and from_terms bring exact
 values over (so the closed forms of shift_unit and the frame module) and
@@ -32,18 +33,30 @@ construction; a sum or a scaling may carry content, and so may the
 numerators of the solver's march (ResponseMarch), which works on lists,
 not series.
 
-Because the numerators share one denominator, the low orders of a long
-series are padded to the width its highest order needs.  mul therefore
-also divides content out of its factors while it works: a numerator list
-longer than _BLOCK orders is cut into runs, each divided by gcd(d, *run),
-and each run's contribution is multiplied back by that gcd as it is added
-into the output.  The output numerators are the same integers either way;
-only the products are narrower.
+Products are schoolbook convolutions whose outer loop skips zero
+numerators, so each product puts the factor with more zeros outside: an
+even factor, such as (1 - j x^2)^(-1/2) or exp(alpha C), costs half the
+products, and the output is the same integers either way.  mul_sum
+convolves several products into one numerator list over one denominator,
+so a sum of products, such as the certificate's residual, divides its
+content out once.  Because the numerators share one denominator, the low
+orders of a long series are padded to the width its highest order needs.
+mul_sum therefore also divides content out of the factors while it works:
+a numerator list longer than _BLOCK orders is cut into runs, each divided
+by gcd(d, *run), and each run's contribution is multiplied back by that
+gcd as it is added into the output.  The output numerators are the same
+integers either way; only the products are narrower.
+
+Division by 1 - j z^e, which steps the solver's march (e = 2 in x, e = 1 in
+y) and Horner's rule in the shift substitution (e = 1 in x^2), works in
+place, y_m += j * y_(m-e) (_divide_unit); for j = 1 it is a running sum
+over each residue class mod e, which itertools.accumulate does at C speed.
 
 Truncation orders obey the usual interval arithmetic of O-terms:
 
     add:        T = min(T1, T2)
     mul:        T = min(T1 + v2, T2 + v1)
+    mul_sum:    T = the smallest T of its products
     exp, log1p: T preserved (arguments must have positive valuation)
     shift substitution x -> x*(1 - j*x^2)^(-1/2): v and T preserved
     shift substitution in y, y -> y/(1 - j*y): v and T preserved
@@ -59,6 +72,7 @@ is divided out of its series.  All floating point input is rejected.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, gcd, lcm
 
 from .errors import NegativeValuation, NonPositiveValuation
@@ -351,44 +365,82 @@ def _convolve(out: list, at: int, a, b) -> None:
                 out[k] += x * y
 
 
-def mul(s1: PuiseuxSeries, s2: PuiseuxSeries) -> PuiseuxSeries:
-    """Product, known through O(x^min(T1 + v2, T2 + v1)): each factor's
-    O-term is multiplied by the other factor's leading monomial.  The
-    numerators are convolved over the denominator d1 * d2.
+def _add_product(out: list, at: int, s1: PuiseuxSeries, s2: PuiseuxSeries, f: int) -> None:
+    """out[at + k] += f * (x^k coefficient of s1 * s2 over d1 * d2), for
+    every at + k below len(out); s1 is the outer factor, whose zeros are
+    skipped.
 
-    When both factors reach past _BLOCK orders (trailing zeros aside), each
-    is convolved run by run, every run divided by its own content (_runs),
-    so the low orders are not multiplied at the width the highest order
-    needs; each pair of runs that reaches below the truncation adds
-    g1 * g2 times its partial product into the output, which is then the
-    schoolbook convolution, integer for integer.  A short factor, such as
-    a recurrence's polynomial coefficient, gains nothing from runs."""
-    t = min(s1.truncation + s2.valuation, s2.truncation + s1.valuation)
-    v = s1.valuation + s2.valuation
-    if s1.is_zero or s2.is_zero:
-        return PuiseuxSeries.zero(t)
-    n = t - v
-    out = [0] * n
+    When both factors reach past _BLOCK orders of out (trailing zeros
+    aside), each is convolved run by run, every run divided by its own
+    content (_runs), so the low orders are not multiplied at the width the
+    highest order needs; each pair of runs that reaches into out adds
+    f * g1 * g2 times its partial product, which is then the schoolbook
+    convolution, integer for integer.  A short factor, such as a
+    recurrence's polynomial coefficient, gains nothing from runs; with
+    f = 1 it is convolved straight into out, as most products are."""
+    n = len(out) - at
+    if n <= 0:
+        return
     a, b = s1.nums, s2.nums
     if n > _BLOCK:
         a, b = _trimmed(a[:n]), _trimmed(b[:n])
     if n <= _BLOCK or min(len(a), len(b)) <= _BLOCK:
-        _convolve(out, 0, a, b)
-        return _lowest_terms(v, out, s1.den * s2.den, t)
-    second = _runs(b, s2.den)
-    for p, ga, ra in _runs(a, s1.den):
+        if f == 1:
+            _convolve(out, at, a, b)
+            return
+        first, second = ((0, 1, a),), ((0, 1, b),)
+    else:
+        first, second = _runs(a, s1.den), _runs(b, s2.den)
+    end = len(out)
+    for p, ga, ra in first:
         for q, gb, rb in second:
-            lo = p + q
-            if lo >= n:
+            lo = at + p + q
+            if lo >= end:
                 break
-            g = ga * gb
+            g = f * ga * gb
             if g == 1:
                 _convolve(out, lo, ra, rb)
                 continue
-            part = [0] * min(n - lo, len(ra) + len(rb) - 1)
+            part = [0] * min(end - lo, len(ra) + len(rb) - 1)
             _convolve(part, 0, ra, rb)
             out[lo : lo + len(part)] = [x + g * y for x, y in zip(out[lo:], part)]
-    return _lowest_terms(v, out, s1.den * s2.den, t)
+
+
+def mul_sum(pairs) -> PuiseuxSeries:
+    """sum_i s1_i * s2_i over one or more pairs, known through the smallest
+    product truncation min(T1 + v2, T2 + v1).
+
+    Every product is convolved into one numerator list over the common
+    denominator D = lcm_i(d1_i * d2_i), pair i scaled by its cofactor
+    D / (d1_i * d2_i), and the content is divided out once, at the end.  In
+    each pair the factor with more zero numerators is the outer one, whose
+    zeros the convolution skips (an even factor costs half the products);
+    the stored result does not depend on the order.  A pair with a zero
+    factor contributes its truncation alone."""
+    t, live = None, []
+    for s1, s2 in pairs:
+        end = min(s1.truncation + s2.valuation, s2.truncation + s1.valuation)
+        if t is None or end < t:
+            t = end
+        if s1.nums and s2.nums:
+            if s2.nums.count(0) > s1.nums.count(0):
+                s1, s2 = s2, s1
+            live.append((s1.valuation + s2.valuation, s1.den * s2.den, s1, s2))
+    v, den = t, 1
+    for at, d, _, _ in live:
+        v, den = min(v, at), lcm(den, d)
+    out = [0] * (t - v)
+    for at, d, s1, s2 in live:
+        _add_product(out, at - v, s1, s2, den // d)
+    return _lowest_terms(v, out, den, t)
+
+
+def mul(s1: PuiseuxSeries, s2: PuiseuxSeries) -> PuiseuxSeries:
+    """Product, known through O(x^min(T1 + v2, T2 + v1)): each factor's
+    O-term is multiplied by the other factor's leading monomial.  The
+    numerators are convolved over the denominator d1 * d2 (mul_sum of the
+    one pair)."""
+    return mul_sum(((s1, s2),))
 
 
 def _require_positive_valuation(s: PuiseuxSeries, what: str) -> None:
@@ -482,7 +534,8 @@ class ResponseMarch:
     r; so every list is cut to that window.  Each shift keeps e chains, its
     last e powers of h_j times W_j, and a step divides the oldest by
     1 - j z^e, h_j^k = h_j^(k-e) / (1 - j z^e), which is the in-place
-    recurrence y_m += j * y_(m-e) on the numerators; b_k is a plain sum of
+    recurrence y_m += j * y_(m-e) on the numerators, a running sum per
+    residue class mod e for j = 1 (_divide_unit); b_k is a plain sum of
     integers over D.  r stays a dense numerator list over a denominator of
     its own, which grows to lcm(r_den, D * q) when a_k = p/q is absorbed,
     rescaling r once, and whose leading-zero index walks forward as the
@@ -538,8 +591,7 @@ class ResponseMarch:
             if k >= e:
                 y = chains.pop(0)
                 del y[n:]
-                for m in range(e, n):
-                    y[m] += j * y[m - e]
+                _divide_unit(y, j, e, e)
                 chains.append(y)
         del self._base[n:]
         self._b = list(map(sum, zip(self._base, *(chains[-1] for _, chains in self._chains))))
@@ -600,17 +652,33 @@ class ResponseMarch:
         self._lead = lo
 
 
+def _divide_unit(y: list, j: int, e: int, start: int) -> None:
+    """Divide y[start - e:], numerators of a series in z, by 1 - j z^e in
+    place: y_m += j * y_(m-e) for m >= start, start >= e.  For j = 1 that is
+    a running sum over each residue class mod e (one slice when e = 1),
+    which accumulate does at C speed; larger j keep the loop."""
+    if j != 1:
+        for m in range(start, len(y)):
+            y[m] += j * y[m - e]
+    elif e == 1:
+        y[start - 1 :] = accumulate(y[start - 1 :])
+    else:
+        for q in range(start - e, start):
+            y[q::e] = accumulate(y[q::e])
+
+
 def _horner_u2(coeffs, j: int) -> list:
     """sum_m coeffs[m] * (u^2)^m, u^2 = x^2 / (1 - j*x^2), in powers of x^2
     through the (len(coeffs) - 1)-th, by Horner's rule from the last nonzero
-    coefficient.  A step shifts by one power of x^2 and divides by 1 - j*x^2
-    in place, as the march does: small integers times numerators."""
+    coefficient.  A step shifts by one power of x^2 and divides the shifted
+    part, from index 1 on, by 1 - j*x^2 in place, as the march does
+    (_divide_unit): small integers times numerators, or running sums for
+    j = 1."""
     n, top = len(coeffs), _trimmed(coeffs)
     y = top[-1:]
     for m in range(len(top) - 2, -1, -1):
         y = [coeffs[m], *y, *[0] * (n - m - 1 - len(y))]
-        for i in range(2, n - m):
-            y[i] += j * y[i - 1]
+        _divide_unit(y, j, 1, 2)
     return y
 
 

@@ -13,19 +13,25 @@ runs; the drawn series are shorter than that, so each property also runs
 mul in runs of 1 and 3 orders and requires the storage of the one-run
 result.  compose_shift, which works by Horner's rule in u^2, must store the
 integers of the weight-loop kernel it replaced (weight_loop_compose_shift),
-and equal it by value on coefficients kept as ring elements.
+and equal it by value on coefficients kept as ring elements.  The division
+by 1 - j z^e, a running sum per residue class for j = 1, must store the
+integers of the plain loop; mul must store the same series whichever factor
+is the outer one; and mul_sum must equal the sum of its products.
 """
 
 import contextlib
 import random
 from fractions import Fraction
+from functools import reduce
 from math import factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from recasymp import PuiseuxSeries, Rational, add, compose_shift, engine, exp_series, mul
+from recasymp import (
+    PuiseuxSeries, Rational, add, compose_shift, engine, exp_series, mul, mul_sum,
+)
 from recasymp import series as series_module
 from recasymp.presets import get_preset
 from recasymp.recurrence import local_analysis
@@ -410,3 +416,147 @@ def test_exp_matches_reference_over_ring_elements(s):
     if s.truncation < 1:
         return
     assert exp_series(s) == ref_exp(s)
+
+
+# -- division by 1 - j z^e, the outer factor, and sums of products ------------------
+
+
+def loop_divide(y, j, e, start):
+    """The plain loop: y_m += j * y_(m-e) for m >= start."""
+    y = list(y)
+    for m in range(start, len(y)):
+        y[m] += j * y[m - e]
+    return y
+
+
+def loop_horner_u2(coeffs, j):
+    """Horner's rule in u^2 = x^2 / (1 - j x^2) with the plain loop, from
+    the last coefficient, cut to len(coeffs) orders of x^2."""
+    y = []
+    for m in range(len(coeffs) - 1, -1, -1):
+        y = loop_divide([coeffs[m], *y], j, 1, 2)[: len(coeffs) - m]
+    return y
+
+
+def numerators(rng, n):
+    return [rng.randint(-(10**40), 10**40) if rng.random() < 0.8 else 0 for _ in range(n)]
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_divide_unit_stores_the_loop_integers(j):
+    # The march divides from index e (e = 2 in x, 1 in y), _horner_u2 the
+    # part shifted in, from index 2 with e = 1.
+    rng = random.Random(j)
+    for e, start in ((1, 1), (2, 2), (1, 2)):
+        for n in (0, 1, 2, 3, 40):
+            y = numerators(rng, n)
+            got = list(y)
+            series_module._divide_unit(got, j, e, start)
+            assert got == loop_divide(y, j, e, start)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_horner_u2_stores_the_loop_integers(j):
+    rng = random.Random(10 + j)
+    for n in (0, 1, 2, 3, 40):
+        coeffs = numerators(rng, n) + [0] * (n % 3)
+        got = series_module._horner_u2(coeffs, j)
+        # Horner's rule starts at the last nonzero coefficient, so the
+        # result may stop short of the zeros beyond it.
+        assert got + [0] * (len(coeffs) - len(got)) == loop_horner_u2(coeffs, j)
+
+
+def outer_stored(s1, s2):
+    """What mul stores with s1 as the outer factor of the convolution."""
+    t = min(s1.truncation + s2.valuation, s2.truncation + s1.valuation)
+    v = min(s1.valuation + s2.valuation, t) if s1 and s2 else t
+    out = [0] * (t - v)
+    if s1 and s2:
+        series_module._add_product(out, 0, s1, s2, 1)
+    return stored(series_module._lowest_terms(v, out, s1.den * s2.den, t))
+
+
+def outer_operands():
+    """Pairs of a dense factor and an even one (g_j = (1 - j x^2)^(-1/2),
+    every odd order zero), short and past series._BLOCK orders, with
+    trailing zeros on either side."""
+    rng = random.Random(3)
+
+    def dense(v, n, zeros=0):
+        coeffs = [Rational(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6)) for _ in range(n)]
+        return PuiseuxSeries(v, coeffs + [0] * zeros, v + n + zeros)
+
+    for t in (5, series_module._BLOCK + 9):
+        even = series_module.shift_unit.__wrapped__(2, t)
+        yield dense(-2, t), even
+        yield dense(1, t - 4, 4), even
+        yield even, dense(0, t // 2, t - t // 2)
+        yield dense(0, t, 3), dense(2, t - 3, 6)
+
+
+def test_mul_stores_the_same_whichever_factor_is_outside():
+    for a, b in outer_operands():
+        for orders in (series_module._BLOCK, 3):
+            with runs_of(orders):
+                want = stored(mul(a, b))
+                assert outer_stored(a, b) == outer_stored(b, a) == want
+                assert stored(mul(b, a)) == want
+
+
+def test_ring_element_products_are_counted_as_before():
+    # The product count that perfbench's tracer derives from the argument
+    # lengths: every pair of coefficients whose orders land below the
+    # truncation, whichever factor is outside.
+    products = [0]
+
+    class Counted(Fraction):
+        def __mul__(self, other):
+            products[0] += 1
+            return Fraction(self) * other
+
+    for v1, n1, v2, n2 in ((0, 5, 0, 5), (-2, 3, 1, 7), (2, 4, -1, 2)):
+        s1 = PuiseuxSeries(v1, [Counted(i + 1) for i in range(n1)], v1 + n1)
+        s2 = PuiseuxSeries(v2, [Counted(i + 2) for i in range(n2)], v2 + n2)
+        n = min(s1.truncation + s2.valuation, s2.truncation + s1.valuation) - v1 - v2
+        want = sum(min(n2, n - i) for i in range(min(n1, n)))
+        for pair in ((s1, s2), (s2, s1)):
+            products[0] = 0
+            mul(*pair)
+            assert products[0] == want
+
+
+def assert_sum_of_products(pairs):
+    got = mul_sum(pairs)
+    want = reduce(add, (mul(a, b) for a, b in pairs))
+    assert got == want
+    assert_lowest_terms(got)
+    assert got.truncation == min(mul(a, b).truncation for a, b in pairs)
+
+
+@settings(max_examples=20)
+@given(st.lists(st.tuples(series(max_len=8), series(max_len=8)), min_size=1, max_size=3))
+def test_mul_sum_is_the_sum_of_its_products(pairs):
+    assert_sum_of_products(pairs)
+
+
+def test_mul_sum_with_a_zero_pair_and_runs():
+    rng = random.Random(5)
+
+    def dense(v, n):
+        coeffs = [Rational(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(n)]
+        return PuiseuxSeries(v, coeffs, v + n)
+
+    a, b, c = dense(-2, 50), dense(1, 45), dense(0, 40)
+    assert_sum_of_products([(a, b), (c, PuiseuxSeries.zero(30))])
+    # A product that starts at or past the truncation of another adds
+    # nothing, over its own denominator or a larger one.
+    for v in (2, 3, 4, 9):
+        high = PuiseuxSeries(v, [1, 2, 3], v + 3)
+        assert_sum_of_products([(dense(0, 3), dense(0, 5)), (high, dense(1, 4))])
+        ints = PuiseuxSeries(0, [4, 5, 6, 7], 4)
+        assert_sum_of_products([(ints, ints.truncate(3)), (high, ints)])
+    assert_sum_of_products([(a, b), (b, c), (PuiseuxSeries.zero(60), a)])
+    with runs_of(3):
+        assert stored(mul_sum([(a, b), (b, c)])) == stored(mul_sum([(b, a), (c, b)]))
+    # A single pair is mul.
+    assert stored(mul_sum([(a, c)])) == stored(mul(a, c))
