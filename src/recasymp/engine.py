@@ -34,7 +34,11 @@ alpha-equation P(alpha + delta).  So B_k vanishes below o = leading + k + d
 and is P(alpha - k/2) there, and the equation at o determines a_k, or
 proves the frame wrong (r is nonzero below o, or at o while
 P(alpha - k/2) = 0), or exposes a resonance (both sides vanish at o, so
-a_k is a free parameter).
+a_k is a free parameter).  The solver forms P once, before the march, as
+the integer polynomial Q(k) = N * P(alpha - k/2), N > 0, from the moments
+(_indicial_polynomial), and reads every a_k, on either lattice below, by
+that one rule: a_k = -r_o / P(alpha - k/2), or the error that Q(k) = 0
+names.
 
 With g_j = u_j/x = (1 - j x^2)^(-1/2), W_j and W_j * g_j are the only
 products: from then on g_j^(k+1) = g_j^(k-1) / (1 - j x^2), an exact
@@ -56,8 +60,9 @@ series.ResponseMarch runs the march on integer numerators:
   - the residual: r is a numerator list over a denominator of its own,
     rescaled once when absorbing a_k * B_k makes that denominator grow; an
     index past its leading zeros walks forward and gives its valuation;
-  - the read: a_k = -r_o / B_k[o] comes out as one integer pair (p, q) in
-    lowest terms, absorbed as it is, so one rational is built per a_k.
+  - the read: r_o comes out as one integer pair R / D, so a_k =
+    -N R / (Q(k) D) is one rational, built once and absorbed as its
+    numerator and denominator; b_k itself is only absorbed, never read.
 
 The march so costs sum_k (T - k) integer steps per shift, plus one pass
 over r's window per step to absorb a_k * B_k.
@@ -72,12 +77,11 @@ ramification r = 1 (_ramification): the weights are assembled in y
 indicial order and the march read them there, each order of y standing for
 two of x.  The march keeps one chain per shift, W_j itself, with no seed
 product, and divides it by 1 - j y, y_m += j * y_(m-1), once per even k, on
-lists half as long.  An odd k takes no step.  Its a_k is read at an odd
-order o, where r vanishes (a valuation of r below o is the same
-FrameMismatch as in x), and B_k is P(alpha - k/2) there, so a_k = 0 unless
-P(alpha - k/2) = 0, a resonance.  P is formed once, at k = 1, from the
-moments M_l as an integer polynomial in k, and evaluated in integers.  So
-the even march costs about a quarter of the steps and products of the
+lists half as long.  An odd k takes no step, and the one rule reads its
+a_k: o is odd, r is even, so r_o = 0 (the lattice order o // 2 lies below
+r's valuation once the valuation check passes), and a_k = 0 unless
+P(alpha - k/2) = 0, where the rule raises as in x.  So the even march
+costs about a quarter of the steps and products of the
 march in x, and the assembly about a quarter of its products.
 
 The certificate runs in y too, by its own argument that the odd orders of
@@ -114,9 +118,6 @@ from .frame import Frame, frame_ratio
 from .rationals import Rational, format_rational, parse_rational
 from .recurrence import Recurrence, local_analysis, poly_eval, poly_to_laurent
 from .series import PuiseuxSeries, ResponseMarch, add, compose_shift, mul, mul_sum, shift_unit
-
-
-_ZERO = Rational(0)
 
 
 @dataclass(frozen=True)
@@ -225,26 +226,28 @@ def _indicial_order(moments: list, r: int) -> int:
 
 
 def _indicial_polynomial(moments: list, order: int, r: int) -> tuple:
-    """The integer polynomial Q in k, ascending, with Q(k) = N * P(alpha -
-    k/2) for one N > 0: the response B_k at the order where a_k is read.
+    """(Q, N): the integer polynomial Q in k, ascending, and the integer
+    N > 0 with Q(k) = N * P(alpha - k/2), the response B_k at the order
+    where a_k is read.
 
     P(alpha + delta) = sum_l binom(delta, l) m_l, with m_l the coefficient
     of x^(order - 2l) in M_l, the moments in z = n^(-1/r), and m_0 = 0:
     the coefficient of x^order in M_0 = sum_j W_j, the bare residual, which
-    vanishes there once the frame fits.  No l >= t contributes, as x^(2l)
-    M_l starts 2l orders above the lowest valuation of the W_j, j >= 1, and
+    is the residual r at k = 1, so the valuation check of k = 1 proves it
+    zero before any a_k is read.  No l >= t contributes, as x^(2l) M_l
+    starts 2l orders above the lowest valuation of the W_j, j >= 1, and
     order at most 2(t - 1) above it.  binom(-k/2, l + 1) = binom(-k/2, l) *
-    -(k + 2l) / (2(l + 1)), so with the m_l over one denominator, Horner's
-    rule from l = t - 1 down, U_l = m_l * prod_(i = l + 1 .. t - 1) 2i -
-    (k + 2l) U_(l+1), stays on integer polynomials in k, and Q = U_0."""
-    m = [_ZERO] + [v.coefficient((order - 2 * l) * r // 2) for l, v in enumerate(moments, 1)]
-    den = lcm(*(v.denominator for v in m))
-    q, scale = [], 1
-    for l in range(len(m) - 1, -1, -1):
+    -(k + 2l) / (2(l + 1)), so with the m_l over one denominator den,
+    Horner's rule from l = t - 1 down, U_l = m_l * prod_(i = l + 1 .. t - 1)
+    2i - (k + 2l) U_(l+1), stays on integer polynomials in k, and Q = U_0 =
+    -k U_1, with N = den * prod_(i = 1 .. t - 1) 2i."""
+    m = [v.coefficient((order - 2 * l) * r // 2) for l, v in enumerate(moments, 1)]
+    q, scale = [], lcm(*(v.denominator for v in m))
+    for l in range(len(m), 0, -1):
         q = [-a - 2 * l * b for a, b in zip([0] + q, q + [0])]  # -(k + 2l) U_(l+1)
-        q[0] += m[l].numerator * (den // m[l].denominator) * scale
+        q[0] += m[l - 1].numerator * (scale // m[l - 1].denominator)
         scale *= 2 * l
-    return tuple(q)
+    return (0, *(-a for a in q)), scale
 
 
 def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
@@ -269,29 +272,24 @@ def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
         # Every W_j is even: the march in y = x^2, one chain W_j per shift.
         seeds = {j: (w,) for j, w in terms.items() if j}
     march = ResponseMarch(reduce(add, terms.values()), terms[0], seeds)
-    pk = None  # P(alpha - k/2) in k, formed at the first odd k on x^2
+    pk, scale = _indicial_polynomial(moments, indicial, r)
     coefficients = []
     for k in range(1, K + 1):
         o = indicial + k
-        odd = k % stride
-        if not odd:
+        if not k % stride:
             march.advance()
         if march.valuation * stride < o:
             raise FrameMismatch(k, march.valuation * stride)
-        if odd:
-            # r is even, so r_o = 0, and B_k is P(alpha - k/2) at o.  P is
-            # formed at k = 1, whose valuation check above proved that r,
-            # the bare residual at that k, vanishes through x^indicial.
-            if pk is None:
-                pk = _indicial_polynomial(moments, indicial, r)
-            p, q = 0, poly_eval(pk, k)
-        else:
-            p, q = march.read(o // stride)
+        # B_k is P(alpha - k/2) at o.  At an odd o in y, o // stride is
+        # below r's valuation, so R = 0: r is even.
+        num, den = march.residual_pair(o // stride)
+        q = poly_eval(pk, k)
         if not q:
-            raise FrameMismatch(k, o) if p else ResonantOrder(k, o)
-        coefficients.append(Rational(p, q) if p else _ZERO)
-        if p:
-            march.absorb(p, q)
+            raise FrameMismatch(k, o) if num else ResonantOrder(k, o)
+        a = Rational(-scale * num, q * den)
+        coefficients.append(a)
+        if a:
+            march.absorb(a.numerator, a.denominator)
     return Expansion(frame, K, coefficients)
 
 

@@ -416,7 +416,8 @@ def mul_sum(pairs) -> PuiseuxSeries:
     each pair the factor with more zero numerators is the outer one, whose
     zeros the convolution skips (an even factor costs half the products);
     the stored result does not depend on the order.  A pair with a zero
-    factor contributes its truncation alone."""
+    factor contributes its truncation alone.  An empty iterable of pairs is
+    a ValueError."""
     t, live = None, []
     for s1, s2 in pairs:
         end = min(s1.truncation + s2.valuation, s2.truncation + s1.valuation)
@@ -426,6 +427,8 @@ def mul_sum(pairs) -> PuiseuxSeries:
             if s2.nums.count(0) > s1.nums.count(0):
                 s1, s2 = s2, s1
             live.append((s1.valuation + s2.valuation, s1.den * s2.den, s1, s2))
+    if t is None:
+        raise ValueError("mul_sum needs at least one pair of series, got an empty input")
     v, den = t, 1
     for at, d, _, _ in live:
         v, den = min(v, at), lcm(den, d)
@@ -539,9 +542,10 @@ class ResponseMarch:
     integers over D.  r stays a dense numerator list over a denominator of
     its own, which grows to lcm(r_den, D * q) when a_k = p/q is absorbed,
     rescaling r once, and whose leading-zero index walks forward as the
-    solve cancels its low orders.  Each a_k is read as one integer pair
-    (p, q) = -r_o / b_o (read) and absorbed as that pair, so the march
-    builds no rational of its own.
+    solve cancels its low orders.  b_k is kept for absorb alone: the solver
+    reads r_o as one integer pair R / D (residual_pair) and takes b_o from
+    the indicial polynomial, Q(k) / N (engine._indicial_polynomial), so
+    a_k = -N R / (Q(k) D) and the march builds no rational of its own.
 
     Every response must be known through O(z^(T - 1)), the window of the
     first step; the solver's weights are."""
@@ -600,37 +604,22 @@ class ResponseMarch:
         if order >= self._t:
             raise ValueError(f"coefficient of x^{order} is beyond O(x^{self._t})")
 
-    def residual(self, order: int):
-        """The coefficient of x^order in r."""
+    def residual_pair(self, order: int) -> tuple:
+        """The coefficient of x^order in r as integers (R, D), D > 0: r's
+        numerator there and its common denominator, not in lowest terms."""
         self._beyond(order)
         i = order - self._rlow
-        return _value(self._r[i], self._rden) if i >= self._lead else Rational(0)
+        return (self._r[i] if i >= self._lead else 0), self._rden
+
+    def residual(self, order: int):
+        """The coefficient of x^order in r."""
+        return _value(*self.residual_pair(order))
 
     def response(self, order: int):
         """The coefficient of x^order in x^k * b_k."""
         self._beyond(order)
         i = order - self._low - self.k
         return _value(self._b[i], self._den) if i >= 0 else Rational(0)
-
-    def read(self, order: int) -> tuple:
-        """a_k = -r_o / b_o, r_o and b_o the coefficients of x^order in r and
-        in x^k * b_k, as integers (p, q) in lowest terms with q > 0; (-R, 0)
-        when b_o is zero, R the numerator of r_o, so that p is nonzero
-        exactly when r_o is.  Cancelled the way a rational division does it:
-        r_o and b_o are each put in lowest terms, then their cross factors
-        are removed, so no gcd runs over the full products."""
-        self._beyond(order)
-        i = order - self._rlow
-        r = self._r[i] if i >= self._lead else 0
-        i = order - self._low - self.k
-        b = self._b[i] if i >= 0 else 0
-        if not b:
-            return -r, 0
-        g, h = gcd(r, self._rden), gcd(b, self._den)
-        r, rden, b, den = r // g, self._rden // g, b // h, self._den // h
-        g, h = gcd(r, b), gcd(den, rden)
-        p, q = -(r // g) * (den // h), (b // g) * (rden // h)
-        return (-p, -q) if q < 0 else (p, q)
 
     def absorb(self, p: int, q: int) -> None:
         """r += (p / q) * x^k * b_k, through r's truncation; q > 0."""

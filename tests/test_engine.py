@@ -177,10 +177,11 @@ def test_resonance_at_a_chosen_second_indicial_root(r):
 
 
 def _indicial_polynomial(rec, frame, K, r=None):
-    """The engine's P(alpha - k/2) as an integer polynomial in k, from the
-    weights of a K-coefficient solve on the lattice z = n^(-1/r) (by default
-    the solve's own).  The engine takes M_0's coefficient m_0 at the
-    indicial order to be 0, as it is once the frame fits: read here, it is."""
+    """The engine's (Q, N), Q(k) = N * P(alpha - k/2) an integer polynomial
+    in k, from the weights of a K-coefficient solve on the lattice
+    z = n^(-1/r) (by default the solve's own).  The engine takes M_0's
+    coefficient m_0 at the indicial order to be 0, as it is once the frame
+    fits: read here, it is."""
     r = r or engine._ramification(rec, frame)
     reach = local_analysis(rec).reach
     terms = engine._assemble(rec, frame, K + reach + 1, r).terms
@@ -197,34 +198,63 @@ def test_indicial_polynomial_vanishes_at_the_solved_alpha_alone(name):
     for seed in range(1, 7):
         rec = _family(name, seed)
         frame = frame_solve(rec)
-        pk = _indicial_polynomial(rec, frame, 12)
-        assert poly_eval(pk, 0) == 0
+        pk, scale = _indicial_polynomial(rec, frame, 12)
+        assert poly_eval(pk, 0) == 0 and scale > 0
         assert all(poly_eval(pk, k) for k in range(1, 13))
-        assert pk == _indicial_polynomial(rec, frame, 12, 2)
+        assert (pk, scale) == _indicial_polynomial(rec, frame, 12, 2)
         assert engine._ramification(rec, frame) == (2 if name == "two-term" else 1)
+
+
+def _reads(rec, K, monkeypatch):
+    """Solve rec in its frame through K, recording for each k the order at
+    which the solve reads r, the pair (R, D) it reads there and the march's
+    response at that order (None before the march's first step, at k = 1 in
+    y); absorbing a_k must cancel r at that order."""
+    pair, absorb, reads = ResponseMarch.residual_pair, ResponseMarch.absorb, []
+
+    def recording_pair(march, order):
+        reads.append((order, pair(march, order), march.response(order) if march.k else None))
+        return reads[-1][1]
+
+    def checked_absorb(march, p, q):
+        absorb(march, p, q)
+        assert pair(march, reads[-1][0])[0] == 0
+
+    monkeypatch.setattr(ResponseMarch, "residual_pair", recording_pair)
+    monkeypatch.setattr(ResponseMarch, "absorb", checked_absorb)
+    exp = solve_expansion(rec, frame_solve(rec), K)
+    assert len(reads) == K
+    return exp, reads
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_march_in_x_reads_the_indicial_polynomial(seed, monkeypatch):
-    # B_k at the order of a_k is P(alpha - k/2) times one positive constant.
+    # B_k at the order of a_k is exactly Q(k) / N.
     rec = a85_recurrence() if seed == 0 else _family("two-term", seed)
+    pk, scale = _indicial_polynomial(rec, frame_solve(rec), 12)
+    _, reads = _reads(rec, 12, monkeypatch)
+    assert [b for _, _, b in reads] == [Rational(poly_eval(pk, k), scale) for k in range(1, 13)]
+
+
+@pytest.mark.parametrize("name, seed", [("monic", 1), ("monic", 2), ("sparse", 1), ("sparse", 2)])
+def test_march_in_y_reads_the_indicial_polynomial(name, seed, monkeypatch):
+    # On y = 1/n, B_k at the order of an even a_k is exactly Q(k) / N; an
+    # odd k reads r below its valuation, R = 0, so a_k = 0.
+    rec = _family(name, seed)
     frame = frame_solve(rec)
-    pk = _indicial_polynomial(rec, frame, 12)
-    read, responses = ResponseMarch.read, []
-
-    def recording_read(march, o):
-        responses.append(march.response(o))
-        return read(march, o)
-
-    monkeypatch.setattr(ResponseMarch, "read", recording_read)
-    solve_expansion(rec, frame, 12)
-    ratios = {b / poly_eval(pk, k) for k, b in enumerate(responses, 1)}
-    assert len(responses) == 12 and len(ratios) == 1 and ratios.pop() > 0
+    assert engine._ramification(rec, frame) == 1
+    pk, scale = _indicial_polynomial(rec, frame, 12)
+    exp, reads = _reads(rec, 12, monkeypatch)
+    for k, (a, (_, (num, _), b)) in enumerate(zip(exp.a, reads), 1):
+        if k % 2:
+            assert num == 0 and a == 0
+        else:
+            assert b == Rational(poly_eval(pk, k), scale)
 
 
 @pytest.mark.parametrize("r", range(1, 13))
 def test_resonant_family_has_its_indicial_root_at_r(r):
-    pk = _indicial_polynomial(Recurrence(_resonant_family(r)), Frame(0, 0, 0), 12)
+    pk, _ = _indicial_polynomial(Recurrence(_resonant_family(r)), Frame(0, 0, 0), 12)
     assert [k for k in range(13) if not poly_eval(pk, k)] == [0, r]
 
 
@@ -329,6 +359,24 @@ def exact_series(draw):
     return PuiseuxSeries(v, coeffs, v + len(coeffs))
 
 
+@settings(max_examples=40)
+@given(st.lists(small_rationals, min_size=1, max_size=4))
+def test_indicial_polynomial_is_n_times_p(ms):
+    # Q(k) = N * P(alpha - k/2), P(alpha + delta) = sum_l binom(delta, l) m_l
+    # with m_0 = 0, on moments whose m_l carry denominators (those of the
+    # families above are integers).
+    order = 2 * len(ms)
+    moments = [PuiseuxSeries.from_terms({order - 2 * l: m}, order + 1) for l, m in enumerate(ms, 1)]
+    pk, scale = engine._indicial_polynomial(moments, order, 2)
+    assert scale > 0 and all(isinstance(c, int) for c in pk)
+    for k in range(13):
+        binom, p = Rational(1), Rational(0)
+        for l, m in enumerate(ms, 1):
+            binom *= (Rational(-k, 2) - l + 1) / l
+            p += binom * m
+        assert poly_eval(pk, k) == scale * p
+
+
 def _single_shift_march(s, j):
     """The march for one shift j with W_j = s, W_0 = 0 and a zero residual
     known through one order past s, the most its window allows; and the
@@ -390,49 +438,36 @@ def test_one_chain_march_divides_by_one_minus_jz(s, j):
         assert _response(march, s, t) == want.truncate(t)
 
 
-def _as_pair(value):
-    return value.numerator, value.denominator
-
-
 @settings(max_examples=30)
 @given(exact_series(), st.integers(min_value=1, max_value=4), st.data())
-def test_march_reads_minus_residual_over_response(s, j, data):
-    # At every order of a step, read gives -r_o / b_o as an integer pair in
-    # lowest terms with q > 0, or q = 0 with p nonzero exactly when r_o is;
-    # absorbing a pair it read cancels r at that order.
+def test_march_residual_pairs_track_what_absorb_adds(s, j, data):
+    # At every order of a step, residual_pair gives r_o as R / D with D > 0;
+    # absorbing -r_o / b_o, at an order where both are nonzero, cancels r
+    # there and adds that multiple of x^k b_k at every order.
     _, u, t = _single_shift_march(s, j)
     v = data.draw(st.integers(min_value=s.valuation - 2, max_value=t))
     coeffs = data.draw(st.lists(small_rationals, min_size=t - v, max_size=t - v))
-    residual = PuiseuxSeries(v, coeffs, t)
-    march = ResponseMarch(residual, PuiseuxSeries.zero(t), {j: (s, mul(s, u.x_shift(-1)))})
+    want = PuiseuxSeries(v, coeffs, t)
+    march = ResponseMarch(want, PuiseuxSeries.zero(t), {j: (s, mul(s, u.x_shift(-1)))})
     orders = range(min(s.valuation, v) - 1, t)
     for _ in range(4):
         march.advance()
-        pairs = {o: march.read(o) for o in orders}
-        for o, (p, q) in pairs.items():
-            b, r = march.response(o), march.residual(o)
-            if b:
-                assert q > 0 and (p, q) == _as_pair(-r / b)
-            else:
-                assert q == 0 and bool(p) == bool(r)
-        o = next((o for o, (p, q) in pairs.items() if p and q), None)
+        pairs = {o: march.residual_pair(o) for o in orders}
+        assert all(d > 0 and Rational(r, d) == want.coefficient(o) for o, (r, d) in pairs.items())
+        o = next((o for o in orders if pairs[o][0] and march.response(o)), None)
         if o is not None:
-            march.absorb(*pairs[o])
+            a = -Rational(*pairs[o]) / march.response(o)
+            march.absorb(a.numerator, a.denominator)
+            want = add(want, _response(march, s, t).scale(a))
             assert march.residual(o) == 0
+    assert all(march.residual(o) == want.coefficient(o) for o in orders)
 
 
-def test_a85_march_reads_minus_residual_over_response(a85, a85_fr, monkeypatch):
-    read, pairs = ResponseMarch.read, []
-
-    def checked_read(march, order):
-        p, q = read(march, order)
-        assert q > 0 and (p, q) == _as_pair(-march.residual(order) / march.response(order))
-        pairs.append((p, q))
-        return p, q
-
-    monkeypatch.setattr(ResponseMarch, "read", checked_read)
-    exp = solve_expansion(a85, a85_fr, 40)
-    assert exp.a == tuple(Rational(p, q) for p, q in pairs)
+def test_a85_march_reads_minus_residual_over_response(a85, monkeypatch):
+    # Each a_k is -r_o / b_o, r_o the pair the solve reads and b_o the
+    # march's own response at that order.
+    exp, reads = _reads(a85, 40, monkeypatch)
+    assert exp.a == tuple(-Rational(*pair) / b for _, pair, b in reads)
 
 
 @pytest.mark.parametrize(

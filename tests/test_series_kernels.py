@@ -560,3 +560,9 @@ def test_mul_sum_with_a_zero_pair_and_runs():
         assert stored(mul_sum([(a, b), (b, c)])) == stored(mul_sum([(b, a), (c, b)]))
     # A single pair is mul.
     assert stored(mul_sum([(a, c)])) == stored(mul(a, c))
+
+
+def test_mul_sum_refuses_an_empty_input():
+    for empty in ((), iter([])):
+        with pytest.raises(ValueError, match="empty input"):
+            mul_sum(empty)
