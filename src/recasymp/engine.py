@@ -57,12 +57,14 @@ series.ResponseMarch runs the march on integer numerators:
   - a window: r is known only below its truncation, so step k reads the
     sum inside B_k = x^k * (...) through T - k orders, and every response
     is cut to them;
-  - the residual: r is a numerator list over a denominator of its own,
-    rescaled once when absorbing a_k * B_k makes that denominator grow; an
-    index past its leading zeros walks forward and gives its valuation;
-  - the read: r_o comes out as one integer pair R / D, so a_k =
-    -N R / (Q(k) D) is one rational, built once and absorbed as its
-    numerator and denominator; b_k itself is only absorbed, never read.
+  - the residual: r is a numerator list over D * rho, rho its own part of
+    the denominator, which grows to lcm(rho, q) when a_k = p/q is absorbed,
+    rescaling r once; an index past its leading zeros walks forward and
+    gives its valuation;
+  - the read: r_o comes out as one integer pair R / (D * rho), so a_k =
+    -N R / (Q(k) D rho) is one rational, built once and absorbed as its
+    numerator and denominator; the sum inside B_k is never stored: absorb
+    adds the shifts' chains as it goes and W_0's few terms apart.
 
 The march so costs sum_k (T - k) integer steps per shift, plus one pass
 over r's window per step to absorb a_k * B_k.
@@ -93,16 +95,21 @@ S(u_j) is even, and so is every product and the residual: its valuation
 in x is twice its valuation in y, capped at the truncation the residual
 has in x, which the y residual passes by one order when the window is odd.
 
-All series arithmetic is exact, and every truncation is sized once, before
-any arithmetic, from the budget reach of recurrence.local_analysis: the
-solve takes T = K + reach + 1.  The certificate reads one order more, so
-the weights are assembled once, through T + 1, and memoized: the solve
-cuts each W_j to its own window (by one order in x, and in y by the one
-order of y that T + 1 adds when T is even), which stores the same
-numerators, denominator and truncation as an assembly through T (a cut is
-in lowest terms), and residual_check on its expansion finds them built.
-The moments and the indicial order, which read no order the cut drops,
-are built once with the assembly and read by both.
+All series arithmetic is exact.  The certificate's truncation is sized
+once, before any arithmetic, from the budget reach of
+recurrence.local_analysis: it takes K + reach + 2 unit orders, one past the
+order at which a_(K+1) would be read.  The weights are assembled once,
+through that window, and memoized, with the moments and the indicial
+order, which read no order more than reach past the lowest valuation; the
+solve and residual_check on its expansion both read them.  The solve's
+window is sized right after the assembly, from the indicial order: a_K is
+read at indicial + K, and r = sum_j W_j is known through leading + T,
+leading the lowest valuation of the W_j, so the solve takes T = K + 1 + d,
+d = indicial - leading <= reach, and cuts each W_j to it: by reach + 1 - d
+orders in x (3 for a85, with reach = 4 and d = 2), by the orders of y
+between the two windows in y.  A cut stores the same numerators,
+denominator and truncation as an assembly through T would, since a cut is
+in lowest terms.
 """
 
 from __future__ import annotations
@@ -199,7 +206,7 @@ def _assemble(rec: Recurrence, frame: Frame, unit_orders: int, r: int) -> _Assem
     indicial order: the last assembly is memoized, so a solve and the
     certificate of its expansion share one object and build the moments
     once.  The moments read each W_j only reach orders past the lowest
-    valuation, which the solve's cut of the weights keeps.
+    valuation, here, before the solve cuts the weights to its own window.
     """
     orders = _orders(unit_orders, r)
     terms = {}
@@ -257,13 +264,16 @@ def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
     if K < 0:
         raise ValueError("K must be >= 0")
     reach = local_analysis(rec).reach
-    unit_orders = K + reach + 1
     r = _ramification(rec, frame)
-    # The certificate's weights, each cut by the orders it reads more.
-    extra = _orders(unit_orders + 1, r) - _orders(unit_orders, r)
-    weights, moments, indicial = _assemble(rec, frame, unit_orders + 1, r)
-    terms = {j: w.truncate(w.truncation - extra) for j, w in weights.items()}
     stride = 2 // r  # orders of x per order of the lattice
+    # The certificate's weights, each cut to the orders that a_K's read, at
+    # indicial + K, needs: r is known through x^(leading + unit_orders).
+    certificate_orders = K + reach + 2
+    weights, moments, indicial = _assemble(rec, frame, certificate_orders, r)
+    leading = min(w.valuation for w in weights.values()) * stride
+    unit_orders = K + 1 + min(reach, indicial - leading)
+    extra = _orders(certificate_orders, r) - _orders(unit_orders, r)
+    terms = {j: w.truncate(w.truncation - extra) for j, w in weights.items()}
     if r == 2:
         # The march in x, two chains per shift: W_j and W_j * g_j, with the
         # unit g_j = u_j/x.
@@ -300,10 +310,11 @@ def residual_check(rec: Recurrence, exp: Expansion) -> int:
     A return of m means E(S) = O(x^(v0 + m)), where v0 is the order at
     which a_1 is read (or the residual's valuation, if lower); m >= exp.K
     certifies that every solved coefficient does its job.  The residual is
-    known through order K + 1 + reach - sigma, one past the solve's
-    window, so it sees the order at which a_(K+1) would be read.  When it
-    vanishes through all of that, as for an exact solution, the value is
-    the window's limit: a lower bound, still >= exp.K.
+    known through order K + 1 + reach - sigma, at or past the order
+    indicial + K + 1 at which a_(K+1) would be read, one past the solve's
+    window, so it sees that order.  When it vanishes through all of that,
+    as for an exact solution, the value is the window's limit: a lower
+    bound, still >= exp.K.
 
     The residual is formed in y = x^2 = 1/n when the weights live there and
     every odd a_k is zero (see the module docstring), in x otherwise, as one

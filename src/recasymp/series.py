@@ -71,7 +71,8 @@ is divided out of its series.  All floating point input is rejected.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import operator
+from functools import lru_cache, partial, reduce
 from itertools import accumulate
 from math import comb, gcd, lcm
 
@@ -532,26 +533,30 @@ class ResponseMarch:
     Built from r, W_0 and, for each shift j >= 1, its e seeds W_j * h_j^i,
     i = 0 .. e - 1: W_j and W_j * g_j in x, W_j alone in x^2.  W_0 and the
     seeds are brought once over one common denominator D, as dense
-    numerator lists from their lowest valuation.  Step k reads b_k only
-    below z^(T - k), T the truncation of r, since z^k * b_k is absorbed into
-    r; so every list is cut to that window.  Each shift keeps e chains, its
-    last e powers of h_j times W_j, and a step divides the oldest by
-    1 - j z^e, h_j^k = h_j^(k-e) / (1 - j z^e), which is the in-place
-    recurrence y_m += j * y_(m-e) on the numerators, a running sum per
-    residue class mod e for j = 1 (_divide_unit); b_k is a plain sum of
-    integers over D.  r stays a dense numerator list over a denominator of
-    its own, which grows to lcm(r_den, D * q) when a_k = p/q is absorbed,
-    rescaling r once, and whose leading-zero index walks forward as the
-    solve cancels its low orders.  b_k is kept for absorb alone: the solver
-    reads r_o as one integer pair R / D (residual_pair) and takes b_o from
-    the indicial polynomial, Q(k) / N (engine._indicial_polynomial), so
-    a_k = -N R / (Q(k) D) and the march builds no rational of its own.
+    numerator lists from their lowest valuation; W_0 is kept as its nonzero
+    numerators alone (p_0 as a Laurent polynomial, a term or a few).  Step k
+    reads b_k only below z^(T - k), T the truncation of r, since z^k * b_k
+    is absorbed into r; so every list is cut to that window.  Each shift
+    keeps e chains, its last e powers of h_j times W_j, and a step divides
+    the oldest by 1 - j z^e, h_j^k = h_j^(k-e) / (1 - j z^e), which is the
+    in-place recurrence y_m += j * y_(m-e) on the numerators, a running sum
+    per residue class mod e for j = 1 (_divide_unit).  b_k is not stored:
+    absorb sums the shifts' newest chains in one pass of integer additions
+    over D and adds W_0's few numerators apart, and response sums the same
+    at one order.  r stays a dense numerator list over D * rho, rho its own
+    part of the denominator: set-up brings r over lcm(den r, D) once, and
+    absorbing a_k = p/q grows rho to lcm(rho, q), rescaling r once; its
+    leading-zero index walks forward as the solve cancels its low orders.
+    The solver reads r_o as one integer pair R / (D * rho) (residual_pair)
+    and takes b_o from the indicial polynomial, Q(k) / N
+    (engine._indicial_polynomial), so a_k = -N R / (Q(k) D rho) and the
+    march builds no rational of its own.
 
     Every response must be known through O(z^(T - 1)), the window of the
     first step; the solver's weights are."""
 
     __slots__ = (
-        "k", "_t", "_low", "_den", "_base", "_chains", "_b", "_r", "_rlow", "_rden", "_lead"
+        "k", "_t", "_low", "_den", "_base", "_chains", "_r", "_rlow", "_rho", "_rden", "_lead"
     )
 
     def __init__(self, residual: PuiseuxSeries, base: PuiseuxSeries, seeds: dict):
@@ -572,13 +577,15 @@ class ResponseMarch:
 
         self.k = 0
         self._low, self._den, self._t = low, den, t
-        self._base = dense(base)
+        self._base = [(i, a) for i, a in enumerate(dense(base)) if a]
         self._chains = [(j, [dense(s) for s in chain]) for j, chain in seeds.items()]
-        self._b = []
-        # r is stored from an order no higher than any response reaches.
+        # r is stored from an order no higher than any response reaches, over
+        # D * rho.
         self._rlow = rlow = min(residual.valuation, low + 1)
-        self._r = [0] * (residual.valuation - rlow) + list(residual.nums)
-        self._rden = residual.den
+        self._rden = rden = lcm(residual.den, den)
+        self._rho = rden // den
+        f = rden // residual.den
+        self._r = [0] * (residual.valuation - rlow) + [f * a for a in residual.nums]
         self._lead = residual.valuation - rlow
 
     @property
@@ -587,7 +594,8 @@ class ResponseMarch:
         return self._rlow + self._lead
 
     def advance(self) -> None:
-        """Step k to k + 1 and build b_k in the window of that step."""
+        """Step k to k + 1: cut every chain to the window of that step, and
+        divide each shift's oldest chain into its newest."""
         self.k = k = self.k + 1
         n = max(0, self._t - k - self._low)
         for j, chains in self._chains:
@@ -597,16 +605,15 @@ class ResponseMarch:
                 del y[n:]
                 _divide_unit(y, j, e, e)
                 chains.append(y)
-        del self._base[n:]
-        self._b = list(map(sum, zip(self._base, *(chains[-1] for _, chains in self._chains))))
 
     def _beyond(self, order: int) -> None:
         if order >= self._t:
             raise ValueError(f"coefficient of x^{order} is beyond O(x^{self._t})")
 
     def residual_pair(self, order: int) -> tuple:
-        """The coefficient of x^order in r as integers (R, D), D > 0: r's
-        numerator there and its common denominator, not in lowest terms."""
+        """The coefficient of x^order in r as integers (R, D * rho), the
+        denominator positive: r's numerator there and its common
+        denominator, not in lowest terms."""
         self._beyond(order)
         i = order - self._rlow
         return (self._r[i] if i >= self._lead else 0), self._rden
@@ -616,26 +623,38 @@ class ResponseMarch:
         return _value(*self.residual_pair(order))
 
     def response(self, order: int):
-        """The coefficient of x^order in x^k * b_k."""
+        """The coefficient of x^order in x^k * b_k, summed at that order
+        alone, for a step k >= 1."""
         self._beyond(order)
         i = order - self._low - self.k
-        return _value(self._b[i], self._den) if i >= 0 else Rational(0)
+        if i < 0:
+            return Rational(0)
+        total = sum(chains[-1][i] for _, chains in self._chains)
+        return _value(total + sum(w for at, w in self._base if at == i), self._den)
 
     def absorb(self, p: int, q: int) -> None:
         """r += (p / q) * x^k * b_k, through r's truncation; q > 0."""
-        r, den = self._r, self._den * q
-        grown = lcm(self._rden, den)
-        c = p * (grown // den)
+        r, rho = self._r, self._rho
+        grown = lcm(rho, q)
+        c = p * (grown // q)
         off = self._low + self.k - self._rlow
+        # The sum inside b_k, lazily: one integer addition per entry and
+        # shift past the first, W_0 aside.
+        b = reduce(partial(map, operator.add), [chains[-1] for _, chains in self._chains])
         # r is zero below its lead, so only r[lo:] can change.
         lo = min(self._lead, off)
-        if grown == self._rden:
-            r[off:] = [x + c * y for x, y in zip(r[off:], self._b)]
+        if grown == rho:
+            r[off:] = [x + c * y for x, y in zip(r[off:], b)]
         else:
-            f = grown // self._rden
+            f = grown // rho
             r[lo:off] = [f * x for x in r[lo:off]]
-            r[off:] = [f * x + c * y for x, y in zip(r[off:], self._b)]
-            self._rden = grown
+            r[off:] = [f * x + c * y for x, y in zip(r[off:], b)]
+            self._rho, self._rden = grown, self._den * grown
+        n = len(r) - off
+        for i, w in self._base:
+            if i >= n:
+                break
+            r[off + i] += c * w
         while lo < len(r) and not r[lo]:
             lo += 1
         self._lead = lo

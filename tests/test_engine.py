@@ -470,6 +470,87 @@ def test_a85_march_reads_minus_residual_over_response(a85, monkeypatch):
     assert exp.a == tuple(-Rational(*pair) / b for _, pair, b in reads)
 
 
+def _draws(name, count):
+    """The first count seeded draws of a family; two-term draws with u > 0
+    alone, whose frame is the sequence's growth."""
+    draws = (_family(name, seed) for seed in range(1, 100))
+    return [rec for rec in draws if name != "two-term" or rec.coeffs[1][0] < 0][:count]
+
+
+@pytest.mark.parametrize("name", ["monic", "two-term", "sparse", "order-3"])
+def test_coefficients_do_not_depend_on_K(name):
+    # The march's window ends where a_K is read, so each a_k read at the
+    # edge of its window is the a_k of a solve six or more orders longer.
+    for rec in _draws(name, 2):
+        frame = frame_solve(rec)
+        longer = solve_expansion(rec, frame, 19).a
+        for K in range(14):
+            assert solve_expansion(rec, frame, K).a == longer[:K]
+
+
+@pytest.mark.parametrize("name", ["a85", "order-3", "monic", "sparse"])
+def test_march_window_covers_the_last_read(name, monkeypatch):
+    # The residual the march starts from is known through a_K's read order,
+    # indicial + K, and at most one order of its lattice past it: in x for
+    # a85 and order-3, in y = 1/n for monic and sparse, at even and odd K.
+    rec = a85_recurrence() if name == "a85" else _family(name, 1)
+    frame = frame_solve(rec)
+    r = engine._ramification(rec, frame)
+    assert r == (2 if name in ("a85", "order-3") else 1)
+    windows = []
+
+    class RecordingMarch(ResponseMarch):
+        __slots__ = ()
+
+        def __init__(self, residual, base, seeds):
+            windows.append(residual.truncation)
+            super().__init__(residual, base, seeds)
+
+    monkeypatch.setattr(engine, "ResponseMarch", RecordingMarch)
+    reach = local_analysis(rec).reach
+    for K in (0, 1, 12, 13):
+        windows.clear()
+        solve_expansion(rec, frame, K)
+        read = (engine._assemble(rec, frame, K + reach + 2, r).indicial + K) // (2 // r)
+        assert len(windows) == 1 and read < windows[0] <= read + 2
+
+
+@pytest.mark.parametrize(
+    "coeffs, r", [([[1, 1], [-1, -1], [1, 0, -1]], 2), ([[4, 4], [2, -4]], 1)],
+    ids=["a85-times-n-plus-1", "catalan"],
+)
+def test_march_adds_a_w0_of_several_terms(coeffs, r):
+    # W_0 = L_0, p_0 in z, has two terms here: a85 times n + 1 in x, and the
+    # hand-gauged Catalan recurrence in y = 1/n.  Step by step, response
+    # sums x^k * b_k = x^k * W_0 + sum_j W_j u_j^k at every order, and
+    # absorbing a * x^k * b_k adds W_0's terms to r with the shifts' sum;
+    # the a chosen make rho grow at some steps and not at others.
+    rec = Recurrence(coeffs)
+    frame = frame_solve(rec)
+    assert engine._ramification(rec, frame) == r
+    terms = engine._assemble(rec, frame, 16, r).terms
+    assert len(list(terms[0].terms())) == 2
+    want = reduce(add, terms.values())
+    t, low = want.truncation, min(w.valuation for w in terms.values())
+    z = PuiseuxSeries.monomial(1, 1, t - low + 2)
+    units = {j: compose_shift(z, j, r) for j in terms if j}
+    chains = {
+        j: (w, mul(w, units[j].x_shift(-1))) if r == 2 else (w,) for j, w in terms.items() if j
+    }
+    march = ResponseMarch(want, terms[0], chains)
+    powers = {j: w for j, w in terms.items() if j}
+    orders = range(low, t)
+    for k in range(1, 6):
+        march.advance()
+        powers = {j: mul(w, units[j]) for j, w in powers.items()}
+        b = reduce(add, powers.values(), terms[0].x_shift(k))
+        assert [march.response(o) for o in orders] == [b.coefficient(o) for o in orders]
+        a = Rational((-1) ** k * k, k + 2)
+        march.absorb(a.numerator, a.denominator)
+        want = add(want, b.truncate(t).scale(a))
+        assert all(Rational(*march.residual_pair(o)) == want.coefficient(o) for o in orders)
+
+
 @pytest.mark.parametrize(
     "coeffs, error",
     [
@@ -614,8 +695,12 @@ _FACTORIAL = Recurrence([[1], [0, -1]])
 def _family(name, seed):
     """A recurrence of the benchmark's frame-discovery families: t(n) =
     r(n) t(n-1) and r(n) t(n-j) with r monic, and t(n) = u t(n-1) + (n+v)
-    t(n-2)."""
+    t(n-2); or of order 3, t(n) = u t(n-1) + (n+v) t(n-2) + (n+w) t(n-3)
+    with u > 0, whose frame has c = u + 1, in x, and reach 6."""
     rng = random.Random(seed)
+    if name == "order-3":
+        u, v, w = rng.randint(1, 3), rng.randint(-3, 3), rng.randint(-3, 3)
+        return Recurrence([[1], [-u], [-v, -1], [-w, -1]])
     d = 1 + seed % 3 if name == "monic" else 1 + seed % 2
     r = [-rng.randint(-3, 3) for _ in range(d)] + [-1]
     if name == "monic":
