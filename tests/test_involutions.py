@@ -3,7 +3,7 @@
 OEIS A000085: 1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496, ...
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial, prod
 
 import pytest
@@ -72,6 +72,41 @@ def test_egf_route_uses_no_other_route(monkeypatch):
         for m in range(61)
     ]
     assert involution_counts_by_egf(60) == expected
+
+
+def test_brute_force_checks_every_letter(monkeypatch):
+    # Each 3-cycle fixes three letters, whichever three are tested first,
+    # and must still be rejected by the test of every letter.
+    involutions_of_6 = [p for p in permutations(range(6))
+                        if all(p[p[i]] == i for i in range(6))]
+    three_cycles = []
+    for a, b, c in combinations(range(6), 3):
+        for image in ((b, c, a), (c, a, b)):
+            p = list(range(6))
+            p[a], p[b], p[c] = image
+            three_cycles.append(tuple(p))
+    assert len(involutions_of_6) == 76 and len(set(three_cycles)) == 40
+
+    def chosen_permutations(iterable):
+        assert list(iterable) == list(range(6))
+        yield from involutions_of_6 + three_cycles
+
+    monkeypatch.setattr(involutions, "permutations", chosen_permutations)
+    assert involution_count_brute(6) == 76
+
+
+def test_sum_route_uses_no_other_route(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sum route called another route")
+
+    for name in ("involution_numbers", "involution_number", "involution_counts_by_egf"):
+        monkeypatch.setattr(involutions, name, refuse)
+    # t_n = sum_k C(n, 2k) (2k - 1)!!, written out here without the library.
+    expected = [
+        sum(comb(n, 2 * k) * prod(range(1, 2 * k, 2)) for k in range(n // 2 + 1))
+        for n in range(81)
+    ]
+    assert [involution_count_by_sum(n) for n in range(81)] == expected
 
 
 def test_single_value_matches_list():
