@@ -148,8 +148,8 @@ def involution_count_brute(n: int) -> int:
     BRUTE_FORCE_LIMIT instead of hanging.
 
     Each permutation is first tested at three letters, 0, n - 1 and n // 2
-    (distinct for n >= 3, the same letter repeated for n = 1, 2); about
-    one in a hundred passes and goes on to the test of every letter."""
+    (distinct for n >= 3; for n = 1, 2 a letter repeats); about one in a
+    hundred passes and goes on to the test of every letter."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > BRUTE_FORCE_LIMIT:
