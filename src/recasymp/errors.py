@@ -83,13 +83,13 @@ class PrecisionUnachievable(EvaluationError):
 
 class TruncationDominates(EvaluationError):
     """The requested accuracy is below the truncation error floor of the
-    expansion: no working precision can help, more series terms are
-    needed."""
+    expansion, or below the recessive solution that the exact values carry:
+    no working precision can help."""
 
     def __init__(self, requested_digits: int, floor_digits: int):
         self.requested_digits = requested_digits
         self.floor_digits = floor_digits
         super().__init__(
-            f"truncation error limits accuracy to about {floor_digits} "
-            f"digits, but {requested_digits} were requested"
+            f"truncation error or the recessive solution limits accuracy to "
+            f"about {floor_digits} digits, but {requested_digits} were requested"
         )

@@ -33,9 +33,9 @@ turns absolute error of the argument into relative error of the result, so
 huge exponents eat digits).
 
 Truncation error is a separate matter from rounding error: an expansion
-truncated at k terms knows t_n to roughly (k+1)/2 * log10(n) digits and no
-working precision can add more.  Asking for digits beyond that floor raises
-TruncationDominates instead of returning confidently wrong output.
+truncated at k terms knows t_n to roughly (k+1)/2 * log10(n) digits, the
+exact t_n carry a recessive solution, and no working precision can add
+more.  Asking for digits beyond either floor raises TruncationDominates.
 """
 
 from __future__ import annotations
@@ -185,6 +185,16 @@ def truncation_floor_digits(n: int, k: int) -> int:
     return max(0, math.floor((k + 1) / 2 * math.log10(n)) - 2)
 
 
+def recessive_floor_digits(n: int) -> int:
+    """floor(2 sqrt n log10 e - log10 2): the digits of the involution
+    numbers' connection constant that t_n keeps past the recessive solution
+    it carries, e^(-2 sqrt n) relative.  In integers, as n may be past float
+    range, each factor rounded down at 22 decimals (log10 2 up): never above
+    the real floor, and equal to it for every n <= EXACT_INDEX_LIMIT."""
+    root = math.isqrt(4 * n * 10**44)  # 2 sqrt n, times 10^22
+    return (root * 4342944819032518276511 - 3010299956639811952138 * 10**22) // 10**44
+
+
 @dataclass(frozen=True)
 class RatioReport:
     """Outcome of comparing an expansion against the exact sequence."""
@@ -240,16 +250,16 @@ def connection_constant(rec, exp: Expansion, n: int, k: int, digits: int):
     requested number of digits.
 
     Only meaningful where exact sequence values exist, i.e. for the
-    involution recurrence; raises TruncationDominates when the expansion
-    is too short to support the requested digits at this n, and
-    InputTooLarge when n is above EXACT_INDEX_LIMIT.
+    involution recurrence; raises TruncationDominates past the truncation
+    or the recessive floor at this n, and InputTooLarge when n is above
+    EXACT_INDEX_LIMIT.
     """
     if rec != _A85.recurrence:
         raise ValueError(
             "exact sequence values are only available for the involution "
             "recurrence; cannot estimate a connection constant"
         )
-    floor = truncation_floor_digits(n, k)
+    floor = min(truncation_floor_digits(n, k), recessive_floor_digits(n))
     if digits > floor:
         raise TruncationDominates(digits, floor)
     denominator = eval_expansion(exp, 1, n, k, digits)

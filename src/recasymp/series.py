@@ -399,9 +399,6 @@ def _add_product(out: list, at: int, s1: PuiseuxSeries, s2: PuiseuxSeries, f: in
             if lo >= end:
                 break
             g = f * ga * gb
-            if g == 1:
-                _convolve(out, lo, ra, rb)
-                continue
             part = [0] * min(end - lo, len(ra) + len(rb) - 1)
             _convolve(part, 0, ra, rb)
             out[lo : lo + len(part)] = [x + g * y for x, y in zip(out[lo:], part)]
@@ -545,8 +542,9 @@ class ResponseMarch:
     over D and adds W_0's few numerators apart, and response sums the same
     at one order.  r stays a dense numerator list over D * rho, rho its own
     part of the denominator: set-up brings r over lcm(den r, D) once, and
-    absorbing a_k = p/q grows rho to lcm(rho, q), rescaling r once; its
-    leading-zero index walks forward as the solve cancels its low orders.
+    absorbing a_k = p/q grows rho to lcm(rho, q), rescaling r by the ratio
+    (1 when q divides rho); its leading zeros walk forward as the solve
+    cancels its low orders.
     The solver reads r_o as one integer pair R / (D * rho) (residual_pair)
     and takes b_o from the indicial polynomial, Q(k) / N
     (engine._indicial_polynomial), so a_k = -N R / (Q(k) D rho) and the
@@ -556,7 +554,7 @@ class ResponseMarch:
     first step; the solver's weights are."""
 
     __slots__ = (
-        "k", "_t", "_low", "_den", "_base", "_chains", "_r", "_rlow", "_rho", "_rden", "_lead"
+        "k", "_t", "_low", "_den", "_base", "_chains", "_r", "_rlow", "_rho", "_lead"
     )
 
     def __init__(self, residual: PuiseuxSeries, base: PuiseuxSeries, seeds: dict):
@@ -582,7 +580,7 @@ class ResponseMarch:
         # r is stored from an order no higher than any response reaches, over
         # D * rho.
         self._rlow = rlow = min(residual.valuation, low + 1)
-        self._rden = rden = lcm(residual.den, den)
+        rden = lcm(residual.den, den)
         self._rho = rden // den
         f = rden // residual.den
         self._r = [0] * (residual.valuation - rlow) + [f * a for a in residual.nums]
@@ -616,11 +614,7 @@ class ResponseMarch:
         denominator, not in lowest terms."""
         self._beyond(order)
         i = order - self._rlow
-        return (self._r[i] if i >= self._lead else 0), self._rden
-
-    def residual(self, order: int):
-        """The coefficient of x^order in r."""
-        return _value(*self.residual_pair(order))
+        return (self._r[i] if i >= self._lead else 0), self._den * self._rho
 
     def response(self, order: int):
         """The coefficient of x^order in x^k * b_k, summed at that order
@@ -643,13 +637,10 @@ class ResponseMarch:
         b = reduce(partial(map, operator.add), [chains[-1] for _, chains in self._chains])
         # r is zero below its lead, so only r[lo:] can change.
         lo = min(self._lead, off)
-        if grown == rho:
-            r[off:] = [x + c * y for x, y in zip(r[off:], b)]
-        else:
-            f = grown // rho
-            r[lo:off] = [f * x for x in r[lo:off]]
-            r[off:] = [f * x + c * y for x, y in zip(r[off:], b)]
-            self._rho, self._rden = grown, self._den * grown
+        f = grown // rho
+        r[lo:off] = [f * x for x in r[lo:off]]
+        r[off:] = [f * x + c * y for x, y in zip(r[off:], b)]
+        self._rho = grown
         n = len(r) - off
         for i, w in self._base:
             if i >= n:
@@ -668,8 +659,6 @@ def _divide_unit(y: list, j: int, e: int, start: int) -> None:
     if j != 1:
         for m in range(start, len(y)):
             y[m] += j * y[m - e]
-    elif e == 1:
-        y[start - 1 :] = accumulate(y[start - 1 :])
     else:
         for q in range(start - e, start):
             y[q::e] = accumulate(y[q::e])
@@ -733,8 +722,6 @@ def compose_shift(s: PuiseuxSeries, j: int, r: int = 2) -> PuiseuxSeries:
             f"shift substitution needs a power series, got valuation {s.valuation}"
         )
     t = s.truncation
-    if s.is_zero:
-        return s
     c = [0] * s.valuation + list(s.nums)
     if r == 1:
         out = _horner_u2(c, j)

@@ -561,6 +561,26 @@ def test_exact_value_past_the_cap_is_refused_at_once(capsys, command):
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize(
+    "n, digits, result",
+    [(50, 24, 3), (50, 5, "0.70711"), (2, 1, 3)],
+    ids=["n50-24-digits", "n50-5-digits", "n2-1-digit"],
+)
+def test_constant_stops_at_the_recessive_floor(capsys, n, digits, result):
+    # t_n carries the recessive solution at e^(-2 sqrt n) relative, 7.2e-7
+    # at n = 50 and 0.06 at n = 2, so the constant 1/sqrt 2 = 0.7071067811...
+    # holds to 5 digits at n = 50 and none at n = 2 whatever k is.
+    code, out, err = run(
+        capsys, "constant", "--preset", "a85", "--n", str(n), "--k", "30",
+        "--digits", str(digits),
+    )
+    if result == 3:
+        assert (code, out) == (3, "")
+        assert "precision error" in err
+    else:
+        assert (code, out, err) == (0, result + "\n", "")
+
+
 def test_constant_beyond_floor_is_precision_error(capsys):
     code, _, err = run(
         capsys, "constant", "--preset", "a85", "--n", "100", "--k", "4",

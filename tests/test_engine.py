@@ -97,16 +97,18 @@ def test_scale_invariance_constant(a85, a85_fr, a85_k10):
     assert solve_expansion(scaled, a85_fr, 10).a == a85_k10.a
 
 
+def _times_n_plus(p, h):
+    """The coefficients of p(n) * (n + h), constant term first."""
+    out = [0] * (len(p) + 1)
+    for i, c in enumerate(p):
+        out[i] += h * c
+        out[i + 1] += c
+    return out
+
+
 def test_scale_invariance_polynomial(a85, a85_fr, a85_k10):
     # Multiply every p_j by (n + 3): same solution space, higher degrees.
-    def times_n_plus_3(p):
-        out = [0] * (len(p) + 1)
-        for i, c in enumerate(p):
-            out[i] += 3 * c
-            out[i + 1] += c
-        return out
-
-    scaled = Recurrence([times_n_plus_3(list(p)) for p in a85.coeffs])
+    scaled = Recurrence([_times_n_plus(p, 3) for p in a85.coeffs])
     assert solve_expansion(scaled, a85_fr, 10).a == a85_k10.a
 
 
@@ -312,6 +314,21 @@ def test_factorial_recurrence_gives_stirling_series():
     assert residual_check(fact, exp) >= 6
 
 
+def test_catalan_recurrence_gives_the_classical_series():
+    # Catalan numbers gauged by hand to t = 4^n u: C_n = 4^n Gamma(n + 1/2)
+    # / (sqrt(pi) Gamma(n + 2)) ~ 4^n n^(-3/2) / sqrt(pi) (1 - 9/(8n)
+    # + 145/(128n^2) - 1155/(1024n^3) + ...), odd a_k zero.
+    exp = solve_expansion(Recurrence([[4, 4], [2, -4]]), Frame(0, 0, "-3/2"), 6)
+    assert list(exp.a) == [
+        0,
+        Rational(-9, 8),
+        0,
+        Rational(145, 128),
+        0,
+        Rational(-1155, 1024),
+    ]
+
+
 def test_reciprocal_factorial_is_reciprocal_series():
     # 1/n! satisfies n t_n - t_{n-1} = 0; its frame is the negation of the
     # factorial frame and its correction series the exact reciprocal.
@@ -459,8 +476,8 @@ def test_march_residual_pairs_track_what_absorb_adds(s, j, data):
             a = -Rational(*pairs[o]) / march.response(o)
             march.absorb(a.numerator, a.denominator)
             want = add(want, _response(march, s, t).scale(a))
-            assert march.residual(o) == 0
-    assert all(march.residual(o) == want.coefficient(o) for o in orders)
+            assert march.residual_pair(o)[0] == 0
+    assert all(Rational(*march.residual_pair(o)) == want.coefficient(o) for o in orders)
 
 
 def test_a85_march_reads_minus_residual_over_response(a85, monkeypatch):
@@ -708,6 +725,47 @@ def _family(name, seed):
     if name == "two-term":
         return Recurrence([[1], [-rng.choice([-3, -2, -1, 1, 2, 3])], [-rng.randint(-3, 3), -1]])
     return Recurrence([[1]] + [[]] * (1 + seed // 2 % 2) + [r])
+
+
+def _twist(rec, h):
+    """The recurrence of t'_n = (n + h) t_n: multiplying sum_j p_j(n)
+    t'_(n-j) / (n - j + h) = 0 by prod_i (n - i + h) gives
+    p'_j = p_j * prod_(i != j) (n - i + h)."""
+    out = []
+    for j, p in enumerate(rec.coeffs):
+        for i in range(rec.order + 1):
+            if i != j:
+                p = _times_n_plus(p, h - i)
+        out.append(p)
+    return Recurrence(out)
+
+
+def _twist_cases():
+    cases = {"a85": a85_recurrence(), "motzkin": Recurrence([[18, 9], [-3, -6], [3, -3]])}
+    for name, seeds in (("monic", (1, 2)), ("sparse", (1, 2)), ("order-3", (1, 2)),
+                        ("two-term", (3, 5))):
+        cases |= {f"{name}-{seed}": _family(name, seed) for seed in seeds}
+    # t(n) = u t(n-1) + (n + v) t(n-2) with u > 0: p_1 = -u.
+    assert cases["two-term-3"].coeffs[1] == (-2,) and cases["two-term-5"].coeffs[1] == (-3,)
+    return cases
+
+
+_TWIST_CASES = _twist_cases()
+
+
+@pytest.mark.parametrize("rec", _TWIST_CASES.values(), ids=_TWIST_CASES.keys())
+def test_n_plus_h_twist_shifts_alpha_and_mixes_the_coefficients(rec):
+    # t'_n = (n + h) t_n = n (1 + h x^2) t_n in x = n^(-1/2), derived without
+    # the program: the frame (beta, c, alpha + 1), and S' = S (1 + h x^2),
+    # so a'_k = a_k + h a_(k-2) with a_0 = 1.
+    frame = frame_solve(rec)
+    a = (1,) + solve_expansion(rec, frame, 24).a
+    for h in (0, 1, -2, 5):
+        twisted = _twist(rec, h)
+        got = frame_solve(twisted)
+        assert (got.beta, got.c, got.alpha) == (frame.beta, frame.c, frame.alpha + 1), h
+        want = tuple(a[k] + (h * a[k - 2] if k >= 2 else 0) for k in range(1, 25))
+        assert solve_expansion(twisted, got, 24).a == want, h
 
 
 _MARCH_CASES = [

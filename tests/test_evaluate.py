@@ -30,7 +30,9 @@ from recasymp import (
     working_dps,
 )
 from recasymp import evaluate
-from recasymp.evaluate import _GUARD_DIGITS, _context, _correction_sum, _to_mpf
+from recasymp.evaluate import (
+    _GUARD_DIGITS, _context, _correction_sum, _to_mpf, recessive_floor_digits,
+)
 from recasymp.involutions import involution_number
 
 
@@ -158,6 +160,18 @@ def test_truncation_floor_digits():
     assert truncation_floor_digits(1000, 30) == 44
     assert truncation_floor_digits(10, 30) == 13
     assert truncation_floor_digits(10000, 30) == 60
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 50, 1000, 2500, 10**4, 99991, 10**5, 10**12, 10**400])
+def test_recessive_floor_digits(n):
+    # floor(2 sqrt n log10 e - log10 2), in mpmath at 60 digits past the
+    # integer part: 0 at n = 1 and 2, 2 at n = 10, 5 at n = 50.  Past
+    # n = 10^12 the 22-decimal logarithms may round it down, never up.
+    ctx = MPContext()
+    ctx.dps = len(str(n)) // 2 + 60
+    want = int(ctx.floor(2 * ctx.sqrt(n) * ctx.log10(ctx.e) - ctx.log10(2)))
+    got = recessive_floor_digits(n)
+    assert got == want if n <= 10**12 else 0 <= want - got <= want // 10**20
 
 
 # -- eval_expansion ------------------------------------------------------------------
@@ -396,7 +410,7 @@ def test_checks_are_bit_identical_to_the_context_level_formula(a85, a85_k25, n):
         assert [v._mpf_ for v in (report.asy, report.exact, report.ratio)] == [
             v._mpf_ for v in (asy, exact, asy / exact)
         ]
-        digits = min(20, truncation_floor_digits(n, k))
+        digits = min(20, truncation_floor_digits(n, k), recessive_floor_digits(n))
         if digits >= 1:
             got = connection_constant(a85, a85_k25, n, k, digits)
             denominator = _context_level(a85_k25, 1, n, k, digits)
@@ -512,7 +526,9 @@ def test_connection_constant_refuses_beyond_floor(a85, a85_k25):
     with pytest.raises(TruncationDominates) as info:
         connection_constant(a85, a85_k25, 10, 25, 30)
     assert info.value.requested_digits == 30
-    assert info.value.floor_digits == truncation_floor_digits(10, 25)
+    # The expansion would support 11 digits, but t_10 carries the recessive
+    # solution at e^(-2 sqrt 10) = 1.8e-3 relative: 2 digits.
+    assert info.value.floor_digits == 2
 
 
 def test_connection_constant_needs_known_sequence(a85_k25):

@@ -1,7 +1,7 @@
 """Package structure: every import statement sits at module level, no
-private name crosses modules, the storage of a series stays behind the
-series module, and raw mpf tuples and the conversion of exact values to
-mpf stay in the evaluate module."""
+assert statement stands in for a check, no private name crosses modules,
+the storage of a series stays behind the series module, and raw mpf tuples
+and the conversion of exact values to mpf stay in the evaluate module."""
 
 import ast
 from pathlib import Path
@@ -28,6 +28,18 @@ def test_no_import_inside_a_function():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert nested == []
+
+
+def test_no_assert_statement():
+    # python -O strips assert statements, so a check the package relies on
+    # raises an exception of its own instead.
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
 
 
 def test_private_names_cross_modules_only_where_listed():
