@@ -41,9 +41,10 @@ that one rule: a_k = -r_o / P(alpha - k/2), or the error that Q(k) = 0
 names.
 
 With g_j = u_j/x = (1 - j x^2)^(-1/2), W_j and W_j * g_j are the only
-products: from then on g_j^(k+1) = g_j^(k-1) / (1 - j x^2), an exact
-division with integer coefficients, steps each shift's response (a product
-per step would make the march O(K*T^2)).  The seed g_j is written down
+products, made with the weights: from then on g_j^(k+1) = g_j^(k-1) /
+(1 - j x^2), an exact division with integer coefficients, steps each
+shift's response (a product per step would make the march O(K*T^2)).  The
+unit g_j is written down
 from its closed form, binomial(2b, b) j^b / 4^b at x^(2b)
 (series.shift_unit), and depends on the shift and the window alone, so it
 is memoized per (j, T) and recurrences with the same shifts share it, as
@@ -100,16 +101,16 @@ once, before any arithmetic, from the budget reach of
 recurrence.local_analysis: it takes K + reach + 2 unit orders, one past the
 order at which a_(K+1) would be read.  The weights are assembled once,
 through that window, and memoized, with the moments and the indicial
-order, which read no order more than reach past the lowest valuation; the
-solve and residual_check on its expansion both read them.  The solve's
-window is sized right after the assembly, from the indicial order: a_K is
-read at indicial + K, and r = sum_j W_j is known through leading + T,
-leading the lowest valuation of the W_j, so the solve takes T = K + 1 + d,
-d = indicial - leading <= reach, and cuts each W_j to it: by reach + 1 - d
-orders in x (3 for a85, with reach = 4 and d = 2), by the orders of y
-between the two windows in y.  A cut stores the same numerators,
-denominator and truncation as an assembly through T would, since a cut is
-in lowest terms.
+order, which read no order more than reach past the lowest valuation, and
+the march's seeds; the solve and residual_check on its expansion both read
+them.  The solve's window is sized right after the assembly, from the
+indicial order: a_K is read at indicial + K, and r = sum_j W_j is known
+through leading + T, leading the lowest valuation of the W_j, so the solve
+takes T = K + 1 + d, d = indicial - leading <= reach, and cuts r alone to
+it: by reach + 1 - d orders in x (3 for a85, with reach = 4 and d = 2), by
+the orders of y between the two windows in y.  The march reads the seeds
+through that window, and r over no larger a denominator than an assembly
+through T sums to, since a cut is in lowest terms.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ from types import MappingProxyType
 
 from .errors import FrameMismatch, ResonantOrder
 from .frame import Frame, frame_ratio
-from .rationals import Rational, format_rational, parse_rational
+from .rationals import Rational, format_rational, parse_rational, rat
 from .recurrence import Recurrence, local_analysis, poly_eval, poly_to_laurent
 from .series import PuiseuxSeries, ResponseMarch, add, compose_shift, mul, mul_sum, shift_unit
 
@@ -131,14 +132,15 @@ from .series import PuiseuxSeries, ResponseMarch, add, compose_shift, mul, mul_s
 class Expansion:
     """A solved expansion: frame plus the first K correction coefficients,
     so t_n ~ C * F(n) * (1 + a_1 x + ... + a_K x^K), x = n^(-1/2), with C
-    a connection constant the exact algebra cannot see."""
+    a connection constant the exact algebra cannot see.  The a_k are
+    exact values taken by rationals.rat, as the frame's parameters are."""
 
     frame: Frame
     K: int
     a: tuple
 
     def __post_init__(self):
-        a = tuple(Rational(v) if isinstance(v, int) else v for v in self.a)
+        a = tuple(map(rat, self.a))
         if self.K < 0:
             raise ValueError("K must be >= 0")
         if len(a) != self.K:
@@ -185,10 +187,11 @@ def _orders(x_orders: int, r: int) -> int:
     return -(-r * x_orders // 2)
 
 
-#: One assembly of the weights: terms, {j: W_j} as a read-only mapping, with
-#: what the solve and the certificate both read off them, the moments
+#: One assembly of the weights, each mapping read-only: terms, {j: W_j};
+#: seeds, {j: the march's seeds}, W_j alone in y and with W_j * g_j in x;
+#: leading, the lowest valuation of the W_j in orders of x; and the moments
 #: M_1 .. M_(t-1) (_moments) and the indicial order (_indicial_order).
-_Assembly = namedtuple("_Assembly", "terms moments indicial")
+_Assembly = namedtuple("_Assembly", "terms seeds leading moments indicial")
 
 
 @lru_cache(maxsize=1)
@@ -200,21 +203,26 @@ def _assemble(rec: Recurrence, frame: Frame, unit_orders: int, r: int) -> _Assem
     By the product rule T = min(T1 + v2, T2 + v1), W_j is then known through
     that many orders past its valuation -(2 deg p_j - 2 beta j) (halved in
     y), as long as the exact L_j is carried as far (its valuation is
-    -2 deg p_j <= 0).
+    -2 deg p_j <= 0), and so is the seed W_j * g_j in x, g_j being a unit.
 
-    Returns {j: W_j}, including j = 0 with W_0 = L_0, with its moments and
-    indicial order: the last assembly is memoized, so a solve and the
-    certificate of its expansion share one object and build the moments
-    once.  The moments read each W_j only reach orders past the lowest
-    valuation, here, before the solve cuts the weights to its own window.
+    Returns {j: W_j}, including j = 0 with W_0 = L_0, with the march's
+    seeds and what both callers read off the weights: the last assembly is
+    memoized, so a solve and the certificate of its expansion share one
+    object, and a repeat solve makes no series product.  The moments read
+    each W_j only reach orders past the lowest valuation.
     """
     orders = _orders(unit_orders, r)
     terms = {}
     for j, p in rec.active_shifts():
         lj = poly_to_laurent(p, orders, r)
         terms[j] = mul(lj, frame_ratio(frame, j, orders, r)) if j else lj
+    seeds = {j: (w,) for j, w in terms.items() if j}
+    if r == 2:
+        seeds = {j: (w, mul(w, shift_unit(j, orders))) for j, (w,) in seeds.items()}
+    leading = min(w.valuation for w in terms.values()) * (2 // r)
     moments = tuple(_moments(terms, _orders(local_analysis(rec).reach, r)))
-    return _Assembly(MappingProxyType(terms), moments, _indicial_order(moments, r))
+    indicial = _indicial_order(moments, r)
+    return _Assembly(MappingProxyType(terms), MappingProxyType(seeds), leading, moments, indicial)
 
 
 def _moments(terms: dict, reach: int) -> list:
@@ -266,22 +274,13 @@ def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
     reach = local_analysis(rec).reach
     r = _ramification(rec, frame)
     stride = 2 // r  # orders of x per order of the lattice
-    # The certificate's weights, each cut to the orders that a_K's read, at
-    # indicial + K, needs: r is known through x^(leading + unit_orders).
+    # a_K is read at indicial + K: the bare residual is cut to what that needs.
     certificate_orders = K + reach + 2
-    weights, moments, indicial = _assemble(rec, frame, certificate_orders, r)
-    leading = min(w.valuation for w in weights.values()) * stride
+    weights, seeds, leading, moments, indicial = _assemble(rec, frame, certificate_orders, r)
     unit_orders = K + 1 + min(reach, indicial - leading)
+    bare = reduce(add, weights.values())
     extra = _orders(certificate_orders, r) - _orders(unit_orders, r)
-    terms = {j: w.truncate(w.truncation - extra) for j, w in weights.items()}
-    if r == 2:
-        # The march in x, two chains per shift: W_j and W_j * g_j, with the
-        # unit g_j = u_j/x.
-        seeds = {j: (w, mul(w, shift_unit(j, unit_orders))) for j, w in terms.items() if j}
-    else:
-        # Every W_j is even: the march in y = x^2, one chain W_j per shift.
-        seeds = {j: (w,) for j, w in terms.items() if j}
-    march = ResponseMarch(reduce(add, terms.values()), terms[0], seeds)
+    march = ResponseMarch(bare.truncate(bare.truncation - extra), weights[0], seeds)
     pk, scale = _indicial_polynomial(moments, indicial, r)
     coefficients = []
     for k in range(1, K + 1):
@@ -323,20 +322,18 @@ def residual_check(rec: Recurrence, exp: Expansion) -> int:
     reach = local_analysis(rec).reach
     unit_orders = exp.K + reach + 2
     r = 2 if any(exp.a[::2]) else _ramification(rec, exp.frame)
+    stride = 2 // r
     # The certificate treats the solved correction as an exact polynomial:
     # residual orders beyond K measure its quality, so S carries zeros,
     # not its own O(x^(K+1)) term, through O(x^unit_orders); in y, its
     # coefficients are the even a_k.
-    a = exp.a[1::2] if r == 1 else exp.a
+    a = exp.a[stride - 1 :: stride]
     orders = _orders(unit_orders, r)
     s = PuiseuxSeries(0, (Rational(1),) + a + (Rational(0),) * (orders - len(a) - 1), orders)
-    terms, _, indicial = _assemble(rec, exp.frame, unit_orders, r)
-    residual = mul_sum((w, compose_shift(s, j, r) if j else s) for j, w in terms.items())
-    stride = 2 // r
-    # In x the residual is known through O(x^(unit_orders + leading)),
-    # leading the lowest valuation of the W_j; in y, one order further when
-    # unit_orders is odd, which x cannot see.
-    leading = min(w.valuation for w in terms.values()) * stride
-    valuation = min(residual.valuation * stride, unit_orders + leading)
-    v0 = min(valuation, indicial + 1)
+    assembly = _assemble(rec, exp.frame, unit_orders, r)
+    residual = mul_sum((w, compose_shift(s, j, r) if j else s) for j, w in assembly.terms.items())
+    # In x the residual is known through O(x^(unit_orders + leading)); in
+    # y, one order further when unit_orders is odd, which x cannot see.
+    valuation = min(residual.valuation * stride, unit_orders + assembly.leading)
+    v0 = min(valuation, assembly.indicial + 1)
     return valuation - v0

@@ -35,20 +35,21 @@ from math import lcm
 
 from .errors import AmbiguousRoot, NoRationalRoot
 from .frame import Frame, frame_ratio_parts, shift_exponent
-from .rationals import Rational, format_rational
+from .rationals import Rational, format_rational, rat
 from .recurrence import Recurrence, local_analysis, poly_eval, poly_to_laurent
 from .series import add, exp_series, mul
 
 
 def rational_roots(coeffs) -> list:
     """All distinct rational roots of the polynomial with the given
-    ascending rational coefficients, sorted increasingly.
+    ascending coefficients, exact values taken by rationals.rat, sorted
+    increasingly.
 
     Exact and without factoring.  Over integer coefficients a_0 .. a_n, the
     substitution y = a_n x gives the monic integer polynomial
     Q(y) = sum_k a_k a_n^(n-1-k) y^k, whose rational roots are integers
     (see _integer_roots); a linear polynomial is solved in closed form."""
-    coeffs = [Rational(c) for c in coeffs]
+    coeffs = [rat(c) for c in coeffs]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if not coeffs:

@@ -19,17 +19,17 @@ from fractions import Fraction as Rational
 def rat(value) -> "Rational":
     """Coerce to an exact rational.
 
-    Accepts int, Rational, or a string of the form "p" or "p/q" (optional
-    sign, arbitrary size).  Floats are rejected: silent binary-to-decimal
-    conversion would break every exactness guarantee downstream.  So are
-    bools: Python counts them as ints, but a JSON true is not the number 1.
+    Accepts int, Rational (returned as it is), or a string "p" or "p/q"
+    (optional sign, arbitrary size).  Floats are rejected: converting one
+    would break every exactness guarantee downstream.  So are bools: Python
+    counts them as ints, but a JSON true is not the number 1.
     """
     if isinstance(value, (float, bool)):
         kind = type(value).__name__
         raise TypeError(f"{kind} is not an exact rational; pass int or 'p/q' string")
     if isinstance(value, str):
         return parse_rational(value)
-    return Rational(value)
+    return value if type(value) is Rational else Rational(value)
 
 
 def parse_rational(text: str) -> "Rational":

@@ -106,12 +106,6 @@ def _times_n_plus(p, h):
     return out
 
 
-def test_scale_invariance_polynomial(a85, a85_fr, a85_k10):
-    # Multiply every p_j by (n + 3): same solution space, higher degrees.
-    scaled = Recurrence([_times_n_plus(p, 3) for p in a85.coeffs])
-    assert solve_expansion(scaled, a85_fr, 10).a == a85_k10.a
-
-
 def test_wrong_c_is_frame_mismatch(a85):
     with pytest.raises(FrameMismatch) as info:
         solve_expansion(a85, Frame("1/2", "0", "0"), 1)
@@ -607,25 +601,37 @@ def test_march_products_do_not_grow_with_K(a85, a85_fr, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "coeffs, frame, seeds",
-    [([[1], [0, -1]], Frame(1, 0, "1/2"), 0), ([[1], [-1], [1, -1]], Frame("1/2", 0, 0), 2)],
+    "coeffs, frame, r",
+    [([[1], [0, -1]], Frame(1, 0, "1/2"), 1), ([[1], [-1], [1, -1]], Frame("1/2", 0, 0), 2)],
     ids=["factorial", "mismatch"],
 )
-def test_only_the_march_in_x_makes_seed_products(coeffs, frame, seeds, monkeypatch):
-    # With the weights memoized, the solve's products are the seeds W_j * g_j:
-    # one per shift in x, none on x^2, where c = 0 and every beta * j is an
-    # integer.  The a85 recurrence with c = 0 has 2 beta j = 1 at j = 1.
+def test_only_a_cold_assembly_makes_seed_products(coeffs, frame, r, monkeypatch):
+    # The assembly owns the march's seeds: a cold one makes one seed
+    # W_j * g_j per shift j >= 1 in x and none in y = 1/n, where c = 0 and
+    # every beta * j is an integer (the a85 recurrence with c = 0 has
+    # 2 beta j = 1 at j = 1), and a warm repeat solve makes no product.
     rec = Recurrence(coeffs)
-    _outcome(solve_expansion, rec, frame, 6)
-    calls = []
+    assert engine._ramification(rec, frame) == r
+    shifts = [j for j, _ in rec.active_shifts() if j]
+    units, calls = [], []
+
+    def counting_shift_unit(j, T):
+        units.append(shift_unit(j, T))
+        return units[-1]
 
     def counting_mul(s1, s2):
-        calls.append(1)
+        calls.append(s2)
         return mul(s1, s2)
 
+    monkeypatch.setattr(engine, "shift_unit", counting_shift_unit)
     monkeypatch.setattr(engine, "mul", counting_mul)
     _outcome(solve_expansion, rec, frame, 6)
-    assert len(calls) == seeds
+    seeds = [s for s in calls if any(s is u for u in units)]
+    assert len(seeds) == (len(shifts) if r == 2 else 0)
+    assert len(calls) == len(shifts) + len(seeds)  # and one weight per shift
+    calls.clear()
+    _outcome(solve_expansion, rec, frame, 6)
+    assert calls == []
 
 
 def _x_weights(rec, frame, unit_orders):
@@ -753,6 +759,21 @@ def _twist_cases():
 _TWIST_CASES = _twist_cases()
 
 
+#: q(n) as the h of its factors n + h.
+_SCALES = {"n+3": (3,), "(n+5)(n-2)": (5, -2)}
+
+
+@pytest.mark.parametrize("q", _SCALES.values(), ids=_SCALES.keys())
+@pytest.mark.parametrize("rec", _TWIST_CASES.values(), ids=_TWIST_CASES.keys())
+def test_scale_invariance_polynomial(rec, q):
+    # Multiply every p_j by q(n): same solution space, higher degrees, so
+    # the same frame and the same a_k.
+    scaled = Recurrence([reduce(_times_n_plus, q, p) for p in rec.coeffs])
+    frame = frame_solve(rec)
+    assert frame_solve(scaled) == frame
+    assert solve_expansion(scaled, frame, 24).a == solve_expansion(rec, frame, 24).a
+
+
 @pytest.mark.parametrize("rec", _TWIST_CASES.values(), ids=_TWIST_CASES.keys())
 def test_n_plus_h_twist_shifts_alpha_and_mixes_the_coefficients(rec):
     # t'_n = (n + h) t_n = n (1 + h x^2) t_n in x = n^(-1/2), derived without
@@ -866,38 +887,50 @@ def _solve_and_certify(rec, frame, K):
 )
 def test_memoized_weights_change_no_outcome(rec, frame, K):
     # Cold: the solve assembles and the certificate reuses; warm: both reuse.
+    # The march reads the memoized seeds and leaves them as they were.
     frame = frame or frame_solve(rec)
     cold = _outcome(_solve_and_certify, rec, frame, K)
+    key = rec, frame, K + local_analysis(rec).reach + 2, engine._ramification(rec, frame)
+    assembly = engine._assemble(*key)
+    seeds = {j: [_stored(s) for s in chain] for j, chain in assembly.seeds.items()}
     assert _outcome(_solve_and_certify, rec, frame, K) == cold
+    assert engine._assemble(*key) is assembly
+    assert {j: [_stored(s) for s in chain] for j, chain in assembly.seeds.items()} == seeds
+
+
+def _stored(s):
+    """What a series stores: valuation, numerators, denominator and
+    truncation."""
+    return s.valuation, s.nums, s.den, s.truncation
 
 
 @pytest.mark.parametrize(
     "rec, frame, K", [case[1:] for case in _MARCH_CASES], ids=[case[0] for case in _MARCH_CASES]
 )
 def test_cut_weights_store_what_the_solve_window_stores(rec, frame, K):
-    # The cut drops the content the certificate's extra order brought, so
-    # the march sees the denominators of an assembly through its own window.
-    # In y = 1/n, T + 1 orders of x add an order of y only when T is even.
+    # The solve cuts one series, the bare residual sum_j W_j, from the
+    # certificate's window to its own, K + 1 + min(reach, d) orders of x;
+    # the march reads the seeds uncut, through that window.  The cut is in
+    # lowest terms, so the march starts from what the weights of an
+    # assembly through its own window sum to, over no larger denominator.
     frame = frame or frame_solve(rec)
-    T = K + local_analysis(rec).reach + 1
+    reach = local_analysis(rec).reach
     r = engine._ramification(rec, frame)
-    wide_assembly = engine._assemble(rec, frame, T + 1, r)
-    narrow_assembly = engine._assemble.__wrapped__(rec, frame, T, r)
-    # The moments read no order the cut drops, so the solve takes the
+    wide = engine._assemble(rec, frame, K + reach + 2, r)
+    T = K + 1 + min(reach, wide.indicial - wide.leading)
+    narrow = engine._assemble.__wrapped__(rec, frame, T, r).terms
+    assert wide.terms.keys() == narrow.keys()
+    bare = reduce(add, wide.terms.values())
+    extra = engine._orders(K + reach + 2, r) - engine._orders(T, r)
+    cut, want = bare.truncate(bare.truncation - extra), reduce(add, narrow.values())
+    assert cut == want
+    assert want.den % cut.den == 0
+    # The moments read no order that the cut drops, so the solve takes the
     # certificate's.
-    assert wide_assembly.moments == narrow_assembly.moments
-    assert wide_assembly.indicial == narrow_assembly.indicial
-    wide, narrow = wide_assembly.terms, narrow_assembly.terms
-    assert wide.keys() == narrow.keys()
-    extra = 1 if r == 2 else 1 - T % 2
-    for j, w in wide.items():
-        cut = w.truncate(w.truncation - extra)
-        assert (cut.valuation, cut.nums, cut.den, cut.truncation) == (
-            narrow[j].valuation,
-            narrow[j].nums,
-            narrow[j].den,
-            narrow[j].truncation,
-        )
+    through = engine._assemble.__wrapped__(rec, frame, K + reach + 1, r)
+    assert (through.moments, through.indicial, through.leading) == (
+        wide.moments, wide.indicial, wide.leading
+    )
 
 
 def test_memos_shared_across_recurrences_change_no_outcome(a85, a85_fr):
@@ -921,6 +954,9 @@ def test_memoized_weights_are_read_only(a85, a85_fr):
     weights = engine._assemble(a85, a85_fr, 5, 2)
     with pytest.raises(TypeError):
         weights.terms[0] = PuiseuxSeries.zero(5)
+    with pytest.raises(TypeError):
+        weights.seeds[1] = ()
+    assert all(isinstance(chain, tuple) for chain in weights.seeds.values())
     with pytest.raises(AttributeError):
         weights.indicial = 0
     assert isinstance(weights.moments, tuple)
@@ -1038,6 +1074,24 @@ def test_expansion_validation(a85_fr):
     exp = Expansion(a85_fr, 1, [Rational(7, 24)])
     with pytest.raises(AttributeError):
         exp.K = 5
+
+
+@pytest.mark.parametrize("value", [0.5, True], ids=["float", "bool"])
+def test_expansion_refuses_an_inexact_coefficient(a85_fr, value):
+    # The a_k are taken by rationals.rat, as the frame's parameters are: a
+    # float or a bool is refused here, not met later by eval_expansion.
+    with pytest.raises(TypeError):
+        Expansion(a85_fr, 2, [Rational(7, 24), value])
+
+
+def test_expansion_reads_a_rational_string_and_keeps_a_rational(a85_fr):
+    exp = Expansion(a85_fr, 2, ["7/24", -1])
+    assert exp.a == (Rational(7, 24), Rational(-1))
+    assert all(type(v) is Rational for v in exp.a)
+    a = Rational(7, 24)
+    assert Expansion(a85_fr, 1, [a]).a[0] is a
+    with pytest.raises(ValueError):
+        Expansion(a85_fr, 1, ["0.5"])
 
 
 def test_expansion_json_round_trip(a85, a85_fr):

@@ -174,6 +174,21 @@ def test_rational_roots_quadratic():
     assert rational_roots([1, -5, 6]) == [Rational(1, 3), Rational(1, 2)]
 
 
+@pytest.mark.parametrize("value", [0.5, True], ids=["float", "bool"])
+def test_rational_roots_refuses_an_inexact_coefficient(value):
+    # The coefficients are taken by rationals.rat: no root is read from a
+    # binary float, and a bool is not the number 1.
+    with pytest.raises(TypeError):
+        rational_roots([value, 1])
+
+
+def test_rational_roots_reads_rational_strings():
+    assert rational_roots(["1/2", 1]) == [Rational(-1, 2)]
+    assert rational_roots(["-3/2", "-1/2", 1]) == [Rational(-1), Rational(3, 2)]
+    with pytest.raises(ValueError):
+        rational_roots(["0.5", 1])
+
+
 def test_rational_roots_linear():
     assert rational_roots([3, 2]) == [Rational(-3, 2)]
 
