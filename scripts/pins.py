@@ -17,15 +17,17 @@ import json
 import random
 import sys
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 from time import perf_counter
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from recasymp import (
-    Frame, FrameMismatch, Recurrence, ResonantOrder, cli, format_rational, frame_solve,
-    involutions as inv, residual_check, solve_expansion,
+    Frame, FrameMismatch, RecasympError, Recurrence, ResonantOrder, cli, format_rational,
+    frame_solve, involutions as inv, residual_check, solve_expansion,
 )
 
 RECURRENCES = {
@@ -47,8 +49,8 @@ class Pin(NamedTuple):
     expected: str | int
 
 
-def frame_finder_outcomes() -> None:
-    """One line per seeded random recurrence: its frame's JSON or its error."""
+def _sweep() -> Iterator[list]:
+    """The coefficient lists of 6000 seeded random recurrences of order 1 to 3."""
     rng = random.Random("frame finder outcomes")
     for _ in range(6000):
         coeffs = [[rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]
@@ -56,10 +58,91 @@ def frame_finder_outcomes() -> None:
         for end in (0, -1):
             while not any(coeffs[end]):
                 coeffs[end] = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+        yield coeffs
+
+
+def frame_finder_outcomes() -> None:
+    """One line per seeded random recurrence: its frame's JSON or its error."""
+    for coeffs in _sweep():
         try:
             print(json.dumps(frame_solve(Recurrence(coeffs)).to_json_dict()))
         except Exception as err:
             print(f"{type(err).__name__}: {err}")
+
+
+def _times(p: list, h: int) -> list:
+    """The coefficients of p(n) * (n + h), constant term first."""
+    out = [0] * (len(p) + 1)
+    for i, c in enumerate(p):
+        out[i] += h * c
+        out[i + 1] += c
+    return out
+
+
+def _at(p: list, s: int) -> list:
+    """The coefficients of p(n + s), constant term first (Horner)."""
+    out: list = []
+    for c in reversed(p):
+        out = _times(out, s)
+        out[0] += c
+    return out
+
+
+#: Name, the transformed p_j from (j, p_j, order), and the frame it must
+#: give from (beta, c, alpha); each derived without the program.
+#: t'_n = (n + 2) t_n: p'_j = p_j prod_(i != j) (n - i + 2).
+#: t'_n = n! t_n: p'_j = p_j n (n - 1) ... (n - j + 1).
+#: t'_n = t_(n+1): p'_j(n) = p_j(n + 1).
+RELATIONS = (
+    ("(n + 2)-twist", lambda j, p, d: reduce(_times, (2 - i for i in range(d + 1) if i != j), p),
+     lambda b, c, a: (b, c, a + 1)),
+    ("n!-twist", lambda j, p, d: reduce(_times, range(0, -j, -1), p),
+     lambda b, c, a: (b + 1, c, a + Fraction(1, 2))),
+    ("index shift t(n+1)", lambda j, p, d: _at(p, 1),
+     lambda b, c, a: (b, c, a + b)),
+)
+
+
+def _triple(rec: Recurrence) -> tuple | str:
+    """(beta, c, alpha) of rec's frame, or the name of its typed error."""
+    try:
+        frame = frame_solve(rec)
+    except RecasympError as err:
+        return type(err).__name__
+    return frame.beta, frame.c, frame.alpha
+
+
+def metamorphic_sweep() -> None:
+    """Over the sweep's frames, the exceptions to each relation (a frame
+    other than the predicted one, or a typed error), one line each, then
+    the split of the sign gauge p'_j = (-1)^j p_j: the same frame, a
+    dominating one (same beta, larger (c, alpha)), another, or an error."""
+    frames = []
+    for coeffs in _sweep():
+        got = _triple(Recurrence(coeffs))
+        if not isinstance(got, str):
+            frames.append((coeffs, got))
+    print(f"{len(frames)} frames")
+    for name, transform, predict in RELATIONS:
+        misses = []
+        for coeffs, frame in frames:
+            d = len(coeffs) - 1
+            got = _triple(Recurrence([transform(j, p, d) for j, p in enumerate(coeffs)]))
+            if got != predict(*frame):
+                misses.append(f"    {coeffs}: {got}")
+        print(f"{name}: {len(misses)} exceptions", *misses, sep="\n")
+    split: Counter = Counter()
+    for coeffs, (beta, c, alpha) in frames:
+        got = _triple(Recurrence([[(-1) ** j * a for a in p] for j, p in enumerate(coeffs)]))
+        if isinstance(got, str):
+            split[got] += 1
+        elif got == (beta, c, alpha):
+            split["same frame"] += 1
+        elif got[0] == beta and got[1:] > (c, alpha):
+            split["dominating"] += 1
+        else:
+            split["other"] += 1
+    print("sign gauge:", ", ".join(f"{n} {kind}" for kind, n in sorted(split.items())))
 
 
 def _family_draw(rng: random.Random, family: str, i: int) -> tuple:
@@ -158,6 +241,11 @@ PINS = (
     Pin("engine outcomes", "60 seeded family draws in their frames and a wrong one, K up to 24",
         engine_outcomes,
         "sha256", "127f9bbfef338cab8e0262f8a78da23fa7b5e5b9528f4a84bd451f023a66ad15"),
+    Pin("metamorphic sweep", "the sweep's frames under three exact relations, and the sign gauge",
+        metamorphic_sweep, "stdout",
+        "877 frames\n(n + 2)-twist: 0 exceptions\nn!-twist: 0 exceptions\n"
+        "index shift t(n+1): 0 exceptions\n"
+        "sign gauge: 610 NoRationalRoot, 54 dominating, 47 other, 166 same frame\n"),
     Pin("oracles at n = 2000", "EGF table and 2-cycle sum at twice the n tier-1 reaches",
         oracles_at_2000, "stdout", "EGF: True, 2-cycle sum: True\n"),
 )

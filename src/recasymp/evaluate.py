@@ -18,7 +18,8 @@ operator makes, at the context's prec with round_nearest, so each value is
 that formula's bit for bit, less its conversions and dispatch: mpf_log,
 mpf_sqrt and mpf_exp of from_int(n) (exact, as ctx.convert makes it) for
 ctx.log, ctx.sqrt and ctx.exp of n; mpf_mul, mpf_add and mpf_div for *, +
-and /; mpf_rdiv_int for 1 / ctx.sqrt(2); to_str for mpmath.nstr;
+and /; mpf_rdiv_int for 1 / ctx.sqrt(2); to_str for mpmath.nstr, whose
+own fixed/scientific switch lays out format_significant's digits;
 ctx.make_mpf once per value handed out.
 
 Each working precision has one mpmath context, built on first use and
@@ -53,7 +54,7 @@ from mpmath.libmp import (
 from .engine import Expansion, solve_expansion
 from .errors import PrecisionUnachievable, TruncationDominates
 from .presets import INV_SQRT2, get_preset
-from .rationals import Rational, rat
+from .rationals import rat
 
 #: Working precisions beyond this are refused rather than attempted.
 MAX_WORKING_DPS = 10**6
@@ -118,20 +119,15 @@ def _context(dps: int) -> MPContext:
 
 def _raw(q, prec: int) -> tuple:
     """Exact rational (or int, or 'p/q' string) to a raw mpf tuple,
-    correctly rounded to prec bits.  An integer is rounded once, never
-    first made exact as ctx.mpf makes it (stripping trailing zero bits over
-    the whole integer); anything else is one division of exact integers."""
-    if not isinstance(q, Rational):
-        q = rat(q)
+    correctly rounded to prec bits, through rat (which refuses floats and
+    bools).  An integer is rounded once, never first made exact as ctx.mpf
+    makes it (stripping trailing zero bits over the whole integer);
+    anything else is one division of exact integers."""
+    q = rat(q)
     p, d = q.numerator, q.denominator
     if d == 1:
         return from_int(p, prec, round_nearest)
     return from_rational(p, d, prec, round_nearest)
-
-
-def _to_mpf(ctx, q):
-    """_raw(q) at the context's precision, as one of its mpf values."""
-    return ctx.make_mpf(_raw(q, ctx.prec))
 
 
 def _correction_sum(coefficients, n: int, prec: int) -> tuple[int, int]:
@@ -271,34 +267,19 @@ def connection_constant(rec, exp: Expansion, n: int, k: int, digits: int):
 def format_significant(x, digits: int) -> str:
     """Render x, an mpf or an exact int, to exactly `digits` significant
     decimal digits.  An int is rounded once, at digits + _GUARD_DIGITS,
-    through _to_mpf.
+    through _raw.
 
-    Small magnitudes print fixed ("1.0001...", "0.70710..."), large or tiny
-    ones print normalized scientific with a bare integer exponent
-    ("2.1441496003431008422e1296").  Deterministic: same value and digits,
-    same string.
+    libmp's to_str lays the digits out: fixed when the decimal exponent e
+    of the rounded value (9.99... carried) has -4 <= e < digits ("1.0001...",
+    "0.70710..."), else normalized scientific with a bare integer exponent
+    ("2.1441496003431008422e1296"); the one-line normalisation drops its
+    "+" sign, the point it leaves before "e" and a trailing point.
+    Deterministic: same value and digits, same string.
     """
     if digits < 1:
         raise ValueError("need at least one digit")
-    if isinstance(x, int):
-        x = _to_mpf(_context(digits + _GUARD_DIGITS), x)
-    if x._mpf_ == fzero:
+    raw = _raw(x, _context(digits + _GUARD_DIGITS).prec) if isinstance(x, int) else x._mpf_
+    if raw == fzero:
         return "0"
-    # Scientific always: "d.ddd...e<exp>" with exactly `digits` digits,
-    # 9.99... carried into the exponent by to_str itself.
-    rendered = to_str(
-        x._mpf_, digits, strip_zeros=False, min_fixed=1, max_fixed=0, show_zero_exponent=True
-    )
-    sign = ""
-    if rendered.startswith("-"):
-        sign, rendered = "-", rendered[1:]
-    mantissa, _, exponent = rendered.partition("e")
-    e = int(exponent)
-    body = mantissa.replace(".", "")
-    if -4 <= e < 0:
-        return sign + "0." + "0" * (-e - 1) + body
-    if 0 <= e < digits:
-        head, tail = body[: e + 1], body[e + 1 :]
-        return sign + head + ("." + tail if tail else "")
-    tail = body[1:]
-    return f"{sign}{body[0]}{'.' + tail if tail else ''}e{e}"
+    text = to_str(raw, digits, strip_zeros=False, min_fixed=-5, max_fixed=digits)
+    return text.replace("e+", "e").replace(".e", "e").removesuffix(".")

@@ -26,12 +26,14 @@ out only where a denominator is formed as a product, so that it cannot
 build up: in mul_sum (the lcm of the d1 * d2 of its pairs, so in mul,
 which is mul_sum of one pair) and in compose_shift in x (d * 4^I); and in
 truncate, whose cut drops numerators that may have needed part of the
-denominator.  The lcm that the constructor and from_terms bring exact
-values over (so the closed forms of shift_unit and the frame module) and
-the running lcm of exp_series and log1p_series are in lowest terms by
-construction; a sum or a scaling may carry content, and so may the
-numerators of the solver's march (ResponseMarch), which works on lists,
-not series.
+denominator.  Every cut is divided, also one at the series' own
+truncation, so a sum cut to its own window (the solver's bare residual)
+comes out in lowest terms too.  The lcm that the constructor and
+from_terms bring exact values over (so the closed forms of shift_unit and
+the frame module) and the running lcm of exp_series and log1p_series are
+in lowest terms by construction; a sum or a scaling may carry content,
+and so may the numerators of the solver's march (ResponseMarch), which
+works on lists, not series.
 
 Products are schoolbook convolutions whose outer loop skips zero
 numerators, so each product puts the factor with more zeros outside: an
@@ -151,9 +153,8 @@ class PuiseuxSeries:
 
     @classmethod
     def constant(cls, c, truncation: int) -> "PuiseuxSeries":
-        """The constant c as a series with the given truncation (>= 1)."""
-        if truncation < 1:
-            raise ValueError("a constant needs truncation >= 1 to be visible")
+        """The constant c as a series with the given truncation (>= 1, as
+        monomial requires)."""
         return cls.monomial(c, 0, truncation)
 
     @classmethod
@@ -232,8 +233,6 @@ class PuiseuxSeries:
             len(other.nums),
         ):
             return False
-        if self.den == other.den:
-            return self.nums == other.nums
         return all(
             a * other.den == b * self.den for a, b in zip(self.nums, other.nums)
         )
@@ -248,13 +247,12 @@ class PuiseuxSeries:
         return f"PuiseuxSeries({body} + O(x^{self.truncation}))"
 
     def truncate(self, truncation: int) -> "PuiseuxSeries":
-        """Forget terms at and beyond the given (smaller) truncation.  The
-        cut is in lowest terms, so it stores what a series built through
-        that truncation stores."""
+        """Forget terms at and beyond the given truncation, at most the
+        series' own.  The cut is in lowest terms, also at the series' own
+        truncation, so it stores what a series built through that
+        truncation stores."""
         if truncation > self.truncation:
             raise ValueError("cannot extend knowledge by truncating upward")
-        if truncation >= self.truncation:
-            return self
         v = min(self.valuation, truncation)
         return _lowest_terms(v, self.nums[: truncation - v], self.den, truncation)
 
@@ -266,10 +264,9 @@ class PuiseuxSeries:
 
     def scale(self, c) -> "PuiseuxSeries":
         """Multiply every coefficient by the exact scalar c = p/q: the
-        numerators by p, the denominator by q."""
+        numerators by p, the denominator by q.  For c = 0 every numerator
+        is zero, and _fill stores the zero series."""
         p, q = _split(c)
-        if not p:
-            return PuiseuxSeries.zero(self.truncation)
         return _from_numerators(
             self.valuation, [p * a for a in self.nums], self.den * q, self.truncation
         )

@@ -1,7 +1,9 @@
 """The order-by-order expansion solver and its residual certificate."""
 
 import random
+from fractions import Fraction
 from functools import reduce
+from math import comb, gcd
 
 import mpmath
 import pytest
@@ -789,6 +791,68 @@ def test_n_plus_h_twist_shifts_alpha_and_mixes_the_coefficients(rec):
         assert solve_expansion(twisted, got, 24).a == want, h
 
 
+def _bernoulli(n):
+    """B_0 .. B_n with B_1 = -1/2, from sum_(j <= m) binom(m + 1, j) B_j = 0,
+    as tests/test_oracles.py builds them."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b
+
+
+def _stirling(K):
+    """1, s_1 .. s_K of Stirling's series St = exp(sum_k B_2k / (2k (2k - 1))
+    n^(1 - 2k)) in x = n^(-1/2), so n! = sqrt(2 pi) n^(n + 1/2) e^(-n) St."""
+    b = _bernoulli(K // 2 + 2)
+    log_st = [Fraction(0)] * (K + 1)
+    for k in range(1, (K + 2) // 4 + 1):
+        log_st[2 * (2 * k - 1)] = b[2 * k] / (2 * k * (2 * k - 1))
+    # exp through x^K: m s_m = sum_(i=1..m) i l_i s_(m-i).
+    st = [Fraction(1)]
+    for m in range(1, K + 1):
+        st.append(sum(i * log_st[i] * st[m - i] for i in range(1, m + 1)) / m)
+    return st
+
+
+@pytest.mark.parametrize("rec", _TWIST_CASES.values(), ids=_TWIST_CASES.keys())
+def test_factorial_twist_raises_beta_and_multiplies_by_stirlings_series(rec):
+    # t'_n = n! t_n: multiplying sum_j p_j(n) t'_(n-j) / (n-j)! = 0 by n!
+    # gives p'_j = p_j n (n - 1) ... (n - j + 1), derived without the
+    # program.  n! brings n^(n + 1/2) e^(-n) St, so the frame is
+    # (beta + 1, c, alpha + 1/2) and S' = S St.
+    frame = frame_solve(rec)
+    a = (1,) + solve_expansion(rec, frame, 24).a
+    twisted = Recurrence(
+        [reduce(_times_n_plus, range(0, -j, -1), p) for j, p in enumerate(rec.coeffs)]
+    )
+    got = frame_solve(twisted)
+    assert (got.beta, got.c, got.alpha) == (frame.beta + 1, frame.c, frame.alpha + Fraction(1, 2))
+    st = _stirling(24)
+    want = tuple(sum(a[i] * st[k - i] for i in range(k + 1)) for k in range(1, 25))
+    assert solve_expansion(twisted, got, 24).a == want
+
+
+def _at_n_plus(p, s):
+    """The coefficients of p(n + s), constant term first (Horner)."""
+    out = []
+    for c in reversed(p):
+        out = _times_n_plus(out, s)
+        out[0] += c
+    return out
+
+
+@pytest.mark.parametrize("rec", _TWIST_CASES.values(), ids=_TWIST_CASES.keys())
+def test_index_shift_moves_alpha_by_beta_s(rec):
+    # t'_n = t_(n+s) satisfies sum_j p_j(n + s) t'_(n-j) = 0, and
+    # F(n + s) / F(n) ~ n^(beta s) up to a constant and a series in x, so the
+    # frame is (beta, c, alpha + beta s).
+    frame = frame_solve(rec)
+    for s in (1, -1, 2):
+        got = frame_solve(Recurrence([_at_n_plus(p, s) for p in rec.coeffs]))
+        want = (frame.beta, frame.c, frame.alpha + frame.beta * s)
+        assert (got.beta, got.c, got.alpha) == want, s
+
+
 _MARCH_CASES = [
     (f"{name}-{seed}", _family(name, seed), None, 12)
     for name in ("monic", "two-term", "sparse")
@@ -924,7 +988,7 @@ def test_cut_weights_store_what_the_solve_window_stores(rec, frame, K):
     extra = engine._orders(K + reach + 2, r) - engine._orders(T, r)
     cut, want = bare.truncate(bare.truncation - extra), reduce(add, narrow.values())
     assert cut == want
-    assert want.den % cut.den == 0
+    assert want.den % cut.den == 0 and gcd(cut.den, *cut.nums) == 1
     # The moments read no order that the cut drops, so the solve takes the
     # certificate's.
     through = engine._assemble.__wrapped__(rec, frame, K + reach + 1, r)

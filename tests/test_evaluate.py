@@ -10,7 +10,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, fzero, round_nearest, to_str
 
 from recasymp import (
     INV_SQRT2,
@@ -31,7 +31,7 @@ from recasymp import (
 )
 from recasymp import evaluate
 from recasymp.evaluate import (
-    _GUARD_DIGITS, _context, _correction_sum, _to_mpf, recessive_floor_digits,
+    _GUARD_DIGITS, _context, _correction_sum, _raw, recessive_floor_digits,
 )
 from recasymp.involutions import involution_number
 
@@ -115,6 +115,65 @@ def test_format_significant_renders_as_nstr(monkeypatch):
 
     monkeypatch.setattr(evaluate, "to_str", nstr)
     assert [format_significant(x, d) for x, d in cases] == got
+
+
+def _layout_reference(x, digits):
+    """format_significant as it once laid out the digits by hand: to_str in
+    scientific notation always, then fixed for -4 <= e < digits."""
+    raw = _raw(x, _context(digits + _GUARD_DIGITS).prec) if isinstance(x, int) else x._mpf_
+    if raw == fzero:
+        return "0"
+    rendered = to_str(raw, digits, strip_zeros=False, min_fixed=1, max_fixed=0,
+                      show_zero_exponent=True)
+    sign = ""
+    if rendered.startswith("-"):
+        sign, rendered = "-", rendered[1:]
+    mantissa, _, exponent = rendered.partition("e")
+    e = int(exponent)
+    body = mantissa.replace(".", "")
+    if -4 <= e < 0:
+        return sign + "0." + "0" * (-e - 1) + body
+    if 0 <= e < digits:
+        head, tail = body[: e + 1], body[e + 1 :]
+        return sign + head + ("." + tail if tail else "")
+    tail = body[1:]
+    return f"{sign}{body[0]}{'.' + tail if tail else ''}e{e}"
+
+
+def test_format_significant_lays_out_digits_as_the_hand_layout_did():
+    # to_str's own switch (fixed for -5 < e < digits) against the hand
+    # layout: decimal exponents at both edges of the fixed range, e = -5,
+    # -4, digits - 1 and digits, reached directly and by a carried 9.99...,
+    # both signs, seeded binary exponents, and ints past 4300 digits.
+    rng = random.Random(38)
+    cases = []
+    with mpmath.workdps(60):
+        for _ in range(120):
+            digits = rng.randint(1, 40)
+            for e in (-6, -5, -4, -3, 0, digits - 2, digits - 1, digits, digits + 1):
+                sign = rng.choice((1, -1))
+                head = mpf(rng.randint(10**44, 10**45 - 1)) * mpf(10) ** (e - 44)
+                nines = (1 - mpf(10) ** -(digits + 1)) * mpf(10) ** (e + 1)
+                cases += [(sign * head, digits), (sign * nines, digits)]
+    for _ in range(300):
+        bits = rng.randint(1, 120)
+        man = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        x = mpmath.mp.make_mpf((rng.getrandbits(1), man, rng.randint(-300, 300), bits))
+        cases.append((x, rng.randint(1, 40)))
+    for size in (1, 2, 5, 17, 40, 41, 4301, 5000):
+        digits = rng.randint(1, 40)
+        cases += [(10**size - 1, digits), (-(10**size) + 1, digits),
+                  (rng.randrange(10 ** (size - 1), 10**size), digits), (0, digits)]
+    got = [format_significant(x, d) for x, d in cases]
+    assert got == [_layout_reference(x, d) for x, d in cases]
+    # Each edge of the fixed range was reached from both sides: e = -5 and
+    # e = digits scientific, e = -4 and e = digits - 1 (no point) fixed.
+    bodies = [(g.lstrip("-"), d) for g, (_, d) in zip(got, cases)]
+    assert any(g.endswith("e-5") for g, _ in bodies)
+    assert any(g.startswith("0.000") and g[5] != "0" for g, _ in bodies)
+    assert any(d > 1 and g.endswith(f"e{d}") for g, d in bodies)
+    assert any(d > 1 and g.isdigit() and len(g) == d for g, d in bodies)
+    assert any("e" in g for g, _ in bodies[-32:])
 
 
 def test_format_significant_needs_a_digit():
@@ -251,26 +310,27 @@ def _nearest(p: int, q: int, prec: int) -> Fraction:
 
 
 def test_to_mpf_rounds_the_quotient_once():
-    # Numerator and denominator wider than the precision: rounding each
-    # first and then dividing misses the nearest value in the last bit for
-    # about a third of such pairs.
+    # _raw: numerator and denominator wider than the precision: rounding
+    # each first and then dividing misses the nearest value in the last bit
+    # for about a third of such pairs.
     ctx = _context(20)
     rng = random.Random(20)
     for _ in range(60):
         p, q = rng.getrandbits(200) | 1 << 199, rng.getrandbits(190) | 1 << 189
-        x = _to_mpf(ctx, Rational(p, q))
+        x = ctx.make_mpf(_raw(Rational(p, q), ctx.prec))
         assert x.context is ctx
         assert Fraction(int(x.man)) * Fraction(2) ** int(x.exp) == _nearest(p, q, ctx.prec)
-    assert _to_mpf(ctx, "-3/4") == mpf(-3) / 4
+    assert ctx.make_mpf(_raw("-3/4", ctx.prec)) == mpf(-3) / 4
     for inexact in (0.75, True):
         with pytest.raises(TypeError):
-            _to_mpf(ctx, inexact)
+            _raw(inexact, ctx.prec)
 
 
 def test_to_mpf_rounds_an_integer_once():
-    # An exact t_n ends in many zero bits (2500 of 59369 at n = 10^4); it
-    # is rounded straight to the precision, to the nearest value, which is
-    # also what ctx.mpf gives after making the integer exact first.
+    # _raw: an exact t_n ends in many zero bits (2500 of 59369 at
+    # n = 10^4); it is rounded straight to the precision, to the nearest
+    # value, which is also what ctx.mpf gives after making the integer
+    # exact first.
     ctx = _context(20)
     rng = random.Random(21)
     wide = [rng.getrandbits(300) | 1 << 299 for _ in range(40)]
@@ -279,14 +339,14 @@ def test_to_mpf_rounds_an_integer_once():
     values = [involution_number(n) for n in (1000, 2500, 10**4)]
     values += [w | 1 for w in wide] + [w & ~1 for w in wide] + ties
     for t in values:
-        x = _to_mpf(ctx, t)
+        x = ctx.make_mpf(_raw(t, ctx.prec))
         assert x.context is ctx
         assert Fraction(int(x.man)) * Fraction(2) ** int(x.exp) == _nearest(t, 1, ctx.prec)
         assert x == ctx.mpf(t)
-        assert _to_mpf(ctx, -t) == -x
+        assert ctx.make_mpf(_raw(-t, ctx.prec)) == -x
     for flag in (True, False):
         with pytest.raises(TypeError):
-            _to_mpf(ctx, flag)
+            _raw(flag, ctx.prec)
 
 
 def _reference(exp, n, k, dps):
@@ -367,6 +427,11 @@ def test_correction_sum_stays_within_its_bound(a85_k25, m, k):
     got = Fraction(-man if value < 0 else man) * Fraction(2) ** e
     half_ulp = Fraction(2) ** (e + man.bit_length() - prec - 1)
     assert abs(got * scale - N[0]) <= Fraction(units, 1 << W) + half_ulp * scale
+
+
+def _to_mpf(ctx, q):
+    """_raw(q) at the context's precision, as one of its mpf values."""
+    return ctx.make_mpf(_raw(q, ctx.prec))
 
 
 def _context_level(exp, C, n, k, digits):

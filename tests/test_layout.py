@@ -111,8 +111,8 @@ def test_raw_mpf_arithmetic_stays_in_the_evaluate_module():
 
 def test_exact_values_reach_mpmath_through_to_mpf():
     # ctx.mpf(int) makes the integer exact before rounding it, stripping
-    # trailing zero bits over the whole integer; evaluate._to_mpf rounds
-    # an exact value once, so no module calls an attribute named mpf.
+    # trailing zero bits over the whole integer; evaluate._raw rounds an
+    # exact value once, so no module calls an attribute named mpf.
     calls = [
         f"{path.name}:{node.lineno}"
         for path in MODULES

@@ -226,7 +226,10 @@ def test_mul_by_zero():
 def test_truncate_and_x_shift():
     s = S(0, [1, 2, 3, 4], 4)
     assert s.truncate(2) == S(0, [1, 2], 2)
-    assert s.truncate(4) is s
+    # A cut at the series' own truncation is an equal series in lowest
+    # terms, not the series itself.
+    same = s.truncate(4)
+    assert same == s and (same.nums, same.den) == (s.nums, s.den)
     with pytest.raises(ValueError):
         s.truncate(5)
     # The cut drops the content that only the forgotten terms needed.
@@ -236,6 +239,16 @@ def test_truncate_and_x_shift():
     assert shifted.valuation == -3
     assert shifted.truncation == 1
     assert shifted.coefficient(-3) == 1
+
+
+def test_a_cut_at_the_own_truncation_stores_lowest_terms():
+    # A sum may carry content; cutting it at its own truncation drops no
+    # term but still divides the content out.
+    half = S(0, [Rational(1, 2), Rational(1, 4)], 2)
+    total = add(half, half)
+    assert (total.nums, total.den) == ((4, 2), 4)
+    cut = total.truncate(2)
+    assert cut == total and (cut.nums, cut.den) == ((2, 1), 2)
 
 
 # -- exp / log -------------------------------------------------------------------
