@@ -37,6 +37,7 @@ RECURRENCES = {
     "catalan": [[4, 4], [2, -4]],
     "motzkin": [[18, 9], [-3, -6], [3, -3]],
     "sparse": [[1], [], [], [0, -1]],
+    "order3": [[1], [-1], [0, -1], [0, -1]],
     "harmonic": [[0, 1], [1, -2], [-1, 1]],
 }
 
@@ -226,6 +227,8 @@ PINS = (
     _verify("catalan", 30, "beta = 0, gauged by hand to t = rho^n u", "0 0 -3/2", 31),
     _verify("motzkin", 30, "beta = 0, gauged by hand to t = rho^n u", "0 0 -3/2", 31),
     _verify("sparse", 30, "t(n) = n t(n-3): beta = 1/3, j = 3 in y = 1/n", "1/3 0 1/2", 31),
+    _verify("order3", 60, "t(n) = t(n-1) + n t(n-2) + n t(n-3): reach 6 against d = 2",
+            "1/2 2 -1/2", 60),
     Pin("numeric layer", "eval at n up to 10^400 and k up to 60, constant and check",
         tuple(("eval", "--preset", "a85", "--n", str(10**e), "--k", str(k), "--digits", "30")
               for e in (3, 5, 50, 400) for k in (0, 1, 17, 60)) + (

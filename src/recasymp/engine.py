@@ -103,14 +103,10 @@ order at which a_(K+1) would be read.  The weights are assembled once,
 through that window, and memoized, with the moments and the indicial
 order, which read no order more than reach past the lowest valuation, and
 the march's seeds; the solve and residual_check on its expansion both read
-them.  The solve's window is sized right after the assembly, from the
-indicial order: a_K is read at indicial + K, and r = sum_j W_j is known
-through leading + T, leading the lowest valuation of the W_j, so the solve
-takes T = K + 1 + d, d = indicial - leading <= reach, and cuts r alone to
-it: by reach + 1 - d orders in x (3 for a85, with reach = 4 and d = 2), by
-the orders of y between the two windows in y.  The march reads the seeds
-through that window, and r over no larger a denominator than an assembly
-through T sums to, since a cut is in lowest terms.
+them.  The solve marches through that same window, which covers its last
+read: a_K is read at indicial + K <= leading + K + reach, and r = sum_j W_j
+is known through leading + K + reach + 2, leading the lowest valuation of
+the W_j.
 """
 
 from __future__ import annotations
@@ -274,13 +270,8 @@ def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
     reach = local_analysis(rec).reach
     r = _ramification(rec, frame)
     stride = 2 // r  # orders of x per order of the lattice
-    # a_K is read at indicial + K: the bare residual is cut to what that needs.
-    certificate_orders = K + reach + 2
-    weights, seeds, leading, moments, indicial = _assemble(rec, frame, certificate_orders, r)
-    unit_orders = K + 1 + min(reach, indicial - leading)
-    bare = reduce(add, weights.values())
-    extra = _orders(certificate_orders, r) - _orders(unit_orders, r)
-    march = ResponseMarch(bare.truncate(bare.truncation - extra), weights[0], seeds)
+    weights, seeds, _, moments, indicial = _assemble(rec, frame, K + reach + 2, r)
+    march = ResponseMarch(reduce(add, weights.values()), weights[0], seeds)
     pk, scale = _indicial_polynomial(moments, indicial, r)
     coefficients = []
     for k in range(1, K + 1):
@@ -310,10 +301,9 @@ def residual_check(rec: Recurrence, exp: Expansion) -> int:
     which a_1 is read (or the residual's valuation, if lower); m >= exp.K
     certifies that every solved coefficient does its job.  The residual is
     known through order K + 1 + reach - sigma, at or past the order
-    indicial + K + 1 at which a_(K+1) would be read, one past the solve's
-    window, so it sees that order.  When it vanishes through all of that,
-    as for an exact solution, the value is the window's limit: a lower
-    bound, still >= exp.K.
+    indicial + K + 1 at which a_(K+1) would be read, so it sees that order.
+    When it vanishes through all of that, as for an exact solution, the
+    value is the window's limit: a lower bound, still >= exp.K.
 
     The residual is formed in y = x^2 = 1/n when the weights live there and
     every odd a_k is zero (see the module docstring), in x otherwise, as one

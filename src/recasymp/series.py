@@ -27,8 +27,7 @@ build up: in mul_sum (the lcm of the d1 * d2 of its pairs, so in mul,
 which is mul_sum of one pair) and in compose_shift in x (d * 4^I); and in
 truncate, whose cut drops numerators that may have needed part of the
 denominator.  Every cut is divided, also one at the series' own
-truncation, so a sum cut to its own window (the solver's bare residual)
-comes out in lowest terms too.  The lcm that the constructor and
+truncation.  The lcm that the constructor and
 from_terms bring exact values over (so the closed forms of shift_unit and
 the frame module) and the running lcm of exp_series and log1p_series are
 in lowest terms by construction; a sum or a scaling may carry content,
@@ -68,7 +67,7 @@ integers; any other exact value (a subclass with arithmetic of its own, as
 an operation counter uses) is kept as a numerator over 1 and combined with
 its own operators, since every kernel needs only ring operations plus
 division by integers.  Such a numerator counts as content 1, so no content
-is divided out of its series.  All floating point input is rejected.
+is divided out of its series.  Floats and bools are rejected.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ from .rationals import Rational
 
 #: The exact number types the constructor splits into a Python int
 #: numerator and denominator.
-_SPLIT = frozenset({int, bool, Rational})
+_SPLIT = frozenset({int, Rational})
 
 #: Orders per run in mul: a longer factor is split into runs of this many
 #: orders, each divided by its own content (_runs).
@@ -95,8 +94,8 @@ def _split(c):
     """(numerator, denominator) of an exact coefficient.  Any value of
     another type (a subclass with arithmetic of its own) is its own
     numerator over 1, so the kernels combine it with its own operators."""
-    if isinstance(c, float):
-        raise TypeError("float coefficients are not allowed in exact series")
+    if isinstance(c, (float, bool)):
+        raise TypeError(f"{type(c).__name__} coefficients are not allowed in exact series")
     if type(c) in _SPLIT:
         return c.numerator, c.denominator
     return c, 1

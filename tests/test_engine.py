@@ -492,8 +492,8 @@ def _draws(name, count):
 
 @pytest.mark.parametrize("name", ["monic", "two-term", "sparse", "order-3"])
 def test_coefficients_do_not_depend_on_K(name):
-    # The march's window ends where a_K is read, so each a_k read at the
-    # edge of its window is the a_k of a solve six or more orders longer.
+    # The march's window is the assembly's, sized from K, so each a_k of a
+    # solve at K is the a_k of a solve six or more orders longer.
     for rec in _draws(name, 2):
         frame = frame_solve(rec)
         longer = solve_expansion(rec, frame, 19).a
@@ -503,9 +503,10 @@ def test_coefficients_do_not_depend_on_K(name):
 
 @pytest.mark.parametrize("name", ["a85", "order-3", "monic", "sparse"])
 def test_march_window_covers_the_last_read(name, monkeypatch):
-    # The residual the march starts from is known through a_K's read order,
-    # indicial + K, and at most one order of its lattice past it: in x for
-    # a85 and order-3, in y = 1/n for monic and sparse, at even and odd K.
+    # The march starts from the sum of the assembly's weights, uncut, so its
+    # window is the certificate's, and that window is known past a_K's read
+    # order, indicial + K: in x for a85 and order-3, in y = 1/n for monic
+    # and sparse, at even and odd K.
     rec = a85_recurrence() if name == "a85" else _family(name, 1)
     frame = frame_solve(rec)
     r = engine._ramification(rec, frame)
@@ -524,8 +525,10 @@ def test_march_window_covers_the_last_read(name, monkeypatch):
     for K in (0, 1, 12, 13):
         windows.clear()
         solve_expansion(rec, frame, K)
-        read = (engine._assemble(rec, frame, K + reach + 2, r).indicial + K) // (2 // r)
-        assert len(windows) == 1 and read < windows[0] <= read + 2
+        assembly = engine._assemble(rec, frame, K + reach + 2, r)
+        read = (assembly.indicial + K) // (2 // r)
+        assert windows == [reduce(add, assembly.terms.values()).truncation]
+        assert read < windows[0]
 
 
 @pytest.mark.parametrize(
@@ -807,11 +810,16 @@ def _stirling(K):
     log_st = [Fraction(0)] * (K + 1)
     for k in range(1, (K + 2) // 4 + 1):
         log_st[2 * (2 * k - 1)] = b[2 * k] / (2 * k * (2 * k - 1))
-    # exp through x^K: m s_m = sum_(i=1..m) i l_i s_(m-i).
-    st = [Fraction(1)]
-    for m in range(1, K + 1):
-        st.append(sum(i * log_st[i] * st[m - i] for i in range(1, m + 1)) / m)
-    return st
+    return _exp(log_st)
+
+
+def _exp(g):
+    """exp(g) through the length of g, g[0] = 0: m e_m = sum_(i=1..m) i g_i
+    e_(m-i)."""
+    e = [Fraction(1)]
+    for m in range(1, len(g)):
+        e.append(sum(i * g[i] * e[m - i] for i in range(1, m + 1)) / m)
+    return e
 
 
 @pytest.mark.parametrize("rec", _TWIST_CASES.values(), ids=_TWIST_CASES.keys())
@@ -853,6 +861,43 @@ def test_index_shift_moves_alpha_by_beta_s(rec):
         assert (got.beta, got.c, got.alpha) == want, s
 
 
+def _shift_ratio(frame, s, K):
+    """1, r_1 .. r_K of R = F(n + s) / (F(n) n^(beta s)) in x = n^(-1/2):
+    exp(beta A + c B + alpha C) at j = -s, from the closed forms of the
+    frame module docstring, A = sum j^(m+1) x^(2m) / (m (m+1)), B = sum
+    binom(1/2, m) (-j)^m x^(2m-1) and C = -sum j^m x^(2m) / m."""
+    j, g, w = -s, [Fraction(0)] * (K + 1), Fraction(1)
+    for m in range(1, K // 2 + 1):
+        g[2 * m] = frame.beta * Fraction(j ** (m + 1), m * (m + 1)) - frame.alpha * Fraction(j**m, m)
+    for m in range(1, (K + 1) // 2 + 1):
+        w *= (Fraction(1, 2) - m + 1) * -j / m  # binom(1/2, m) (-j)^m
+        g[2 * m - 1] = frame.c * w
+    return _exp(g)
+
+
+@pytest.mark.parametrize("rec", _TWIST_CASES.values(), ids=_TWIST_CASES.keys())
+def test_index_shift_multiplies_by_the_shift_ratio(rec):
+    # t'_n = t_(n+s) ~ F(n + s) S((n + s)^(-1/2)), and (n + s)^(-1/2) =
+    # x (1 + s x^2)^(-1/2), so in the frame (beta, c, alpha + beta s)
+    # S'(x) = R(x) S(x (1 + s x^2)^(-1/2)) with R the shift ratio above.
+    K = 16
+    frame = frame_solve(rec)
+    a = (1,) + solve_expansion(rec, frame, K).a
+    for s in (1, -1, 2):
+        # S(x (1 + s x^2)^(-1/2)) = sum_k a_k x^k sum_m binom(-k/2, m) s^m x^(2m).
+        composed = [Fraction(0)] * (K + 1)
+        for k in range(K + 1):
+            term = Fraction(a[k])
+            for m in range((K - k) // 2 + 1):
+                composed[k + 2 * m] += term
+                term *= (Fraction(-k, 2) - m) * s / (m + 1)
+        r = _shift_ratio(frame, s, K)
+        want = tuple(sum(r[i] * composed[k - i] for i in range(k + 1)) for k in range(1, K + 1))
+        shifted = Recurrence([_at_n_plus(p, s) for p in rec.coeffs])
+        got = Frame(frame.beta, frame.c, frame.alpha + frame.beta * s)
+        assert solve_expansion(shifted, got, K).a == want, s
+
+
 _MARCH_CASES = [
     (f"{name}-{seed}", _family(name, seed), None, 12)
     for name in ("monic", "two-term", "sparse")
@@ -892,7 +937,7 @@ def test_march_matches_the_series_march(rec, frame, K):
 
 def test_weight_above_the_first_window():
     # 2 t(n) - 2 n^2 t(n-1) + t(n-2) = 0 has the frame beta = 2, where W_2
-    # has valuation 8: at K = 0 the residual is known through O(x^5), so
+    # has valuation 8: at K = 0 the residual is known through O(x^6), so
     # W_2 lies wholly above the first step's window and must be cut to
     # nothing, not sliced with a negative bound (the path of
     # solve-frame --verify 0 on this recurrence).
@@ -972,11 +1017,10 @@ def _stored(s):
     "rec, frame, K", [case[1:] for case in _MARCH_CASES], ids=[case[0] for case in _MARCH_CASES]
 )
 def test_cut_weights_store_what_the_solve_window_stores(rec, frame, K):
-    # The solve cuts one series, the bare residual sum_j W_j, from the
-    # certificate's window to its own, K + 1 + min(reach, d) orders of x;
-    # the march reads the seeds uncut, through that window.  The cut is in
-    # lowest terms, so the march starts from what the weights of an
-    # assembly through its own window sum to, over no larger denominator.
+    # Cutting the bare residual sum_j W_j from the certificate's window to
+    # K + 1 + min(reach, d) orders of x, where a_K's read order ends, stores
+    # what the weights of an assembly through that window sum to, over no
+    # larger a denominator: a cut is in lowest terms.
     frame = frame or frame_solve(rec)
     reach = local_analysis(rec).reach
     r = engine._ramification(rec, frame)
@@ -989,8 +1033,8 @@ def test_cut_weights_store_what_the_solve_window_stores(rec, frame, K):
     cut, want = bare.truncate(bare.truncation - extra), reduce(add, narrow.values())
     assert cut == want
     assert want.den % cut.den == 0 and gcd(cut.den, *cut.nums) == 1
-    # The moments read no order that the cut drops, so the solve takes the
-    # certificate's.
+    # An assembly one order shorter has the same moments, indicial order
+    # and leading valuation.
     through = engine._assemble.__wrapped__(rec, frame, K + reach + 1, r)
     assert (through.moments, through.indicial, through.leading) == (
         wide.moments, wide.indicial, wide.leading

@@ -27,6 +27,25 @@ x^(2k-2), gives the frame (d/j, 0, sum_i h_i/j + d/2) and
             x^(2k - 2),
 
 where the 1 + h_i/j are the roots of the monic r(j (1 - y)) / (-j)^d.
+
+Singularity analysis.  For f_n = [z^n] f(z), f algebraic with its one
+dominant singularity at rho, f = (polynomial) + sum_(m>=0) g_m w^(m + e)
+near w = 1 - z/rho = 0, e = 1/2 or -1/2, the transfer [z^n] w^a =
+rho^(-n) Gamma(n - a) / (Gamma(-a) Gamma(n + 1)) and
+
+    Gamma(n + a) / Gamma(n + 1) = n^(a - 1) exp(sum_(k>=1) (-1)^(k+1)
+        (B_(k+1)(a) - B_(k+1)(1)) / (k (k + 1) n^k))
+
+(DLMF 5.11.8 again) give the gauged u_n = rho^n f_n the frame
+(0, 0, -e - 1) and, in y = x^2 = 1/n,
+
+    S = sum_m (g_m / g_0) (Gamma(-e) / Gamma(-m - e)) y^m G_(-m-e)(y),
+
+G_a the exp above; Gamma(-e) / Gamma(-m - e) = prod_(i=1..m) (-e - i) is
+rational, so every a_k is (Flajolet & Odlyzko, SIAM J. Discrete Math. 3,
+1990).  The gauge t_n = rho^(-n) u_n turns sum_j p_j(n) u_(n-j) = 0 into
+sum_j p_j(n) rho^(-j) f_(n-j) = 0, which each case checks on the exact
+f_n of its definition.
 """
 
 from fractions import Fraction
@@ -77,10 +96,15 @@ def _hypergeometric_series(r, j=1):
     for k in range(2, K // 2 + 2):
         bernoulli_sum = sum(comb(k, m) * BERNOULLI[k - m] * p[m] for m in range(k + 1))
         log_s[2 * k - 2] = (-1) ** k * j ** (k - 1) * bernoulli_sum / (k * (k - 1))
-    # S = exp(log S) through x^K: n s_n = sum_(j=1..n) j l_j s_(n-j).
+    return _exp(log_s)
+
+
+def _exp(g):
+    """exp(g) through the length of g, g[0] = 0: n s_n = sum_(i=1..n) i g_i
+    s_(n-i)."""
     s = [Fraction(1)]
-    for n in range(1, K + 1):
-        s.append(sum(j * log_s[j] * s[n - j] for j in range(1, n + 1)) / n)
+    for n in range(1, len(g)):
+        s.append(sum(i * g[i] * s[n - i] for i in range(1, n + 1)) / n)
     return s
 
 
@@ -124,3 +148,82 @@ def test_sparse_recurrences_match_the_stirling_bernoulli_series(j, d, data):
     assert frame == Frame(Fraction(d, j), 0, Fraction(r[d - 1], j) + Fraction(d, 2))
     exp = solve_expansion(rec, frame, K)
     assert list(exp.a) == _hypergeometric_series(r, j)[1:]
+
+
+def _bernoulli_polynomial(k, a):
+    return sum(comb(k, i) * BERNOULLI[k - i] * a**i for i in range(k + 1))
+
+
+def _singular_series(g, e, top):
+    """1, s_1 .. s_top in y = 1/n of the gauged u_n of sum_m g_m w^(m + e),
+    by the transfer above."""
+    s = [Fraction(0)] * (top + 1)
+    ratio = Fraction(1)  # Gamma(-e) / Gamma(-m - e)
+    for m in range(top + 1):
+        a = -m - e
+        log_g = [0] + [
+            (-1) ** (k + 1) * (_bernoulli_polynomial(k + 1, a) - _bernoulli_polynomial(k + 1, 1))
+            / (k * (k + 1))
+            for k in range(1, top - m + 1)
+        ]
+        for i, v in enumerate(_exp(log_g)):
+            s[m + i] += Fraction(g[m], g[0]) * ratio * v
+        ratio *= a - 1
+    return s
+
+
+def _binomial_series(p, c, top):
+    """(1 + c w)^p through w^top."""
+    out = [Fraction(1)]
+    for m in range(top):
+        out.append(out[-1] * (p - m) * c / (m + 1))
+    return out
+
+
+def _catalan(n):
+    return comb(2 * n, n) // (n + 1)
+
+
+_TOP = 12  # orders of y = 1/n, a_1 .. a_24 in x
+_QUARTER_ROOT = _binomial_series(Fraction(1, 2), Fraction(-1, 4), _TOP)  # (1 - w/4)^(1/2)
+
+#: name: (hand-gauged p_j, 1/rho, f_n, e, g_0 .. g_TOP).  Catalan: f =
+#: 2 (1 - w^(1/2)) / (1 - w) at rho = 1/4.  Motzkin: 1 - 2z - 3z^2 = w (4 - w)/3
+#: at rho = 1/3, so f = (1 - z - sqrt(...)) / (2 z^2) has singular part
+#: -(9/sqrt(3)) w^(1/2) (1 - w/4)^(1/2) / (1 - w)^2.  Central binomials:
+#: (1 - 4z)^(-1/2) = w^(-1/2).  Central trinomials: (1 - 2z - 3z^2)^(-1/2) =
+#: (sqrt(3)/2) w^(-1/2) (1 - w/4)^(-1/2).
+_SINGULAR = {
+    "catalan": ([[4, 4], [2, -4]], 4, _catalan, Fraction(1, 2), [1] * (_TOP + 1)),
+    "motzkin": (
+        [[18, 9], [-3, -6], [3, -3]], 3,
+        lambda n: sum(comb(n, 2 * k) * _catalan(k) for k in range(n // 2 + 1)),
+        Fraction(1, 2),
+        [sum(_QUARTER_ROOT[i] * (m - i + 1) for i in range(m + 1)) for m in range(_TOP + 1)],
+    ),
+    "central-binomial": (
+        [[0, 2], [1, -2]], 4, lambda n: comb(2 * n, n), Fraction(-1, 2), [1] + [0] * _TOP
+    ),
+    "central-trinomial": (
+        [[0, 3], [1, -2], [1, -1]], 3,
+        lambda n: sum(comb(n, 2 * k) * comb(2 * k, k) for k in range(n // 2 + 1)),
+        Fraction(-1, 2),
+        _binomial_series(Fraction(-1, 2), Fraction(-1, 4), _TOP),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "coeffs, mu, sequence, e, g", _SINGULAR.values(), ids=_SINGULAR.keys()
+)
+def test_singularity_analysis_gives_the_gauged_series(coeffs, mu, sequence, e, g):
+    f = [sequence(n) for n in range(40)]
+    for n in range(len(coeffs) - 1, len(f)):
+        p_at_n = [sum(c * n**i for i, c in enumerate(p)) for p in coeffs]
+        assert sum(p * mu**j * f[n - j] for j, p in enumerate(p_at_n)) == 0, n
+    rec = Recurrence(coeffs)
+    frame = frame_solve(rec)
+    assert frame == Frame(0, 0, -e - 1)
+    s = _singular_series(g, e, _TOP)
+    want = tuple(0 if k % 2 else s[k // 2] for k in range(1, 2 * _TOP + 1))
+    assert solve_expansion(rec, frame, 2 * _TOP).a == want

@@ -68,6 +68,21 @@ def test_float_coefficients_rejected():
         PuiseuxSeries.one(3).scale(0.5)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: S(0, [True, False], 2),
+        lambda: PuiseuxSeries.from_terms({0: True}, 1),
+        lambda: PuiseuxSeries.one(3).scale(True),
+    ],
+    ids=["dense", "from_terms", "scale"],
+)
+def test_bool_coefficients_rejected(build):
+    # A JSON true is not the number 1, as for rat and Recurrence.
+    with pytest.raises(TypeError, match="bool"):
+        build()
+
+
 def test_from_terms():
     s = PuiseuxSeries.from_terms({-2: 1, 0: -1}, 3)
     assert s.valuation == -2

@@ -360,7 +360,7 @@ def test_sums_and_scalings_may_keep_content():
 
 
 def test_other_number_types_keep_their_operators():
-    # Only int, bool and Rational are split into integers; a
+    # Only int and Rational are split into integers (bool is refused); a
     # subclass with arithmetic of its own stays a ring element, so the
     # kernels call its operators, and its series equals and hashes like
     # the canonical one.
