@@ -12,6 +12,7 @@ exits 1 naming each FAIL.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import io
 import json
 import random
@@ -20,7 +21,7 @@ import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Iterator, NamedTuple
@@ -62,13 +63,26 @@ def _sweep() -> Iterator[list]:
         yield coeffs
 
 
-def frame_finder_outcomes() -> None:
-    """One line per seeded random recurrence: its frame's JSON or its error."""
+@lru_cache(maxsize=1)
+def _solved_sweep() -> tuple:
+    """(coeffs, its frame or the exception frame_solve raised) per sweep
+    draw, solved once for the two rows that read them."""
+    solved = []
     for coeffs in _sweep():
         try:
-            print(json.dumps(frame_solve(Recurrence(coeffs)).to_json_dict()))
+            solved.append((coeffs, frame_solve(Recurrence(coeffs))))
         except Exception as err:
-            print(f"{type(err).__name__}: {err}")
+            solved.append((coeffs, err))
+    return tuple(solved)
+
+
+def frame_finder_outcomes() -> None:
+    """One line per seeded random recurrence: its frame's JSON or its error."""
+    for _, got in _solved_sweep():
+        if isinstance(got, Frame):
+            print(json.dumps(got.to_json_dict()))
+        else:
+            print(f"{type(got).__name__}: {got}")
 
 
 def _times(p: list, h: int) -> list:
@@ -119,10 +133,11 @@ def metamorphic_sweep() -> None:
     the split of the sign gauge p'_j = (-1)^j p_j: the same frame, a
     dominating one (same beta, larger (c, alpha)), another, or an error."""
     frames = []
-    for coeffs in _sweep():
-        got = _triple(Recurrence(coeffs))
-        if not isinstance(got, str):
-            frames.append((coeffs, got))
+    for coeffs, got in _solved_sweep():
+        if isinstance(got, Frame):
+            frames.append((coeffs, (got.beta, got.c, got.alpha)))
+        elif not isinstance(got, RecasympError):
+            raise got
     print(f"{len(frames)} frames")
     for name, transform, predict in RELATIONS:
         misses = []
@@ -191,6 +206,20 @@ def engine_outcomes() -> None:
     print("factorial K=100:", _outcome(factorial, Frame(1, 0, Fraction(1, 2)), 100))
 
 
+def laplace_oracle() -> None:
+    """a85's c, exponent constant, prefactor squared and a_1 .. a_24 by
+    Laplace's method (tests/test_oracles.py), against the engine's a_k."""
+    spec = importlib.util.spec_from_file_location(
+        "oracles", Path(__file__).parents[1] / "tests" / "test_oracles.py")
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    c, constant, prefactor_squared, s = oracles._laplace(1, 24)
+    rec = Recurrence(RECURRENCES["a85"])
+    exp = solve_expansion(rec, frame_solve(rec), 24)
+    print(f"c {c}, constant {constant}, prefactor squared {prefactor_squared}, "
+          f"a_1 {s[1]}; a_1 .. a_24 equal the engine's: {exp.a == tuple(s[1:])}")
+
+
 def oracles_at_2000() -> None:
     print(f"EGF: {inv.involution_counts_by_egf(2000) == inv.involution_numbers(2000)}, "
           f"2-cycle sum: {inv.involution_count_by_sum(2000) == inv.involution_number(2000)}")
@@ -249,6 +278,10 @@ PINS = (
         "877 frames\n(n + 2)-twist: 0 exceptions\nn!-twist: 0 exceptions\n"
         "index shift t(n+1): 0 exceptions\n"
         "sign gauge: 610 NoRationalRoot, 54 dominating, 47 other, 166 same frame\n"),
+    Pin("a85 by Laplace's method", "the paper's route as an exact oracle, through a_24",
+        laplace_oracle, "stdout",
+        "c 1, constant -1/4, prefactor squared 1/2, a_1 7/24; "
+        "a_1 .. a_24 equal the engine's: True\n"),
     Pin("oracles at n = 2000", "EGF table and 2-cycle sum at twice the n tier-1 reaches",
         oracles_at_2000, "stdout", "EGF: True, 2-cycle sum: True\n"),
 )

@@ -59,7 +59,7 @@ def _load(path: str, what: str, parse):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise _UsageError(f"cannot read {what} from {path}: {exc}") from None
     except ValueError:
         # json.load reads an integer with int(), which refuses one longer
@@ -281,6 +281,7 @@ def _add_format(p, *choices):
 
 
 def _add_evaluation(p):
+    p.add_argument("--preset", required=True, help="preset name (a85)")
     p.add_argument("--n", type=_at_least("n", 1), required=True, help="index (>= 1)")
     p.add_argument(
         "--k", type=_at_least("k", 0), required=True, help="correction terms to use"
@@ -332,7 +333,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_coeffs)
 
     p = sub.add_parser("eval", help="evaluate an expansion at one index")
-    p.add_argument("--preset", required=True, help="preset name (a85)")
     _add_evaluation(p)
     p.add_argument(
         "--constant",
@@ -344,7 +344,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("check", help="compare an expansion with exact values")
-    p.add_argument("--preset", required=True, help="preset name (a85)")
     _add_evaluation(p)
     p.add_argument("--report", help="also write the report to this file")
     _add_format(p, "text", "json")
@@ -375,7 +374,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "constant", help="estimate the connection constant from exact values"
     )
-    p.add_argument("--preset", required=True, help="preset name (a85)")
     _add_evaluation(p)
     p.set_defaults(func=_cmd_constant)
 

@@ -126,22 +126,20 @@ from .series import PuiseuxSeries, ResponseMarch, add, compose_shift, mul, mul_s
 
 @dataclass(frozen=True)
 class Expansion:
-    """A solved expansion: frame plus the first K correction coefficients,
-    so t_n ~ C * F(n) * (1 + a_1 x + ... + a_K x^K), x = n^(-1/2), with C
-    a connection constant the exact algebra cannot see.  The a_k are
+    """A solved expansion: frame plus the correction coefficients a, so
+    t_n ~ C * F(n) * (1 + a_1 x + ... + a_K x^K), x = n^(-1/2), K = len(a),
+    with C a connection constant the exact algebra cannot see.  The a_k are
     exact values taken by rationals.rat, as the frame's parameters are."""
 
     frame: Frame
-    K: int
     a: tuple
 
     def __post_init__(self):
-        a = tuple(map(rat, self.a))
-        if self.K < 0:
-            raise ValueError("K must be >= 0")
-        if len(a) != self.K:
-            raise ValueError(f"need exactly K = {self.K} coefficients, got {len(a)}")
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", tuple(map(rat, self.a)))
+
+    @property
+    def K(self) -> int:
+        return len(self.a)
 
     def __repr__(self):
         return f"Expansion(frame={self.frame!r}, K={self.K})"
@@ -163,11 +161,11 @@ class Expansion:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Expansion":
-        return cls(
-            Frame.from_json_dict(data["frame"]),
-            int(data["K"]),
-            [parse_rational(v) for v in data["a"]],
-        )
+        exp = cls(Frame.from_json_dict(data["frame"]), [parse_rational(v) for v in data["a"]])
+        K = data["K"]
+        if type(K) is not int or K != exp.K:  # not a bool, float, str
+            raise ValueError(f"declared K {K!r} is not the int {exp.K}")
+        return exp
 
 
 def _ramification(rec: Recurrence, frame: Frame) -> int:
@@ -290,7 +288,7 @@ def solve_expansion(rec: Recurrence, frame: Frame, K: int) -> Expansion:
         coefficients.append(a)
         if a:
             march.absorb(a.numerator, a.denominator)
-    return Expansion(frame, K, coefficients)
+    return Expansion(frame, coefficients)
 
 
 def residual_check(rec: Recurrence, exp: Expansion) -> int:

@@ -41,7 +41,6 @@ def a85_frame() -> Frame:
 
 @dataclass(frozen=True)
 class Preset:
-    name: str
     recurrence: Recurrence
     frame: Frame
     constant: object
@@ -61,7 +60,6 @@ def get_preset(name: str) -> Preset:
 
 PRESETS = {
     "a85": Preset(
-        name="a85",
         recurrence=a85_recurrence(),
         frame=a85_frame(),
         constant=INV_SQRT2,

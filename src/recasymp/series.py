@@ -162,11 +162,9 @@ class PuiseuxSeries:
 
     @classmethod
     def monomial(cls, c, exponent: int, truncation: int) -> "PuiseuxSeries":
-        """c * x^exponent + O(x^truncation)."""
-        if truncation <= exponent:
-            raise ValueError("monomial exponent at or beyond truncation")
-        coeffs = [c] + [0] * (truncation - exponent - 1)
-        return cls(exponent, coeffs, truncation)
+        """c * x^exponent + O(x^truncation): from_terms of the one term,
+        which refuses an exponent at or beyond the truncation."""
+        return cls.from_terms({exponent: c}, truncation)
 
     @classmethod
     def from_terms(cls, terms: dict, truncation: int) -> "PuiseuxSeries":
@@ -373,8 +371,8 @@ def _add_product(out: list, at: int, s1: PuiseuxSeries, s2: PuiseuxSeries, f: in
     highest order needs; each pair of runs that reaches into out adds
     f * g1 * g2 times its partial product, which is then the schoolbook
     convolution, integer for integer.  A short factor, such as a
-    recurrence's polynomial coefficient, gains nothing from runs; with
-    f = 1 it is convolved straight into out, as most products are."""
+    recurrence's polynomial coefficient, gains nothing from runs: the
+    outer factor is scaled by f and convolved straight into out."""
     n = len(out) - at
     if n <= 0:
         return
@@ -382,14 +380,11 @@ def _add_product(out: list, at: int, s1: PuiseuxSeries, s2: PuiseuxSeries, f: in
     if n > _BLOCK:
         a, b = _trimmed(a[:n]), _trimmed(b[:n])
     if n <= _BLOCK or min(len(a), len(b)) <= _BLOCK:
-        if f == 1:
-            _convolve(out, at, a, b)
-            return
-        first, second = ((0, 1, a),), ((0, 1, b),)
-    else:
-        first, second = _runs(a, s1.den), _runs(b, s2.den)
+        _convolve(out, at, a if f == 1 else [f * x for x in a[:n]], b)
+        return
     end = len(out)
-    for p, ga, ra in first:
+    second = _runs(b, s2.den)
+    for p, ga, ra in _runs(a, s1.den):
         for q, gb, rb in second:
             lo = at + p + q
             if lo >= end:

@@ -311,6 +311,28 @@ def test_recurrence_file_past_the_int_digit_limit_is_usage_error(tmp_path, capsy
     assert "set_int_max_str_digits" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve-frame", "--recurrence", "{deep}"),
+        ("coeffs", "--recurrence", "{deep}", "--K", "2"),
+        ("coeffs", "--recurrence", "{rec}", "--frame", "{deep}", "--K", "2"),
+    ],
+    ids=["solve-frame", "coeffs-recurrence", "coeffs-frame"],
+)
+def test_deeply_nested_json_file_is_usage_error(tmp_path, capsys, argv):
+    # json.load meets 100000 nested arrays with a RecursionError; it is a
+    # file the program cannot read, not a traceback, and the limit stays.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    rec = write_json(tmp_path, "fact.json", FACT_REC)
+    limit = sys.getrecursionlimit()
+    code, out, err = run(capsys, *(a.format(deep=deep, rec=rec) for a in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1
+    assert sys.getrecursionlimit() == limit
+
+
 # -- eval ------------------------------------------------------------------------
 
 

@@ -1118,7 +1118,7 @@ def test_certificate_in_y_matches_the_x_reference(rec, monkeypatch):
 def test_certificate_with_an_odd_coefficient_runs_in_x(a, monkeypatch):
     # A nonzero odd a_k makes S odd: the expansion is certified in x, as the
     # reference certifies it, though its frame lives on y = 1/n.
-    exp = Expansion(Frame(1, 0, "1/2"), len(a), [as_rational(v) for v in a])
+    exp = Expansion(Frame(1, 0, "1/2"), [as_rational(v) for v in a])
     lattices = _recording_compose_shift(monkeypatch)
     want = _reference_certificate(_FACTORIAL, exp)
     assert residual_check(_FACTORIAL, exp) == want < exp.K
@@ -1148,18 +1148,18 @@ def test_residual_check_certifies_solution(a85, a85_k10):
 
 
 def test_residual_check_catches_corrupted_first_coefficient(a85, a85_k10):
-    bad = Expansion(a85_k10.frame, 1, [Rational(7, 25)])
+    bad = Expansion(a85_k10.frame, [Rational(7, 25)])
     assert residual_check(a85, bad) == 0
 
 
 def test_residual_check_localizes_corruption(a85, a85_k10):
     a = list(a85_k10.a[:5])
     a[2] = a[2] + 1
-    assert residual_check(a85, Expansion(a85_k10.frame, 5, a)) == 2
+    assert residual_check(a85, Expansion(a85_k10.frame, a)) == 2
 
 
 def test_residual_check_on_bare_frame(a85, a85_fr):
-    assert residual_check(a85, Expansion(a85_fr, 0, [])) >= 0
+    assert residual_check(a85, Expansion(a85_fr, [])) >= 0
 
 
 # -- the Expansion container ---------------------------------------------------
@@ -1175,11 +1175,12 @@ def test_expansion_coefficient_access(a85_k10):
 
 
 def test_expansion_validation(a85_fr):
-    with pytest.raises(ValueError):
-        Expansion(a85_fr, 2, [Rational(1)])
-    with pytest.raises(ValueError):
-        Expansion(a85_fr, -1, [])
-    exp = Expansion(a85_fr, 1, [Rational(7, 24)])
+    # K is the length of a; a declared K is checked as Recurrence checks its
+    # declared order: the int len(a), not a bool, float or str.
+    exp = Expansion(a85_fr, [Rational(7, 24)])
+    for K in (2, 0, -1, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="declared K"):
+            Expansion.from_json_dict(dict(exp.to_json_dict(), K=K))
     with pytest.raises(AttributeError):
         exp.K = 5
 
@@ -1189,17 +1190,17 @@ def test_expansion_refuses_an_inexact_coefficient(a85_fr, value):
     # The a_k are taken by rationals.rat, as the frame's parameters are: a
     # float or a bool is refused here, not met later by eval_expansion.
     with pytest.raises(TypeError):
-        Expansion(a85_fr, 2, [Rational(7, 24), value])
+        Expansion(a85_fr, [Rational(7, 24), value])
 
 
 def test_expansion_reads_a_rational_string_and_keeps_a_rational(a85_fr):
-    exp = Expansion(a85_fr, 2, ["7/24", -1])
+    exp = Expansion(a85_fr, ["7/24", -1])
     assert exp.a == (Rational(7, 24), Rational(-1))
     assert all(type(v) is Rational for v in exp.a)
     a = Rational(7, 24)
-    assert Expansion(a85_fr, 1, [a]).a[0] is a
+    assert Expansion(a85_fr, [a]).a[0] is a
     with pytest.raises(ValueError):
-        Expansion(a85_fr, 1, ["0.5"])
+        Expansion(a85_fr, ["0.5"])
 
 
 def test_expansion_json_round_trip(a85, a85_fr):

@@ -422,7 +422,7 @@ def test_correction_sum_stays_within_its_bound(a85_k25, m, k):
     acc, W = _correction_sum(a, n, prec)
     assert abs(acc * scale - (N[0] << W)) <= units
     # Under the frame 1 and C = 1 the value is the sum, rounded once.
-    value = eval_expansion(Expansion(Frame(0, 0, 0), 25, a85_k25.a), 1, n, k, digits)
+    value = eval_expansion(Expansion(Frame(0, 0, 0), a85_k25.a), 1, n, k, digits)
     man, e = int(value.man), int(value.exp)  # value.man is |mantissa|
     got = Fraction(-man if value < 0 else man) * Fraction(2) ** e
     half_ulp = Fraction(2) ** (e + man.bit_length() - prec - 1)
@@ -576,7 +576,7 @@ def test_connection_constant_sees_kappa(a85, a85_k25):
     # With kappa = 0 the frame loses its e^(-1/4) factor, and the estimate
     # absorbs it: C = e^(-1/4)/sqrt(2).
     fr0 = Frame("1/2", 1, 0, 0)
-    exp0 = Expansion(fr0, a85_k25.K, a85_k25.a)
+    exp0 = Expansion(fr0, a85_k25.a)
     got = connection_constant(a85, exp0, 2500, 20, 20)
     assert format_significant(got, 20) == "0.55069531490318374762"
     mpmath.mp.dps = 30

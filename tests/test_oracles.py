@@ -46,16 +46,36 @@ rational, so every a_k is (Flajolet & Odlyzko, SIAM J. Discrete Math. 3,
 1990).  The gauge t_n = rho^(-n) u_n turns sum_j p_j(n) u_(n-j) = 0 into
 sum_j p_j(n) rho^(-j) f_(n-j) = 0, which each case checks on the exact
 f_n of its definition.
+
+Laplace's method, the paper's own route ([Kn] pp. 62-64).  t_n = n! [z^n]
+exp(u z + z^2 / 2) solves t(n) = u t(n-1) + (n - 1) t(n-2), u = 1 the
+involution numbers.  On the circle through the saddle zeta, the root of
+zeta^2 + u zeta = n, so zeta = x^(-1) w with w = sqrt(1 + u^2 x^2 / 4) -
+u x / 2,
+
+    [z^n] e^(u z + z^2/2) = e^(h) / sqrt(2 pi kappa_2)
+        sum_(q even) (-1)^(q/2) (q - 1)!! 2^(-q/2) [v^q] exp(sum_(m>=3) mu_m v^m / m!),
+
+with h = u zeta + zeta^2 / 2 - n log zeta = n/2 - (n/2) log n + x^(-2) (u x w
+/ 2 - log w), the cumulants kappa_m = 2^(m-1) n - (2^(m-1) - 1) u zeta of
+the exponent at the saddle, kappa_2 = 2 n (1 - u x w / 2), and mu_m =
+kappa_m / (kappa_2 / 2)^(m/2), a series in x of valuation m - 2.  With
+Stirling's series for n!, log t_n = (n/2) log n - n/2 + u sqrt(n) - u^2/4
+- log(2)/2 + log S, so the frame is (1/2, u, 0), kappa = -u^2/4 and C =
+1/sqrt(2), and
+
+    log S = [x^(-2) (u x w / 2 - log w)]_(x^1 and up) - log(1 - u x w / 2) / 2
+            + sum_(k>=1) B_2k / (2k (2k - 1)) x^(4k - 2) + log(Gaussian sum).
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recasymp import Frame, Recurrence, frame_solve, solve_expansion
+from recasymp import Frame, Recurrence, a85_frame, frame_solve, solve_expansion
 
 K = 30
 
@@ -227,3 +247,76 @@ def test_singularity_analysis_gives_the_gauged_series(coeffs, mu, sequence, e, g
     s = _singular_series(g, e, _TOP)
     want = tuple(0 if k % 2 else s[k // 2] for k in range(1, 2 * _TOP + 1))
     assert solve_expansion(rec, frame, 2 * _TOP).a == want
+
+
+def _mul(a, b):
+    """a * b through the length of a; zero entries of a are skipped."""
+    out = [Fraction(0)] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b[: len(a) - i], i):
+                out[k] += x * y
+    return out
+
+
+def _log(s):
+    """log s through the length of s, s[0] = 1: n L_n = n s_n - sum_(i<n) i
+    L_i s_(n-i)."""
+    log = [Fraction(0)]
+    for n in range(1, len(s)):
+        log.append(s[n] - sum((i * log[i] * s[n - i] for i in range(1, n)), Fraction(0)) / n)
+    return log
+
+
+def _laplace(u, top):
+    """(c, the constant of the exponent, the prefactor squared, [1, a_1 ..
+    a_top]) of t_n = n! [z^n] exp(u z + z^2 / 2) by Laplace's method, as
+    above, in x = n^(-1/2).  The prefactor is Stirling's sqrt(2 pi n) over
+    sqrt(2 pi kappa_2), times the Gaussian sum, at x = 0."""
+    w = [Fraction(0)] * (top + 3)
+    for i, b in enumerate(_binomial_series(Fraction(1, 2), Fraction(u * u, 4), top // 2 + 1)):
+        w[2 * i] = b
+    w[1] = Fraction(-u, 2)
+    exponent = [u * a / 2 - b for a, b in zip([0] + w, _log(w))]  # u x w / 2 - log w
+    rho = [Fraction(1)] + [-u * a / 2 for a in w[:top]]  # kappa_2 / (2 n)
+    log_rho = _log(rho)
+    log_s = [a - b / 2 for a, b in zip([Fraction(0)] + exponent[3:], log_rho)]
+    for k in range(1, (top + 2) // 4 + 1):
+        log_s[4 * k - 2] += BERNOULLI[2 * k] / (2 * k * (2 * k - 1))
+    # g_m = mu_m / (m - 1)!, so that q c_q = sum_m g_m c_(q-m) for c_q = [v^q] exp(...).
+    root = _exp([-a / 2 for a in log_rho])  # (kappa_2 / (2 n))^(-1/2)
+    power = _mul(_mul(root, root), root)
+    g = {}
+    for m in range(3, top + 3):
+        kappa = [Fraction(2 ** (m - 1))] + [(1 - 2 ** (m - 1)) * u * a for a in w[:top]]
+        scaled = [a / factorial(m - 1) for a in _mul(kappa, power)[: top + 3 - m]]
+        g[m] = [Fraction(0)] * (m - 2) + scaled
+        power = _mul(power, root)
+    one = [Fraction(1)] + [Fraction(0)] * top
+    c, gauss, weight = [one], one, 1
+    for q in range(1, 3 * top + 1):
+        c_q = [Fraction(0)] * (top + 1)
+        for m in range(3, min(q, top + 2) + 1):
+            c_q = [a + b for a, b in zip(c_q, _mul(g[m], c[q - m]))]
+        c.append([a / q for a in c_q])
+        if q % 2 == 0:
+            weight *= Fraction(1 - q, 2)  # (-1)^(q/2) (q - 1)!! 2^(-q/2)
+            gauss = [a + weight * b for a, b in zip(gauss, c[q])]
+    log_s = [a + b for a, b in zip(log_s, _log(gauss))]
+    return exponent[1], exponent[2], gauss[0] ** 2 / (2 * rho[0]), _exp(log_s)
+
+
+@pytest.mark.parametrize("u, top", [(1, 12), (2, 8), (3, 8)])
+def test_laplace_method_gives_the_two_term_series(u, top):
+    # The recurrence generates t_n = sum_k binom(n, 2k) (2k - 1)!! u^(n - 2k).
+    t = [sum(comb(n, 2 * k) * factorial(2 * k) // (factorial(k) * 2**k) * u ** (n - 2 * k)
+             for k in range(n // 2 + 1)) for n in range(20)]
+    assert all(t[n] == u * t[n - 1] + (n - 1) * t[n - 2] for n in range(2, 20))
+    c, constant, prefactor_squared, s = _laplace(u, top)
+    assert (c, constant, prefactor_squared) == (u, Fraction(-u * u, 4), Fraction(1, 2))
+    if u == 1:
+        assert s[1] == Fraction(7, 24) and a85_frame().kappa == constant
+    rec = Recurrence([[1], [-u], [1, -1]])
+    frame = frame_solve(rec)
+    assert frame == Frame(Fraction(1, 2), u, 0)
+    assert solve_expansion(rec, frame, top).a == tuple(s[1:])

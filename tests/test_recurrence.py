@@ -47,8 +47,8 @@ def test_int_coefficients_only():
         ),
         (Frame("1/2", 1, 0), Frame(Rational(1, 2), 1, 0, 0), ("beta", "kappa")),
         (
-            Expansion(Frame("1/2", 1, 0), 2, [1, Rational(-1, 3)]),
-            Expansion(Frame("1/2", 1, 0), 2, [Rational(1), Rational(-1, 3)]),
+            Expansion(Frame("1/2", 1, 0), [1, Rational(-1, 3)]),
+            Expansion(Frame("1/2", 1, 0), [Rational(1), Rational(-1, 3)]),
             ("frame", "K", "a"),
         ),
     ],

@@ -61,7 +61,7 @@ def test_series_k_out_of_range(a85_k10):
 
 
 def test_full_display_with_constant(a85_k10):
-    k2 = Expansion(a85_k10.frame, 2, a85_k10.a[:2])
+    k2 = Expansion(a85_k10.frame, a85_k10.a[:2])
     assert expansion_to_latex(k2, constant_latex=r"\frac{1}{\sqrt{2}}") == (
         r"\frac{1}{\sqrt{2}} \, n^{\frac{n}{2}} \, e^{-\frac{n}{2} + \sqrt{n} - \frac{1}{4}}"
         r" \left( 1 + \frac{7}{24 \sqrt{n}} - \frac{119}{1152 n}"
