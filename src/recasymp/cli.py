@@ -10,21 +10,23 @@ Subcommands:
     render       LaTeX for a solved expansion
     constant     estimate the connection constant from exact values
 
-Exit codes: 0 success, 1 usage or input errors, 2 exact-computation
-failures (wrong frame, resonance, no usable frame), 3 precision failures
-(requested digits cannot be delivered honestly).
+Exit codes: 0 success, 1 usage or input errors (and a stdout that the
+reader closed before the output was written, as `| head -1` does, with
+nothing on stderr), 2 exact-computation failures (wrong frame, resonance,
+no usable frame), 3 precision failures (requested digits cannot be
+delivered honestly).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from functools import lru_cache
 
 from .engine import residual_check, solve_expansion
-from .errors import EvaluationError, RecasympError
+from .errors import EvaluationError, RecasympError, quoted
 from .evaluate import connection_constant, eval_expansion, format_significant, ratio_check
 from .frame import Frame
 from .framesolve import frame_solve
@@ -35,10 +37,6 @@ from .render import expansion_to_latex
 
 #: Significant digits used by the one-line big-integer summaries.
 SUMMARY_DIGITS = 20
-
-#: Integers up to this many bits go to Decimal in one conversion; on
-#: CPython 3.11 splitting starts to pay at about 30000 bits.
-_DECIMAL_SPLIT_BITS = 32768
 
 
 class _UsageError(Exception):
@@ -85,10 +83,10 @@ def _problem(args) -> tuple[Recurrence, Frame, object, str | None]:
     return rec, frame, None, None
 
 
-def _got(text: str) -> str:
-    """A rejected option value for its usage message: whole up to 40
-    characters, else its first 20 and its length."""
-    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+def _int_digit_limit() -> int:
+    """Python's int-string digit limit, 0 where there is none.  Option
+    values keep it, as recurrence files do."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def _at_least(name: str, low: int):
@@ -100,11 +98,11 @@ def _at_least(name: str, low: int):
             value = int(text)
         except ValueError:
             # Past Python's int-string digit limit, int() fails as on junk.
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            limit = _int_digit_limit()
             need = f" of at most {limit} digits" if 0 < limit < len(text) else ""
-            raise argparse.ArgumentTypeError(f"need an integer{need}, got {_got(text)}") from None
+            raise argparse.ArgumentTypeError(f"need an integer{need}, got {quoted(text)}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"need {name} >= {low}, got {value}")
+            raise argparse.ArgumentTypeError(f"need {name} >= {low}, got {quoted(value)}")
         return value
 
     return parse
@@ -114,12 +112,13 @@ def _constant(text: str):
     """An argparse type: 'p/q' or the 1/sqrt2 sentinel."""
     if text in ("1/sqrt2", "1/sqrt(2)"):
         return INV_SQRT2
-    try:
-        return parse_rational(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"need 'p/q' or '1/sqrt2', got {_got(text)}"
-        ) from None
+    limit = _int_digit_limit()
+    if not 0 < limit < len(text):  # parse_rational itself reads past the limit
+        try:
+            return parse_rational(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"need 'p/q' or '1/sqrt2', got {quoted(text)}")
 
 
 def _digit_count(value: int) -> int:
@@ -136,31 +135,6 @@ def _digit_count(value: int) -> int:
     return digits
 
 
-def _decimal(value: int) -> Decimal:
-    """A non-negative integer as an exact Decimal, printed past the
-    int-to-str digit limit of Python 3.11+ that str() of an int enforces;
-    the interpreter-wide limit stays as it is.
-
-    Decimal(value) takes time quadratic in the length, so past
-    _DECIMAL_SPLIT_BITS the integer is split by bits into halves and
-    rebuilt as hi * 2^h + lo in exact Decimal arithmetic, whose big
-    products are fast.  Halving gives at most two widths per level, and
-    each power of two is computed once."""
-    ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    powers: dict[int, Decimal] = {}
-
-    def convert(v: int, bits: int) -> Decimal:
-        if bits <= _DECIMAL_SPLIT_BITS:
-            return Decimal(v)
-        h = bits // 2
-        if h not in powers:
-            powers[h] = ctx.power(2, h)
-        hi = convert(v >> h, bits - h)
-        return ctx.add(ctx.multiply(hi, powers[h]), convert(v & ((1 << h) - 1), h))
-
-    return convert(value, value.bit_length())
-
-
 def _integer_summary(value: int) -> str:
     return f"{_digit_count(value)} digits; {format_significant(value, SUMMARY_DIGITS)}"
 
@@ -173,10 +147,10 @@ def _cmd_seq(args) -> int:
     if args.digits_only:
         print(_integer_summary(preset.term(args.n)))
     elif args.last:
-        print(_decimal(preset.term(args.n)))
+        print(format_rational(preset.term(args.n)))
     else:
         for v in preset.sequence(args.n):
-            print(_decimal(v))
+            print(format_rational(v))
     return 0
 
 
@@ -380,7 +354,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def main(argv=None) -> int:
+def _dispatch(argv) -> int:
+    """Run one command; each typed failure is one stderr line and its exit
+    code."""
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -393,6 +369,19 @@ def main(argv=None) -> int:
     except RecasympError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`| head -1`): exit 1, silent.  What is
+        # still buffered goes to os.devnull, so the flush at exit cannot
+        # fail as well.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

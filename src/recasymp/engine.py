@@ -117,7 +117,7 @@ from functools import lru_cache, reduce
 from math import lcm
 from types import MappingProxyType
 
-from .errors import FrameMismatch, ResonantOrder
+from .errors import FrameMismatch, ResonantOrder, quoted
 from .frame import Frame, frame_ratio
 from .rationals import Rational, format_rational, parse_rational, rat
 from .recurrence import Recurrence, local_analysis, poly_eval, poly_to_laurent
@@ -164,7 +164,7 @@ class Expansion:
         exp = cls(Frame.from_json_dict(data["frame"]), [parse_rational(v) for v in data["a"]])
         K = data["K"]
         if type(K) is not int or K != exp.K:  # not a bool, float, str
-            raise ValueError(f"declared K {K!r} is not the int {exp.K}")
+            raise ValueError(f"declared K {quoted(K)} is not the int {exp.K}")
         return exp
 
 

@@ -3,8 +3,21 @@ numeric evaluator.
 
 Every failure mode that a caller can trigger with legitimate input gets its
 own class, so the command line tool can map each one to a stable exit code
-and tests can assert on the precise cause.
+and tests can assert on the precise cause.  A message that names an
+offending input value quotes it through quoted, so its length stays
+bounded whatever the input's.
 """
+
+
+def quoted(value) -> str:
+    """A value as an error message quotes it: whole up to 40 characters,
+    else its first 20 and its length, so that a message about a huge input
+    stays one short line.  A string is quoted by its repr and measured by
+    its own length; any other value is shown and measured by its repr."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 40 else f"{value[:20]!r}... ({len(value)} characters)"
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
 
 
 class RecasympError(Exception):

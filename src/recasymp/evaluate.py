@@ -8,9 +8,11 @@ those into decimal digits of t_n means evaluating
 
 in big-float arithmetic.  The correction sum runs Horner's rule in fixed
 point on plain ints and is rounded once (see _correction_sum for its
-bound).  Exact rationals (beta*n + alpha and kappa - beta*n in the
-exponent, c, a rational C, the exact t_n) become raw mpf tuples through
-_raw, correctly rounded once each.
+bound).  The exponent's exact inputs beta*n + alpha, c and kappa - beta*n
+are formed on the frame's integer pairs, no Fraction arithmetic, and each
+is one from_rational, correctly rounded once; a rational C and the exact
+t_n become raw mpf tuples through _raw, the same way.  1 / sqrt(2) is a
+constant of the working precision, computed once per precision.
 
 One rounding path runs on mpmath.libmp's raw tuples (used here alone):
 each step is the libmp call that the context-level formula's method or
@@ -36,7 +38,10 @@ huge exponents eat digits).
 Truncation error is a separate matter from rounding error: an expansion
 truncated at k terms knows t_n to roughly (k+1)/2 * log10(n) digits, the
 exact t_n carry a recessive solution, and no working precision can add
-more.  Asking for digits beyond either floor raises TruncationDominates.
+more.  connection_constant refuses digits beyond either floor with
+TruncationDominates.  eval_expansion and ratio_check check neither floor:
+they give the truncated expansion's value to the digits asked, and
+ratio_check's ratio to the exact t_n shows where it departs from 1.
 """
 
 from __future__ import annotations
@@ -119,15 +124,22 @@ def _context(dps: int) -> MPContext:
 
 def _raw(q, prec: int) -> tuple:
     """Exact rational (or int, or 'p/q' string) to a raw mpf tuple,
-    correctly rounded to prec bits, through rat (which refuses floats and
-    bools).  An integer is rounded once, never first made exact as ctx.mpf
-    makes it (stripping trailing zero bits over the whole integer);
-    anything else is one division of exact integers."""
-    q = rat(q)
-    p, d = q.numerator, q.denominator
-    if d == 1:
-        return from_int(p, prec, round_nearest)
-    return from_rational(p, d, prec, round_nearest)
+    correctly rounded to prec bits.  An exact int is rounded once by
+    from_int, never first made exact as ctx.mpf makes it (stripping
+    trailing zero bits over the whole integer); anything else goes through
+    rat (which refuses floats and bools) and is one division of exact
+    integers."""
+    if type(q) is int:
+        return from_int(q, prec, round_nearest)
+    return from_rational(*rat(q).as_integer_ratio(), prec, round_nearest)
+
+
+@lru_cache(maxsize=64)
+def _inv_sqrt2(prec: int) -> tuple:
+    """1 / sqrt(2) rounded to prec bits, as 1 / ctx.sqrt(2) gives it: a
+    constant of the precision, computed once per precision as _context
+    is built once per precision (and as mpmath caches ln 2 and pi)."""
+    return mpf_rdiv_int(1, mpf_sqrt(from_int(2), prec, round_nearest), prec, round_nearest)
 
 
 def _correction_sum(coefficients, n: int, prec: int) -> tuple[int, int]:
@@ -144,7 +156,8 @@ def _correction_sum(coefficients, n: int, prec: int) -> tuple[int, int]:
     X = math.isqrt((1 << 2 * W) // n)
     acc = 0
     for a in reversed(coefficients):
-        acc = (acc * X >> W) + (a.numerator << W) // a.denominator
+        p, q = a.as_integer_ratio()
+        acc = (acc * X >> W) + (p << W) // q
     return acc, W
 
 
@@ -155,23 +168,31 @@ def eval_expansion(exp: Expansion, C, n: int, k: int, digits: int):
 
     k selects how many correction terms to use (k = 0 means the bare
     frame) and must not exceed exp.K; digits sizes the working precision.
+    The exponent's three rational inputs come from the frame's integer
+    pairs, each rounded once; INV_SQRT2 is _inv_sqrt2 of the precision.
     """
     if n < 1:
         raise ValueError("evaluation needs n >= 1")
     if not 0 <= k <= exp.K:
         raise ValueError(f"k must be between 0 and K = {exp.K}, got {k}")
-    ctx = _context(working_dps(exp.frame, n, digits))
-    p, r, fr, N = ctx.prec, round_nearest, exp.frame, from_int(n)
+    fr = exp.frame
+    ctx = _context(working_dps(fr, n, digits))
+    p, r, N = ctx.prec, round_nearest, from_int(n)
+    # A = beta*n + alpha, c and B = kappa - beta*n over integer pairs, each
+    # one exact division rounded once (the value of _raw on the Fraction).
+    (bp, bq), (ap, aq) = fr.beta.as_integer_ratio(), fr.alpha.as_integer_ratio()
+    kp, kq = fr.kappa.as_integer_ratio()
+    A = from_rational(bp * n * aq + ap * bq, bq * aq, p, r)
+    c = from_rational(*fr.c.as_integer_ratio(), p, r)
+    B = from_rational(kp * bq - bp * n * kq, kq * bq, p, r)
     # ctx.exp(A * ctx.log(n) + c * ctx.sqrt(n) + B), call for call.
-    A_log = mpf_mul(_raw(fr.beta * n + fr.alpha, p), mpf_log(N, p, r), p, r)
-    c_sqrt = mpf_mul(_raw(fr.c, p), mpf_sqrt(N, p, r), p, r)
-    B = _raw(fr.kappa - fr.beta * n, p)
+    A_log = mpf_mul(A, mpf_log(N, p, r), p, r)
+    c_sqrt = mpf_mul(c, mpf_sqrt(N, p, r), p, r)
     frame_value = mpf_exp(mpf_add(mpf_add(A_log, c_sqrt, p, r), B, p, r), p, r)
     # The fixed-point sum, rounded once to the working precision.
     acc, W = _correction_sum((1,) + exp.a[:k], n, p)
     s = from_man_exp(acc, -W, p, r)
-    constant = (mpf_rdiv_int(1, mpf_sqrt(from_int(2), p, r), p, r)
-                if C is INV_SQRT2 else _raw(C, p))
+    constant = _inv_sqrt2(p) if C is INV_SQRT2 else _raw(C, p)
     return ctx.make_mpf(mpf_mul(mpf_mul(constant, frame_value, p, r), s, p, r))
 
 

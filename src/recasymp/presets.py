@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import quoted
 from .frame import Frame
 from .involutions import involution_number, involution_numbers
 from .recurrence import Recurrence
@@ -54,7 +55,7 @@ def get_preset(name: str) -> Preset:
         return PRESETS[name]
     except KeyError:
         raise ValueError(
-            f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
+            f"unknown preset {quoted(name)}; available: {', '.join(sorted(PRESETS))}"
         ) from None
 
 

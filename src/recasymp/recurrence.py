@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 
+from .errors import quoted
 from .rationals import Rational
 from .series import PuiseuxSeries
 
@@ -22,7 +23,7 @@ def _normalize_poly(coeffs) -> tuple[int, ...]:
     out = []
     for c in coeffs:
         if isinstance(c, bool) or not isinstance(c, int):
-            raise TypeError(f"polynomial coefficients must be ints, got {c!r}")
+            raise TypeError(f"polynomial coefficients must be ints, got {quoted(c)}")
         out.append(c)
     while out and out[-1] == 0:
         out.pop()
@@ -82,7 +83,7 @@ class Recurrence:
         rec = cls(coeffs)
         order = data.get("order", rec.order)
         if type(order) is not int or order != rec.order:  # not a bool, float, str
-            raise ValueError(f"declared order {order!r} is not the int {rec.order}")
+            raise ValueError(f"declared order {quoted(order)} is not the int {rec.order}")
         return rec
 
 

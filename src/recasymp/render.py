@@ -10,24 +10,25 @@ from __future__ import annotations
 
 from .engine import Expansion
 from .frame import Frame
+from .rationals import format_rational
 
 
-def _frac(p: int, q: int) -> str:
+def _frac(p: str, q: str) -> str:
     return rf"\frac{{{p}}}{{{q}}}"
 
 
 def _monomial(coeff, symbol: str) -> str:
     """|coeff| * symbol as LaTeX, e.g. (1/2, "n") -> \\frac{n}{2}; the sign
-    is handled by the caller.  An empty symbol renders a bare rational."""
-    p = abs(coeff.numerator)
-    q = coeff.denominator
+    is handled by the caller.  An empty symbol renders a bare rational.
+    The digits come from format_rational, q = "" for an integer."""
+    p, _, q = format_rational(abs(coeff)).partition("/")
     if not symbol:
-        return str(p) if q == 1 else _frac(p, q)
-    if q == 1:
-        if p == 1:
+        return _frac(p, q) if q else p
+    if not q:
+        if p == "1":
             return symbol
         return f"{p} {symbol}"
-    return rf"\frac{{{symbol if p == 1 else f'{p} {symbol}'}}}{{{q}}}"
+    return rf"\frac{{{symbol if p == '1' else f'{p} {symbol}'}}}{{{q}}}"
 
 
 def _signed_terms(pairs) -> str:
@@ -77,11 +78,10 @@ def frame_to_latex(fr: Frame) -> str:
 def _series_term(a, k: int) -> tuple[str, str]:
     """(sign, body) for a_k n^(-k/2)."""
     sign = "-" if a < 0 else "+"
-    p = abs(a.numerator)
-    q = a.denominator
+    p, _, q = format_rational(abs(a)).partition("/")
     power = _power_of_n(k)
-    denominator = power if q == 1 else f"{q} {power}"
-    return sign, rf"\frac{{{p}}}{{{denominator}}}"
+    denominator = f"{q} {power}" if q else power
+    return sign, _frac(p, denominator)
 
 
 def series_to_latex(exp: Expansion, k: int) -> str:

@@ -5,11 +5,13 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
 import time
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recasymp import Expansion, presets
-from recasymp.cli import _DECIMAL_SPLIT_BITS, _decimal, build_parser, main
+from recasymp.cli import build_parser, main
 from recasymp.involutions import EXACT_INDEX_LIMIT, involution_count_by_sum
+from recasymp.rationals import _DECIMAL_SPLIT_BITS, _decimal
 
 FACT_REC = {"order": 1, "coeffs": [[1], [0, -1]]}
 AMBIGUOUS_REC = {"order": 2, "coeffs": [[1], [-2, -2], [0, 0, 1]]}
@@ -75,7 +78,7 @@ def test_seq_past_the_int_to_str_digit_limit(capsys, monkeypatch, mode):
     # t_3000 has 4588 digits, past the 4300 that str() of an int allows on
     # Python 3.11+; the CLI converts without touching that limit.  Its
     # 15241 bits are split four levels deep at this split size.
-    monkeypatch.setattr("recasymp.cli._DECIMAL_SPLIT_BITS", 1024)
+    monkeypatch.setattr("recasymp.rationals._DECIMAL_SPLIT_BITS", 1024)
     code, out, _ = run(capsys, "seq", "--preset", "a85", "--n", "3000", *mode)
     assert code == 0
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == INT_DIGIT_LIMIT
@@ -220,6 +223,25 @@ def test_coeffs_latex(capsys):
     assert r"\frac{10362392814297883973}{263631258054033408000 n^{\frac{9}{2}}}" in out
 
 
+def test_coefficients_past_the_int_string_limit(capsys, monkeypatch):
+    # a85's a_858 is the first with more than 4300 digits, past what str()
+    # and int() of an int allow on Python 3.11+.  An a_2 that size, put in
+    # place of the solve, goes through every rendering and back from JSON;
+    # the interpreter-wide limit stays as it is.
+    big = Fraction(-(10**5000 + 7), 3**10000)
+    p, q = (str(Decimal(v)) for v in (-big.numerator, big.denominator))
+    exp = Expansion(presets.PRESETS["a85"].frame, [Fraction(7, 24), big])
+    monkeypatch.setattr("recasymp.cli.solve_expansion", lambda rec, frame, K: exp)
+    code, out, err = run(capsys, "coeffs", "--preset", "a85", "--K", "2")
+    assert (code, out, err) == (0, f"1: 7/24\n2: -{p}/{q}\n", "")
+    code, out, err = run(capsys, "coeffs", "--preset", "a85", "--K", "2", "--format", "json")
+    assert (code, err) == (0, "") and json.loads(out)["a"] == ["7/24", f"-{p}/{q}"]
+    assert Expansion.from_json_dict(json.loads(out)) == exp
+    code, out, err = run(capsys, "coeffs", "--preset", "a85", "--K", "2", "--format", "latex")
+    assert (code, err) == (0, "") and rf" - \frac{{{p}}}{{{q} n}}" in out
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == INT_DIGIT_LIMIT
+
+
 def test_coeffs_requires_positive_K(capsys):
     code, _, err = run(capsys, "coeffs", "--preset", "a85", "--K", "0")
     assert code == 1
@@ -331,6 +353,24 @@ def test_deeply_nested_json_file_is_usage_error(tmp_path, capsys, argv):
     assert (code, out) == (1, "")
     assert err.startswith("error: cannot read ") and err.count("\n") == 1
     assert sys.getrecursionlimit() == limit
+
+
+@pytest.mark.parametrize(
+    "value, says",
+    [
+        ("x" * 100000, "(100000 characters)"),
+        (json.loads("[" * 600 + "]" * 600), "(1200 characters)"),
+    ],
+    ids=["long-string", "nested-arrays"],
+)
+def test_usage_error_quotes_a_bounded_value(tmp_path, capsys, value, says):
+    # A coefficient of a recurrence file is quoted by its start and its
+    # length, never whole.
+    rec = write_json(tmp_path, "rec.json", {"coeffs": [[1], [value]]})
+    code, out, err = run(capsys, "solve-frame", "--recurrence", rec)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: bad recurrence file {rec}: ") and says in err
+    assert len(err.encode()) < 500 and "Traceback" not in err
 
 
 # -- eval ------------------------------------------------------------------------
@@ -623,6 +663,8 @@ def test_constant_beyond_floor_is_precision_error(capsys):
         (("eval", "--preset", "a85", "--n", "4", "--k", "-1", "--digits", "5"), "--k",
          "need k >= 0"),
         (("seq", "--preset", "a85", "--n", "-1"), "--n", "need n >= 0"),
+        # A number under the bound is quoted by its start and its length too.
+        (("seq", "--preset", "a85", "--n", "-" + "9" * 4000), "--n", "(4001 characters)"),
         # More digits than Python's int-string limit (4300 by default): the
         # message names the limit and echoes a prefix, not all 5001 digits.
         (("eval", "--preset", "a85", "--n", "1" + "0" * 5000, "--k", "0", "--digits",
@@ -632,7 +674,8 @@ def test_constant_beyond_floor_is_precision_error(capsys):
         (("eval", "--preset", "a85", "--n", "4", "--k", "0", "--digits", "5",
           "--constant", "1/1" + "0" * 5000), "--constant", "(5003 characters)"),
     ],
-    ids=["eval-constant-abc", "eval-k-negative", "seq-n-negative", "eval-n-past-int-limit",
+    ids=["eval-constant-abc", "eval-k-negative", "seq-n-negative", "seq-n-negative-long",
+         "eval-n-past-int-limit",
          "eval-constant-past-int-limit", "eval-constant-denominator-past-int-limit"],
 )
 def test_usage_error_names_its_flag(capsys, argv, flag, says):
@@ -817,3 +860,32 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["1", "1", "2", "4"]
+
+
+def test_closed_stdout_exits_1_with_an_empty_stderr():
+    # As `| head -1` does, the reader takes one line of seq's and of
+    # coeffs' output and closes the pipe; both outputs are longer than a
+    # pipe holds (64 KiB on Linux), so a later write must fail.  eval's one
+    # line meets a pipe closed before it is read.  The three run at once.
+    runs = [
+        (("seq", "--preset", "a85", "--n", "2000"), True),
+        (("coeffs", "--preset", "a85", "--K", "169"), True),
+        (("eval", "--preset", "a85", "--n", "1000", "--k", "5", "--digits", "20"), False),
+    ]
+    started = []
+    for argv, reads_a_line in runs:
+        read, write = os.pipe()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "recasymp.cli", *argv], stdout=write, stderr=subprocess.PIPE
+        )
+        os.close(write)
+        if not reads_a_line:
+            os.close(read)
+        started.append((argv, proc, open(read, "rb", buffering=0) if reads_a_line else None))
+    for argv, proc, reader in started:
+        if reader is not None:
+            with reader:
+                while reader.read(1) not in (b"\n", b""):
+                    pass
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (1, b""), argv

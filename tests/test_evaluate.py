@@ -10,7 +10,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import from_man_exp, fzero, round_nearest, to_str
+from mpmath.libmp import from_int, from_man_exp, from_rational, fzero, round_nearest, to_str
 
 from recasymp import (
     INV_SQRT2,
@@ -31,7 +31,7 @@ from recasymp import (
 )
 from recasymp import evaluate
 from recasymp.evaluate import (
-    _GUARD_DIGITS, _context, _correction_sum, _raw, recessive_floor_digits,
+    _GUARD_DIGITS, _context, _correction_sum, _inv_sqrt2, _raw, recessive_floor_digits,
 )
 from recasymp.involutions import involution_number
 
@@ -482,6 +482,64 @@ def test_checks_are_bit_identical_to_the_context_level_formula(a85, a85_k25, n):
             want = _to_mpf(denominator.context, involution_number(n)) / denominator
             assert got.context is want.context
             assert got._mpf_ == want._mpf_, (n, k)
+
+
+def _from_exact(ctx, q):
+    """An exact Fraction or int as an mpf of ctx, rounded once by libmp:
+    from_int for an integer, from_rational otherwise."""
+    q = Fraction(q)
+    p, d, prec = q.numerator, q.denominator, ctx.prec
+    raw = from_int(p, prec, round_nearest) if d == 1 else from_rational(p, d, prec, round_nearest)
+    return ctx.make_mpf(raw)
+
+
+def _exact_reference(exp, C, n, k, digits):
+    """eval_expansion rebuilt from exact Fractions: the exponent inputs
+    formed by Fraction arithmetic and rounded by libmp, the fixed-point
+    correction sum written out again, then the context's operators."""
+    ctx = _context(working_dps(exp.frame, n, digits))
+    fr = exp.frame
+    frame_value = ctx.exp(
+        _from_exact(ctx, fr.beta * n + fr.alpha) * ctx.log(n)
+        + _from_exact(ctx, fr.c) * ctx.sqrt(n)
+        + _from_exact(ctx, fr.kappa - fr.beta * n)
+    )
+    W = ctx.prec + (k + 1).bit_length() + 4
+    X = math.isqrt((1 << 2 * W) // n)
+    acc = 0
+    for a in reversed([Fraction(1), *exp.a[:k]]):
+        acc = (acc * X >> W) + (a.numerator << W) // a.denominator
+    s = ctx.make_mpf(from_man_exp(acc, -W, ctx.prec, round_nearest))
+    constant = 1 / ctx.sqrt(2) if C is INV_SQRT2 else _from_exact(ctx, Fraction(C))
+    return constant * frame_value * s
+
+
+def test_eval_on_random_frames_is_bit_identical_to_exact_rationals():
+    # Frames with negative beta, c, alpha and kappa and denominators 1..7,
+    # n up to 10^400, and each kind of C, at seeded precisions.
+    rng = random.Random(41)
+
+    def draw():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    for _ in range(150):
+        frame = Frame(draw(), draw(), draw(), draw())
+        exp = Expansion(frame, [draw() for _ in range(6)])
+        n = rng.choice([1, 2, rng.randint(3, 10**6), 10**50 + rng.randint(0, 99),
+                        10**400 - rng.randint(0, 99)])
+        k = rng.randint(0, exp.K)
+        C = rng.choice([INV_SQRT2, rng.randint(-50, 50), draw(),
+                        f"{rng.randint(-50, 50)}/{rng.randint(1, 7)}"])
+        digits = rng.randint(5, 40)
+        got = eval_expansion(exp, C, n, k, digits)
+        want = _exact_reference(exp, C, n, k, digits)
+        assert got.context is want.context
+        assert got._mpf_ == want._mpf_, (frame, n, k, C, digits)
+        ctx = got.context
+        assert _inv_sqrt2(ctx.prec) == (1 / ctx.sqrt(2))._mpf_
+        for inexact in (True, 1.0):
+            with pytest.raises(TypeError):
+                _raw(inexact, ctx.prec)
 
 
 # -- ratio_check ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """The exact rational type: parsing, formatting, float and bool rejection."""
 
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -95,6 +97,23 @@ def test_format_parse_round_trip():
         for den in range(1, 9):
             q = Rational(num, den)
             assert parse_rational(format_rational(q)) == q
+
+
+def test_format_and_parse_past_the_int_string_limit():
+    # Past the 4300 digits that str() and int() of an int allow on Python
+    # 3.11+, the digits go through Decimal; the limit itself stays.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    for q in (Rational(10**5000 + 7), Rational(-(10**5000 + 7), 3**10000), Rational(1, 3**10000)):
+        text = format_rational(q)
+        p, _, d = text.partition("/")
+        assert Decimal(p) == q.numerator and Decimal(d or 1) == q.denominator
+        assert parse_rational(f" {text} ") == rat(text) == q
+    assert parse_rational("+" + "1" * 5000) == (10**5000 - 1) // 9
+    # Junk of any length keeps int()'s ValueError.
+    for junk in ("+-" + "1" * 5000, "1" * 5000 + "/y", "1" * 5000 + "x", "1/" + "0" * 5000):
+        with pytest.raises(ValueError):
+            parse_rational(junk)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_rat_accepts_int_string_rational():
