@@ -112,8 +112,10 @@ def _constant(text: str):
     """An argparse type: 'p/q' or the 1/sqrt2 sentinel."""
     if text in ("1/sqrt2", "1/sqrt(2)"):
         return INV_SQRT2
+    # parse_rational itself reads past the int-string limit; an option
+    # keeps it on each side of the slash, as int() applies it.
     limit = _int_digit_limit()
-    if not 0 < limit < len(text):  # parse_rational itself reads past the limit
+    if not limit or all(len(s.strip().lstrip("+-")) <= limit for s in text.partition("/")[::2]):
         try:
             return parse_rational(text)
         except ValueError:
@@ -374,7 +376,8 @@ def _dispatch(argv) -> int:
 def main(argv=None) -> int:
     try:
         code = _dispatch(argv)
-        sys.stdout.flush()
+        if sys.stdout is not None:  # None when fd 1 was closed at start-up
+            sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout (`| head -1`): exit 1, silent.  What is
         # still buffered goes to os.devnull, so the flush at exit cannot

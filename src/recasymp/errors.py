@@ -13,10 +13,15 @@ def quoted(value) -> str:
     """A value as an error message quotes it: whole up to 40 characters,
     else its first 20 and its length, so that a message about a huge input
     stays one short line.  A string is quoted by its repr and measured by
-    its own length; any other value is shown and measured by its repr."""
+    its own length; any other value is shown and measured by its repr,
+    or named by its type where repr() refuses it (an int past the
+    int-string digit limit, or a Fraction holding one)."""
     if isinstance(value, str):
         return repr(value) if len(value) <= 40 else f"{value[:20]!r}... ({len(value)} characters)"
-    text = repr(value)
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} past the int-string digit limit>"
     return text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
 
 

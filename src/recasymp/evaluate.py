@@ -11,8 +11,7 @@ point on plain ints and is rounded once (see _correction_sum for its
 bound).  The exponent's exact inputs beta*n + alpha, c and kappa - beta*n
 are formed on the frame's integer pairs, no Fraction arithmetic, and each
 is one from_rational, correctly rounded once; a rational C and the exact
-t_n become raw mpf tuples through _raw, the same way.  1 / sqrt(2) is a
-constant of the working precision, computed once per precision.
+t_n become raw mpf tuples through _raw, the same way.
 
 One rounding path runs on mpmath.libmp's raw tuples (used here alone):
 each step is the libmp call that the context-level formula's method or
@@ -134,14 +133,6 @@ def _raw(q, prec: int) -> tuple:
     return from_rational(*rat(q).as_integer_ratio(), prec, round_nearest)
 
 
-@lru_cache(maxsize=64)
-def _inv_sqrt2(prec: int) -> tuple:
-    """1 / sqrt(2) rounded to prec bits, as 1 / ctx.sqrt(2) gives it: a
-    constant of the precision, computed once per precision as _context
-    is built once per precision (and as mpmath caches ln 2 and pi)."""
-    return mpf_rdiv_int(1, mpf_sqrt(from_int(2), prec, round_nearest), prec, round_nearest)
-
-
 def _correction_sum(coefficients, n: int, prec: int) -> tuple[int, int]:
     """a_0 + a_1 x + ... + a_k x^k at x = n^(-1/2), as acc / 2^W: Horner's
     rule on ints with X = isqrt(2^(2W) // n) = floor(2^W x).  Each of the k
@@ -169,7 +160,7 @@ def eval_expansion(exp: Expansion, C, n: int, k: int, digits: int):
     k selects how many correction terms to use (k = 0 means the bare
     frame) and must not exceed exp.K; digits sizes the working precision.
     The exponent's three rational inputs come from the frame's integer
-    pairs, each rounded once; INV_SQRT2 is _inv_sqrt2 of the precision.
+    pairs, each rounded once.
     """
     if n < 1:
         raise ValueError("evaluation needs n >= 1")
@@ -192,7 +183,8 @@ def eval_expansion(exp: Expansion, C, n: int, k: int, digits: int):
     # The fixed-point sum, rounded once to the working precision.
     acc, W = _correction_sum((1,) + exp.a[:k], n, p)
     s = from_man_exp(acc, -W, p, r)
-    constant = _inv_sqrt2(p) if C is INV_SQRT2 else _raw(C, p)
+    constant = (mpf_rdiv_int(1, mpf_sqrt(from_int(2), p, r), p, r)
+                if C is INV_SQRT2 else _raw(C, p))
     return ctx.make_mpf(mpf_mul(mpf_mul(constant, frame_value, p, r), s, p, r))
 
 

@@ -686,6 +686,18 @@ def test_usage_error_names_its_flag(capsys, argv, flag, says):
     assert "invalid literal" not in err
 
 
+def test_constant_keeps_the_int_limit_on_each_side(capsys):
+    # The limit holds per integer, as int() applies it: two 3000-digit
+    # sides make 6001 characters and are read, as is a side of exactly the
+    # limit with its sign and spaces (a side past it: the usage cases above).
+    limit = sys.get_int_max_str_digits()
+    eval_argv = ("eval", "--preset", "a85", "--n", "4", "--k", "0", "--digits", "5")
+    one = run(capsys, *eval_argv, "--constant", "1")
+    sides = "7" * 3000 + "/" + "7" * 3000
+    assert run(capsys, *eval_argv, "--constant", sides) == one
+    assert run(capsys, *eval_argv, "--constant", " -" + "7" * limit + " / +1 ")[0] == 0
+
+
 # -- traffic ---------------------------------------------------------------------
 
 A85_REC = {"order": 2, "coeffs": [[1], [-1], [1, -1]]}
@@ -889,3 +901,11 @@ def test_closed_stdout_exits_1_with_an_empty_stderr():
                     pass
         _, err = proc.communicate(timeout=120)
         assert (proc.returncode, err) == (1, b""), argv
+
+
+def test_stdout_closed_at_start_up_drops_the_output_silently():
+    # With fd 1 closed before the interpreter starts, sys.stdout is None and
+    # print writes nothing: the command's own exit code, nothing on stderr.
+    script = '"$0" -m recasymp.cli seq --preset a85 --n 5 >&-'
+    done = subprocess.run(["sh", "-c", script, sys.executable], capture_output=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")

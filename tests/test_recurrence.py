@@ -79,6 +79,11 @@ def test_sequence_residual():
 def test_json_order_mismatch_rejected():
     with pytest.raises(ValueError):
         Recurrence.from_json_dict({"order": 3, "coeffs": [[1], [-1]]})
+    # An order past the int-string digit limit, which repr() refuses, is
+    # still named in one short message.
+    with pytest.raises(ValueError, match=r"^declared order .* is not the int 1$") as info:
+        Recurrence.from_json_dict({"order": 10**5000, "coeffs": [[1], [-1]]})
+    assert len(str(info.value)) < 100
 
 
 def test_poly_helpers():
